@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpatialGrid
-from .kernel import RelaxationKernel, EXPONENTIAL, POLYNOMIAL
+from .grid import GridError, SpatialGrid
+from .kernel import KernelError, RelaxationKernel, EXPONENTIAL, POLYNOMIAL
 from .history import HistoryDatum, ZERO, FROZEN
 
 
@@ -201,7 +201,7 @@ class ScenarioConfig:
                 if self.dt > bound * (1 + 1e-12):
                     probs.append(f"time.dt={self.dt:g} violates the stability "
                                  f"bound {bound:g}")
-            except Exception:
+            except (GridError, KernelError):
                 pass  # grid/kernel problems already reported
         if probs:
             raise ConfigError(probs)

@@ -27,10 +27,15 @@ LEDGER_COLUMNS = [
 
 
 def quadratic_energy(grid: SpatialGrid, u, v, memory: MemoryState,
-                     delta: float = 0.0) -> float:
-    """scriptE = (||u_t||^2 + ||grad u||^2 + integral mu ||grad w||^2) / 2."""
-    return 0.5 * (grid.l2_norm_sq(v) + grid.h1_seminorm_sq(u)
-                  + memory.memory_integral(u, "mu", delta))
+                     delta: float = 0.0, h1: float | None = None,
+                     mem_mu: float | None = None) -> float:
+    """scriptE = (||u_t||^2 + ||grad u||^2 + integral mu ||grad w||^2) / 2;
+    pass ``h1`` = ||grad u||^2 and ``mem_mu`` = the memory integral if held."""
+    if h1 is None:
+        h1 = grid.h1_seminorm_sq(u)
+    if mem_mu is None:
+        mem_mu = memory.memory_integral(u, "mu", delta, h1=h1)
+    return 0.5 * (grid.l2_norm_sq(v) + h1 + mem_mu)
 
 
 def total_energy(grid: SpatialGrid, u, v, memory: MemoryState, p: float,
@@ -40,30 +45,17 @@ def total_energy(grid: SpatialGrid, u, v, memory: MemoryState, p: float,
             - grid.lp_norm_pow(u, p + 1.0) / (p + 1.0))
 
 
-def potential_energy(grid: SpatialGrid, u, memory: MemoryState, p: float,
-                     delta: float = 0.0) -> float:
-    """I = (||grad u||^2 + integral mu ||grad w||^2)/2 - ||u||_{p+1}^{p+1}/(p+1)."""
-    return (0.5 * (grid.h1_seminorm_sq(u)
-                   + memory.memory_integral(u, "mu", delta))
-            - grid.lp_norm_pow(u, p + 1.0) / (p + 1.0))
-
-
-def nehari_gap_live(grid: SpatialGrid, u, memory: MemoryState, p: float,
-                    delta: float = 0.0) -> float:
-    """Quadratic part minus source part of the translated state."""
-    return (grid.h1_seminorm_sq(u) + memory.memory_integral(u, "mu", delta)
-            - grid.lp_norm_pow(u, p + 1.0))
-
-
 def damping_power(grid: SpatialGrid, v, m: float) -> float:
     """||u_t||_{m+1}^{m+1}, the instantaneous frictional dissipation rate."""
     return grid.lp_norm_pow(v, m + 1.0)
 
 
 def viscous_power(grid: SpatialGrid, u, memory: MemoryState,
-                  delta: float = 0.0, conv_mu_prime=None) -> float:
-    """-(1/2) integral mu'(s) ||grad w||^2 ds >= 0."""
-    val = memory.memory_integral(u, "mu_prime", delta, conv=conv_mu_prime)
+                  delta: float = 0.0, conv_mu_prime=None, h1=None,
+                  lap_u=None) -> float:
+    """-(1/2) integral mu'(s) ||grad w||^2 ds >= 0; pieces as memory_integral."""
+    val = memory.memory_integral(u, "mu_prime", delta, conv=conv_mu_prime,
+                                 h1=h1, lap_u=lap_u)
     return -0.5 * val
 
 
@@ -120,12 +112,6 @@ class EnergyLedger:
     def read(cls, path) -> "EnergyLedger":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_csv(fh.read())
-
-
-def identity_residual(row: dict) -> float:
-    """|E + D_cum - E(0)| is stored per row; this recomputes it from a row
-    given E(0) implicitly via the stored value (helper for external rows)."""
-    return row["identity_residual"]
 
 
 # ---------------------------------------------------------------------------

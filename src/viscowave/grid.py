@@ -23,6 +23,11 @@ class GridError(ValueError):
     """Raised for mismatched fields or ill-formed grid parameters."""
 
 
+def _along(axis: int, start, stop) -> tuple:
+    """Index taking ``start:stop`` along ``axis`` and all of earlier axes."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Interior nodes of an interval or rectangle, Dirichlet boundary."""
@@ -51,11 +56,11 @@ class SpatialGrid:
     def dim(self) -> int:
         return len(self.n)
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(L / (k + 1) for L, k in zip(self.extents, self.n))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         out = 1.0
         for hi in self.h:
@@ -94,16 +99,14 @@ class SpatialGrid:
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Centered second-difference Laplacian with zero exterior values."""
         f = self.check(f)
-        out = np.zeros_like(f)
+        out = None
         for axis, hi in enumerate(self.h):
-            padded = np.pad(f, [(1, 1) if a == axis else (0, 0)
-                                for a in range(self.dim)])
-            sl = [slice(None)] * self.dim
-            lo, mid, hi_sl = slice(0, -2), slice(1, -1), slice(2, None)
-            a, b, c = list(sl), list(sl), list(sl)
-            a[axis], b[axis], c[axis] = lo, mid, hi_sl
-            out += (padded[tuple(a)] - 2.0 * padded[tuple(b)]
-                    + padded[tuple(c)]) / hi ** 2
+            lo, up = _along(axis, None, -1), _along(axis, 1, None)
+            d = -2.0 * f
+            d[up] += f[lo]
+            d[lo] += f[up]
+            d /= hi ** 2
+            out = d if out is None else out + d
         return out
 
     def h1_seminorm_sq(self, f: np.ndarray) -> float:
@@ -114,9 +117,13 @@ class SpatialGrid:
         f = self.check(f)
         total = 0.0
         for axis, hi in enumerate(self.h):
-            padded = np.pad(f, [(1, 1) if a == axis else (0, 0)
-                                for a in range(self.dim)])
-            d = np.diff(padded, axis=axis) / hi
+            shape = list(f.shape)
+            shape[axis] += 1
+            # the n + 1 edges along the axis, two of them to the zero exterior
+            d = np.zeros(shape)
+            d[_along(axis, None, -1)] = f
+            d[_along(axis, 1, None)] -= f
+            d /= hi
             # each edge carries the edge length hi times the transverse measure
             total += float(np.sum(d * d)) * self.cell_volume
         return total
@@ -134,10 +141,6 @@ class SpatialGrid:
             raise GridError(f"lp_norm_pow needs q >= 1, got {q}")
         f = self.check(f)
         return float(np.sum(np.abs(f) ** q)) * self.cell_volume
-
-    def h1_cross(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Discrete <grad f, grad g>; uses exact summation by parts."""
-        return -self.inner(f, self.laplacian(g))
 
     # -- elliptic solve -----------------------------------------------------
 

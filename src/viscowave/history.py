@@ -12,13 +12,13 @@ for the history beyond its tabulated support:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .grid import SpatialGrid, GridError
-from .kernel import RelaxationKernel
+from .kernel import EXPONENTIAL, RelaxationKernel
 
 ZERO = "zero"
 FROZEN = "frozen"
@@ -37,10 +37,6 @@ class Classification(enum.Enum):
 
 # ---------------------------------------------------------------------------
 # temporal profiles for analytic history templates
-
-
-def profile_constant(t):
-    return np.ones_like(np.asarray(t, dtype=float))
 
 
 def make_profile(name: str, T0: float, ramp_rate: float = 1.0):
@@ -84,8 +80,10 @@ class HistoryDatum:
 
     grid: SpatialGrid
     shape_field: np.ndarray                 # spatial profile, amplitude included
-    profile: Callable[[float], float]       # temporal factor g(t), g(0) = 1
-    profile_dt: Callable[[float], float]
+    # temporal factor g(t), g(0) = 1, and g'(t); both take arrays of times.
+    # None for a table, which interpolates between its rows instead
+    profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    profile_dt: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_T0: float = 0.0
     mode: str = ZERO
     _velocity: Optional[np.ndarray] = None
@@ -125,39 +123,59 @@ class HistoryDatum:
         samples = np.asarray(samples, dtype=float)
         if times.ndim != 1 or np.any(times > 0) or times[0] != 0.0:
             raise ValueError("table times must start at 0 and be nonpositive")
-        order = np.argsort(times)[::-1]
+        order = np.argsort(times)
         times, samples = times[order], samples[order]
-        T0 = -float(times[-1])
-        flat = samples.reshape(len(times), -1)
 
-        def g(t):  # pragma: no cover - replaced by value_at override
-            raise NotImplementedError
-
-        datum = cls(grid=grid, shape_field=samples[0], profile=g, profile_dt=g,
-                    support_T0=T0, mode=mode)
+        datum = cls(grid=grid, shape_field=samples[-1],
+                    support_T0=-float(times[0]), mode=mode)
+        # ascending in t, ending at t = 0
         datum._table_times = times
-        datum._table_flat = flat
+        datum._table_flat = samples.reshape(len(times), -1)
         return datum
 
     @property
     def tabulated(self) -> bool:
         return hasattr(self, "_table_times")
 
+    def _extended(self, t):
+        """t clamped into the support, and whether u0 keeps its value there:
+        beyond -T0 the zero mode gives 0 and the frozen mode u0(-T0)."""
+        t = np.asarray(t, dtype=float)
+        return (np.maximum(t, -self.support_T0),
+                (t >= -self.support_T0) | (self.mode == FROZEN))
+
     def value_at(self, t: float) -> np.ndarray:
         """u0(., t) for t <= 0, honoring the extension mode."""
         if t > 0:
             raise ValueError("history is defined for t <= 0 only")
-        if t < -self.support_T0:
-            if self.mode == ZERO:
-                return self.grid.zeros()
-            t = -self.support_T0
+        t, kept = self._extended(t)
+        if not kept:
+            return self.grid.zeros()
+        t = float(t)
         if self.tabulated:
-            ts = self._table_times
-            vals = np.empty(self._table_flat.shape[1])
-            for j in range(len(vals)):
-                vals[j] = np.interp(t, ts[::-1], self._table_flat[::-1, j])
-            return vals.reshape(self.grid.shape)
+            ts, rows = self._table_times, self._table_flat
+            j = int(np.searchsorted(ts, t, side="right")) - 1
+            if j == len(ts) - 1:
+                return rows[j].reshape(self.grid.shape).copy()
+            # np.interp's arithmetic, on the two bracketing rows at once
+            slope = (rows[j + 1] - rows[j]) / (ts[j + 1] - ts[j])
+            return (slope * (t - ts[j]) + rows[j]).reshape(self.grid.shape)
         return self.shape_field * float(self.profile(t))
+
+    def ring_fields(self, ts: np.ndarray) -> tuple:
+        """u0 at the times ts <= 0 as (len(ts), N) rows, and ||grad||^2 of
+        each row; a table fills one array in place, holding its rows once."""
+        ts = np.asarray(ts, dtype=float)
+        if self.tabulated:
+            fields = np.empty((len(ts),) + self.grid.shape)
+            for f, t in zip(fields, ts):
+                f[...] = self.value_at(float(t))
+            return (fields.reshape(len(ts), -1),
+                    np.array([self.grid.h1_seminorm_sq(f) for f in fields]))
+        clamped, kept = self._extended(ts)
+        g = np.where(kept, self.profile(clamped), 0.0)
+        return (np.outer(g, self.shape_field),
+                g * g * self.grid.h1_seminorm_sq(self.shape_field))
 
     @property
     def velocity_at_0(self) -> np.ndarray:
@@ -167,8 +185,8 @@ class HistoryDatum:
             ts = self._table_times
             if len(ts) < 2:
                 return self.grid.zeros()
-            dt = float(ts[0] - ts[1])
-            return (self.value_at(0.0) - self.value_at(float(ts[1]))) / dt
+            dt = float(ts[-1] - ts[-2])
+            return (self.value_at(0.0) - self.value_at(float(ts[-2]))) / dt
         return self.shape_field * float(self.profile_dt(0.0))
 
     @velocity_at_0.setter
@@ -180,14 +198,6 @@ class HistoryDatum:
         if self.mode == ZERO:
             return self.grid.zeros()
         return self.value_at(-self.support_T0)
-
-    def M0(self, n_samples: int = 64) -> float:
-        """sup over sampled past times of ||grad u0(t)||_2."""
-        T = max(self.support_T0, 1e-9)
-        ts = -np.linspace(0.0, T, n_samples)
-        vals = [np.sqrt(self.grid.h1_seminorm_sq(self.value_at(t))) for t in ts]
-        vals.append(np.sqrt(self.grid.h1_seminorm_sq(self.frozen_field())))
-        return float(max(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +276,23 @@ def classify(datum: HistoryDatum, d: float, p: float,
 # live memory state
 
 
-class BufferUnderflow(RuntimeError):
-    pass
+_WEIGHT_INDEX = {"mu": 0, "mu_prime": 1}
 
 
 class MemoryState:
-    """Uniform-stride ring of past fields plus exact closed-form tails.
+    """Circular ring of past fields plus exact closed-form tails.
 
-    Row j holds u(t_push - j*ds) where t_push is the latest push time; between
+    Logical row j holds u(t_push - j*ds), where t_push is the latest push
+    time.  It is stored at ``rows[(head + j) % (depth + 1)]``: a push moves
+    ``head`` back one row and overwrites the oldest field there.  Between
     pushes the current field enters as an extra node on the nonuniform first
     interval [0, delta], delta = t - t_push.  The buffer has fixed depth: it
     is prefilled from the history datum at construction, so s-coverage never
-    needs to grow and no interpolation is ever required.
+    needs to grow and no interpolation is ever required.  Quadratures are
+    cached per lag delta (``stride`` lags per push, doubled by each dt
+    halving) and emptied at ``max_cached_lags`` lags, so that the cached
+    weights, 2 (depth + 1) floats a lag, never outgrow the ring; a finished
+    run drops them (``drop_caches``).
     """
 
     def __init__(self, datum: HistoryDatum, kernel: RelaxationKernel,
@@ -290,132 +305,139 @@ class MemoryState:
             raise ValueError("memory depth must cover at least one stride")
         self.ext_field = datum.frozen_field().ravel()
         self.ext_h1 = self.grid.h1_seminorm_sq(datum.frozen_field())
-        n = self.grid.size
-        self.rows = np.empty((self.depth + 1, n))
-        self.row_h1 = np.empty(self.depth + 1)
-        for j in range(self.depth + 1):
-            f = datum.value_at(-j * self.ds)
-            self.rows[j] = f.ravel()
-            self.row_h1[j] = self.grid.h1_seminorm_sq(f)
+        self.rows, self.row_h1 = datum.ring_fields(
+            -self.ds * np.arange(self.depth + 1))
+        self.max_cached_lags = max(1, self.grid.size // 2)
+        self.head = 0
         self.t_push = 0.0
-        self._cache = {}
+        self._quadratures = {}
+        self._push_sum = None   # exponential family: mu row sum at delta = 0
+        self._row_sums = None   # (delta, row sums) of the latest lag
 
     @property
     def s_max_at_push(self) -> float:
         return self.depth * self.ds
 
-    def snapshot_field(self, j: int) -> np.ndarray:
-        return self.rows[j].reshape(self.grid.shape)
-
     def push(self, u: np.ndarray, t: float):
         """Record u(t); t must advance by exactly one stride."""
         u = self.grid.check(u)
-        self.rows = np.roll(self.rows, 1, axis=0)
-        self.rows[0] = u.ravel()
-        self.row_h1 = np.roll(self.row_h1, 1)
-        self.row_h1[0] = self.grid.h1_seminorm_sq(u)
+        self.head = (self.head - 1) % (self.depth + 1)
+        self.rows[self.head] = u.ravel()
+        self.row_h1[self.head] = self.grid.h1_seminorm_sq(u)
         self.t_push = t
-        self._cache.clear()
+        self._push_sum = self._row_sums = None
+
+    def drop_caches(self):
+        """Forget the per-lag quadratures and row sums; they refill lazily."""
+        self._quadratures.clear()
+        self._push_sum = self._row_sums = None
 
     # -- quadrature weights -------------------------------------------------
 
-    def _node_s(self, delta: float) -> np.ndarray:
-        return delta + self.ds * np.arange(self.depth + 1)
-
-    def _row_weights(self, weight: str, delta: float) -> np.ndarray:
-        """Trapezoid coefficients for the buffer rows at lag delta."""
-        s = self._node_s(delta)
-        w = self.kernel.mu(s) if weight == "mu" else self.kernel.mu_prime(s)
+    def _quadrature(self, delta: float) -> tuple:
+        """(rows, now, tail, total) at lag delta, index 0 for mu and 1 for mu':
+        (2, depth + 1) trapezoid row weights in logical order, then the weight
+        of the current field, the exact tail and the weight's quadrature."""
+        quad = self._quadratures.get(delta)
+        if quad is not None:
+            return quad
+        if len(self._quadratures) >= self.max_cached_lags:
+            self._quadratures.clear()
+        kern = self.kernel
+        s = delta + self.ds * np.arange(self.depth + 1)
         coef = np.full(self.depth + 1, self.ds)
         coef[0] = 0.5 * (delta + self.ds)
         coef[-1] = 0.5 * self.ds
-        return coef * w
-
-    def _now_weight(self, weight: str, delta: float) -> float:
-        w0 = self.kernel.mu(0.0) if weight == "mu" else self.kernel.mu_prime(0.0)
-        return 0.5 * delta * w0
-
-    def _tail(self, weight: str, delta: float) -> float:
         s_max = delta + self.s_max_at_push
-        if weight == "mu":
-            return self.kernel.tail_mass(s_max)
-        return self.kernel.mu_prime_tail(s_max)
+        rows = coef * np.stack([kern.mu(s), kern.mu_prime(s)])
+        now = 0.5 * delta * np.array([kern.mu(0.0), kern.mu_prime(0.0)])
+        tail = np.array([kern.tail_mass(s_max), kern.mu_prime_tail(s_max)])
+        quad = self._quadratures[delta] = (rows, now, tail,
+                                           rows.sum(axis=1) + now + tail)
+        return quad
 
-    def weight_quadrature(self, weight: str, delta: float = 0.0) -> float:
-        """Quadrature of the weight itself over the nodes plus exact tail."""
-        return (float(np.sum(self._row_weights(weight, delta)))
-                + self._now_weight(weight, delta) + self._tail(weight, delta))
+    def _ordered(self, weights: np.ndarray) -> np.ndarray:
+        """Logical-order row weights rearranged into the ring's storage order."""
+        return np.roll(weights, self.head, axis=-1)
+
+    def _sums(self, delta: float) -> np.ndarray:
+        """(2, n) mu and mu' weighted row sums at lag delta, kept until the
+        next push or lag.  Exponential family: the push-time mu sum scaled by
+        exp(-c*delta), so one pass over the ring per push serves every lag and
+        both weights; polynomial: one stacked product per lag."""
+        if self._row_sums is not None and self._row_sums[0] == delta:
+            return self._row_sums[1]
+        kern = self.kernel
+        if kern.family == EXPONENTIAL:
+            if self._push_sum is None:
+                mu_rows = self._quadrature(0.0)[0][0]
+                self._push_sum = self._ordered(mu_rows) @ self.rows
+            # at lag delta the first cell widens by delta; its extra weight
+            # 0.5 * delta * mu(0) is the weight of the current field
+            now_mu = self._quadrature(delta)[1][0]
+            scale = float(np.exp(-kern.c * delta))
+            mu_sum = scale * (self._push_sum + now_mu * self.rows[self.head])
+            sums = np.stack([mu_sum, -kern.c * mu_sum])
+        else:
+            sums = self._ordered(self._quadrature(delta)[0]) @ self.rows
+        self._row_sums = (delta, sums)
+        return sums
 
     # -- convolutions -------------------------------------------------------
 
     def convolution_field(self, u_now: np.ndarray, delta: float = 0.0,
                           weight: str = "mu") -> np.ndarray:
-        """integral weight(s) * u(t - s) ds, including tail extension.
-
-        For the exponential family the row sum at delta > 0 reuses the cached
-        push-time sum scaled by exp(-c*delta); otherwise one weighted row sum
-        is taken per call.
-        """
+        """integral weight(s) * u(t - s) ds, including tail extension."""
         u_now = self.grid.check(u_now)
-        kern = self.kernel
-        if kern.family == "exponential":
-            key = ("conv", weight)
-            if key not in self._cache:
-                base = self._row_weights(weight, 0.0) @ self.rows
-                self._cache[key] = base
-            scale = float(np.exp(-kern.c * delta))
-            w0 = kern.mu(0.0) if weight == "mu" else kern.mu_prime(0.0)
-            rowsum = scale * (self._cache[key]
-                              + 0.5 * delta * w0 * self.rows[0])
-        else:
-            rowsum = self._row_weights(weight, delta) @ self.rows
-        out = rowsum + self._now_weight(weight, delta) * u_now.ravel()
-        out = out + self._tail(weight, delta) * self.ext_field
+        k = _WEIGHT_INDEX[weight]
+        _, now, tail, _ = self._quadrature(delta)
+        out = self._sums(delta)[k] + now[k] * u_now.ravel()
+        out = out + tail[k] * self.ext_field
         return out.reshape(self.grid.shape)
 
     def scalar_convolution(self, weight: str, delta: float,
                            h1_now: float) -> float:
         """integral weight(s) * ||grad u(t-s)||^2 ds via the h1 ring."""
-        return (float(self._row_weights(weight, delta) @ self.row_h1)
-                + self._now_weight(weight, delta) * h1_now
-                + self._tail(weight, delta) * self.ext_h1)
+        k = _WEIGHT_INDEX[weight]
+        rows, now, tail, _ = self._quadrature(delta)
+        return (float(self._ordered(rows[k]) @ self.row_h1)
+                + now[k] * h1_now + tail[k] * self.ext_h1)
 
     def memory_integral(self, u_now: np.ndarray, weight: str = "mu",
-                        delta: float = 0.0,
-                        conv: np.ndarray | None = None) -> float:
+                        delta: float = 0.0, conv: np.ndarray | None = None,
+                        h1: float | None = None,
+                        lap_u: np.ndarray | None = None) -> float:
         """integral weight(s) * ||grad w(t, s)||^2 ds with exact tail.
 
         Expands the square through bilinearity; agrees with the direct
-        row-by-row trapezoid (memory_integral_direct) to round-off, at O(n)
-        cost when the convolution field is cached.
+        row-by-row trapezoid (memory_integral_direct) to round-off.  Pieces
+        the caller holds (conv, h1 = ||grad u||^2, lap_u) are reused.
         """
         u_now = self.grid.check(u_now)
-        h1_now = self.grid.h1_seminorm_sq(u_now)
+        if h1 is None:
+            h1 = self.grid.h1_seminorm_sq(u_now)
+        if lap_u is None:
+            lap_u = self.grid.laplacian(u_now)
         if conv is None:
             conv = self.convolution_field(u_now, delta, weight)
-        Q = self.weight_quadrature(weight, delta)
-        cross = self.grid.h1_cross(u_now, conv)
-        q = self.scalar_convolution(weight, delta, h1_now)
-        return Q * h1_now - 2.0 * cross + q
+        Q = float(self._quadrature(delta)[3][_WEIGHT_INDEX[weight]])
+        # <grad u, grad conv>, by summation by parts
+        cross = -self.grid.inner(lap_u, conv)
+        q = self.scalar_convolution(weight, delta, h1)
+        return Q * h1 - 2.0 * cross + q
 
     def memory_integral_direct(self, u_now: np.ndarray, weight: str = "mu",
                                delta: float = 0.0) -> float:
         """Reference row-by-row evaluation of memory_integral (O(J*n))."""
         u_now = self.grid.check(u_now)
+        k = _WEIGHT_INDEX[weight]
+        rows, _, tail, _ = self._quadrature(delta)
         flat = u_now.ravel()
         diffs = flat[None, :] - self.rows
-        vals = np.empty(self.depth + 1)
-        for j in range(self.depth + 1):
-            vals[j] = self.grid.h1_seminorm_sq(diffs[j].reshape(self.grid.shape))
-        total = float(self._row_weights(weight, delta) @ vals)
-        total += self._now_weight(weight, delta) * 0.0  # w(t, 0) = 0
+        vals = np.array([self.grid.h1_seminorm_sq(d.reshape(self.grid.shape))
+                         for d in diffs])
+        # w(t, 0) = 0, so the current node adds nothing
+        total = float(self._ordered(rows[k]) @ vals)
         tail_f = (flat - self.ext_field).reshape(self.grid.shape)
-        total += self._tail(weight, delta) * self.grid.h1_seminorm_sq(tail_f)
+        total += tail[k] * self.grid.h1_seminorm_sq(tail_f)
         return total
-
-    def memory_force(self, u_now: np.ndarray, delta: float = 0.0,
-                     conv: np.ndarray | None = None) -> np.ndarray:
-        """F = integral mu(s) * laplacian(u(t-s)) ds (sign per u_tt = k0*lap u - F ...)."""
-        if conv is None:
-            conv = self.convolution_field(u_now, delta, "mu")
-        return self.grid.laplacian(conv)

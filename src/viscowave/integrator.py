@@ -3,10 +3,14 @@
     u_tt = k(0) lap(u) - integral mu(s) lap(u(t-s)) ds
            - |u_t|^(m-1) u_t + |u|^(p-1) u
 
-by an operator-split leapfrog: velocity half-kick, implicit pointwise damping
-split symmetrically around the drift, memory push, second half-kick with the
-recomputed force.  The only implicit piece is a scalar monotone solve per
-node, so each step costs O(N).
+by an operator-split leapfrog.  A step runs the phases kick (velocity
+half-kick), damp and drift (implicit pointwise damping split symmetrically
+around the drift), memory (push u into the circular history ring on the
+s-grid), force (lap u, the memory convolutions, ||grad u||^2 and the viscous
+power, each once, then the second half-kick) and diagnostics (dissipation,
+ledger rows, step controller), which reuse the force phase's values.  The
+only implicit piece is a scalar monotone solve per node, so a step costs O(N)
+plus at most one pass over the memory ring.
 
 Near blow-up the step controller halves dt each time ||grad u|| doubles, down
 to dt0 / 2^10, then stops and flags.  Time is tracked in integer ticks of
@@ -28,14 +32,6 @@ from .kernel import RelaxationKernel
 
 MAX_DT_HALVINGS = 10
 GRAD_DOUBLING_FACTOR = 2.0
-
-
-class BlowupOrInstability(RuntimeError):
-    """Non-finite values appeared during a step."""
-
-    def __init__(self, step_index: int):
-        super().__init__(f"non-finite field values at step {step_index}")
-        self.step_index = step_index
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +142,25 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# forces
-
-
-def _force(grid: SpatialGrid, kernel: RelaxationKernel, memory: MemoryState,
-           u: np.ndarray, delta: float, p: float, source_enabled: bool):
-    """Returns (force field, conv field).  Force = k0 lap u - F_mem + source."""
-    conv = memory.convolution_field(u, delta, "mu")
-    F = kernel.k0 * grid.laplacian(u) - grid.laplacian(conv)
-    if source_enabled:
-        F = F + np.abs(u) ** (p - 1.0) * u
-    return F, conv
-
-
-# ---------------------------------------------------------------------------
 # the run loop
+
+
+def _terms(grid: SpatialGrid, memory: MemoryState, u: np.ndarray,
+           delta: float, k0: float, p: float, source: bool):
+    """Each quantity a step needs at (u, delta), computed once: the force
+    F = k0 lap u - lap conv (+ |u|^(p-1) u), the mu-convolution conv, lap u,
+    ||grad u||^2 and the viscous power."""
+    lap_u = grid.laplacian(u)
+    h1 = grid.h1_seminorm_sq(u)
+    conv = memory.convolution_field(u, delta, "mu")
+    F = k0 * lap_u - grid.laplacian(conv)
+    if source:
+        F = F + np.abs(u) ** (p - 1.0) * u
+    visc = energetics.viscous_power(
+        grid, u, memory, delta,
+        conv_mu_prime=memory.convolution_field(u, delta, "mu_prime"),
+        h1=h1, lap_u=lap_u)
+    return F, conv, lap_u, h1, visc
 
 
 def run(config: ScenarioConfig) -> RunResult:
@@ -185,6 +185,7 @@ def run(config: ScenarioConfig) -> RunResult:
     m, p = config.m, config.p
     damping = config.damping_enabled
     source = config.source_enabled
+    k0 = kernel.k0
 
     # integer time ticks: 1 tick = dt0 / 2^MAX_DT_HALVINGS
     tick_dt = dt0 / 2 ** MAX_DT_HALVINGS
@@ -202,41 +203,33 @@ def run(config: ScenarioConfig) -> RunResult:
 
     damp_cum = 0.0
     visc_cum = 0.0
-    E0_holder = {}
 
-    def delta_at(tick: int) -> float:
-        return (tick % ticks_per_push) * tick_dt
-
-    def powers(u_now, v_now, delta):
-        dp = energetics.damping_power(grid, v_now, m) if damping else 0.0
-        vp = energetics.viscous_power(grid, u_now, memory, delta)
-        return dp, vp
-
-    def record_row(t, u_now, v_now, delta):
-        sE = energetics.quadratic_energy(grid, u_now, v_now, memory, delta)
-        lp_pow = grid.lp_norm_pow(u_now, p + 1.0)
-        E = sE - (lp_pow / (p + 1.0) if source else 0.0)
-        mem_mu = memory.memory_integral(u_now, "mu", delta)
-        h1 = grid.h1_seminorm_sq(u_now)
-        I = 0.5 * (h1 + mem_mu) - (lp_pow / (p + 1.0) if source else 0.0)
+    def record_row(t, delta, u, v, conv, lap_u, h1):
+        mem_mu = memory.memory_integral(u, "mu", delta, conv=conv, h1=h1,
+                                        lap_u=lap_u)
+        sE = energetics.quadratic_energy(grid, u, v, memory, delta, h1=h1,
+                                         mem_mu=mem_mu)
+        lp_pow = grid.lp_norm_pow(u, p + 1.0)
+        source_part = lp_pow / (p + 1.0) if source else 0.0
+        E = sE - source_part
+        I = 0.5 * (h1 + mem_mu) - source_part
         gap = h1 + mem_mu - lp_pow
-        if "E0" not in E0_holder:
-            E0_holder["E0"] = E
-        resid = abs(E + damp_cum + visc_cum - E0_holder["E0"])
+        E0 = ledger.E0 if len(ledger) else E
+        resid = abs(E + damp_cum + visc_cum - E0)
         ledger.append(t=t, scriptE=sE, E=E, I=I,
                       D_cum=damp_cum + visc_cum, damp_cum=damp_cum,
                       visc_cum=visc_cum, grad_norm=math.sqrt(h1),
                       lp_pow=lp_pow, nehari_gap=gap,
                       identity_residual=resid)
+        trajectory.append(t, u, v, conv)
 
     # initial diagnostics
     tick = 0
-    F, conv = _force(grid, kernel, memory, u, 0.0, p, source)
-    damp_prev, visc_prev = powers(u, v, 0.0)
-    record_row(0.0, u, v, 0.0)
-    trajectory.append(0.0, u, v, conv)
+    F, conv, lap_u, h1, visc_prev = _terms(grid, memory, u, 0.0, k0, p, source)
+    damp_prev = energetics.damping_power(grid, v, m) if damping else 0.0
+    record_row(0.0, 0.0, u, v, conv, lap_u, h1)
 
-    grad_ref = max(math.sqrt(grid.h1_seminorm_sq(u)), 1e-12)
+    grad_ref = max(math.sqrt(h1), 1e-12)
     step_index = 0
     steps_since_output = 0
 
@@ -244,24 +237,24 @@ def run(config: ScenarioConfig) -> RunResult:
         ticks_per_step = 2 ** (MAX_DT_HALVINGS - halvings)
         dt = ticks_per_step * tick_dt
 
-        # (i) half-kick
+        # kick: first half-kick
         v = v + 0.5 * dt * F
-        # (ii) damping split symmetrically around the drift
+        # damp and drift: damping split symmetrically around the drift
         if damping:
             v = _damp_midpoint(v, 0.5 * dt, m)
-        # (iii) drift
         u = u + dt * v
         if damping:
             v = _damp_midpoint(v, 0.5 * dt, m)
         tick += ticks_per_step
         step_index += 1
         t = tick * tick_dt
-        # (iv) memory push on the fixed s-grid
+        # memory: push on the fixed s-grid
         if tick % ticks_per_push == 0:
             memory.push(u, t)
-        delta = delta_at(tick)
-        # (v) second half-kick with the recomputed force
-        F, conv = _force(grid, kernel, memory, u, delta, p, source)
+        delta = (tick % ticks_per_push) * tick_dt
+        # force: second half-kick with the recomputed force
+        F, conv, lap_u, h1, visc_now = _terms(grid, memory, u, delta, k0, p,
+                                              source)
         v = v + 0.5 * dt * F
 
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
@@ -269,8 +262,8 @@ def run(config: ScenarioConfig) -> RunResult:
             flags["stop_step"] = step_index
             break
 
-        # dissipation bookkeeping (trapezoid in time, every step)
-        damp_now, visc_now = powers(u, v, delta)
+        # diagnostics: dissipation by the trapezoid rule in time, every step
+        damp_now = energetics.damping_power(grid, v, m) if damping else 0.0
         d_inc, v_inc = energetics.dissipation_increment(
             grid, dt, damp_prev, damp_now, visc_prev, visc_now)
         damp_cum += d_inc
@@ -279,25 +272,24 @@ def run(config: ScenarioConfig) -> RunResult:
 
         steps_since_output += 1
         if steps_since_output >= config.output_every or tick >= total_ticks:
-            record_row(t, u, v, delta)
-            trajectory.append(t, u, v, conv)
+            record_row(t, delta, u, v, conv, lap_u, h1)
             steps_since_output = 0
 
         # blow-up step controller
-        grad = math.sqrt(grid.h1_seminorm_sq(u))
+        grad = math.sqrt(h1)
         if grad >= GRAD_DOUBLING_FACTOR * grad_ref:
             if halvings >= MAX_DT_HALVINGS:
                 flags["dt_exhausted"] = True
                 flags["stop_step"] = step_index
                 if steps_since_output:
-                    record_row(t, u, v, delta)
-                    trajectory.append(t, u, v, conv)
+                    record_row(t, delta, u, v, conv, lap_u, h1)
                 break
             halvings += 1
             flags["dt_halvings"] = halvings
             grad_ref = grad
     else:
         flags["completed"] = True
+    memory.drop_caches()
 
     state = SimState(t=tick * tick_dt, u=u, v=v, memory=memory, dt=dt,
                      step_index=step_index)

@@ -53,15 +53,13 @@ def rayleigh_ratio(grid: SpatialGrid, u: np.ndarray, p: float) -> float:
     return num / den
 
 
-def sobolev_gamma(grid: SpatialGrid, p: float, rtol: float = 1e-10,
-                  max_iter: int = 10_000) -> float:
-    """Ground-state fixed point: u <- poisson_solve(|u|^(p-1) u), normalized.
+def _ground_state_iteration(grid: SpatialGrid, p: float, rtol: float,
+                            max_iter: int) -> tuple[np.ndarray, float]:
+    """Fixed point u <- poisson_solve(|u|^(p-1) u), normalized in H1.
 
     Starts from the first Dirichlet eigenmode; iterates until the Rayleigh
-    ratio is stationary to ``rtol`` relative.  Deterministic.
+    ratio is stationary to ``rtol`` relative.  Returns (u, ratio).
     """
-    if p < 1:
-        raise ValueError("sobolev_gamma needs p >= 1")
     u = grid.first_eigenmode()
     u = u / math.sqrt(grid.h1_seminorm_sq(u))
     ratio = rayleigh_ratio(grid, u, p)
@@ -70,27 +68,25 @@ def sobolev_gamma(grid: SpatialGrid, p: float, rtol: float = 1e-10,
         u = u / math.sqrt(grid.h1_seminorm_sq(u))
         new_ratio = rayleigh_ratio(grid, u, p)
         if abs(new_ratio - ratio) <= rtol * abs(new_ratio):
-            return new_ratio
+            return u, new_ratio
         ratio = new_ratio
     raise ConvergenceError(
-        f"gamma iteration did not converge in {max_iter} steps "
+        f"ground-state iteration did not converge in {max_iter} steps "
         f"(last ratio {ratio})", ratio)
+
+
+def sobolev_gamma(grid: SpatialGrid, p: float, rtol: float = 1e-10,
+                  max_iter: int = 10_000) -> float:
+    """The Rayleigh ratio of the ground state; deterministic."""
+    if p < 1:
+        raise ValueError("sobolev_gamma needs p >= 1")
+    return _ground_state_iteration(grid, p, rtol, max_iter)[1]
 
 
 def ground_state(grid: SpatialGrid, p: float, rtol: float = 1e-10,
                  max_iter: int = 10_000) -> np.ndarray:
     """Converged ground-state profile with ||grad u||_2 = 1."""
-    u = grid.first_eigenmode()
-    u = u / math.sqrt(grid.h1_seminorm_sq(u))
-    ratio = rayleigh_ratio(grid, u, p)
-    for _ in range(max_iter):
-        u = grid.poisson_solve(np.abs(u) ** (p - 1.0) * u)
-        u = u / math.sqrt(grid.h1_seminorm_sq(u))
-        new_ratio = rayleigh_ratio(grid, u, p)
-        if abs(new_ratio - ratio) <= rtol * abs(new_ratio):
-            return u
-        ratio = new_ratio
-    raise ConvergenceError("ground-state iteration did not converge", ratio)
+    return _ground_state_iteration(grid, p, rtol, max_iter)[0]
 
 
 def mountain_pass_d(gamma: float, p: float) -> float:

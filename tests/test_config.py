@@ -72,6 +72,16 @@ class TestValidation:
             ScenarioConfig(m=0.5, p=0.5, cfl_safety=2.0, stride=0).validate()
         assert len(exc.value.problems) >= 4
 
+    def test_invalid_grid_with_explicit_dt_reports_everything(self):
+        # the stability check cannot build the grid; it is skipped, and the
+        # other problems are still collected into the same error
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(n=2, extent=-1.0, dt=1e-3, m=0.5, c=-1.0).validate()
+        problems = exc.value.problems
+        assert len(problems) == 4
+        for fragment in ("interior nodes", "extents", "dynamics.m", "kernel.c"):
+            assert any(fragment in text for text in problems)
+
     def test_dt_above_stability_bound_rejected(self):
         cfg = ScenarioConfig()
         bound = cfg.resolved_dt(cfg.make_grid(), cfg.make_kernel())

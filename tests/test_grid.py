@@ -133,6 +133,56 @@ class TestSummationByParts:
         assert abs(h1 - sbp) <= 1e-10 * max(1.0, h1)
 
 
+def pad_laplacian(grid, f):
+    """The np.pad form of the stencil, kept as an oracle."""
+    out = np.zeros_like(f)
+    for axis, hi in enumerate(grid.h):
+        padded = np.pad(f, [(1, 1) if a == axis else (0, 0)
+                            for a in range(grid.dim)])
+        lo, mid, up = ([slice(None)] * grid.dim for _ in range(3))
+        lo[axis], mid[axis], up[axis] = slice(0, -2), slice(1, -1), slice(2, None)
+        out += (padded[tuple(lo)] - 2.0 * padded[tuple(mid)]
+                + padded[tuple(up)]) / hi ** 2
+    return out
+
+
+def pad_h1_seminorm_sq(grid, f):
+    """The np.pad/np.diff form of the edge sum, kept as an oracle."""
+    total = 0.0
+    for axis, hi in enumerate(grid.h):
+        padded = np.pad(f, [(1, 1) if a == axis else (0, 0)
+                            for a in range(grid.dim)])
+        d = np.diff(padded, axis=axis) / hi
+        total += float(np.sum(d * d)) * grid.cell_volume
+    return total
+
+
+@st.composite
+def grid_and_field(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = tuple(draw(st.integers(3, 24)) for _ in range(dim))
+    extents = tuple(draw(st.floats(0.1, 10.0)) for _ in range(dim))
+    grid = SpatialGrid.rectangle(extents, n)
+    f = draw(hnp.arrays(np.float64, n,
+                        elements=st.floats(-10, 10, allow_nan=False)))
+    return grid, f
+
+
+class TestSliceStencils:
+    @settings(max_examples=80, deadline=None)
+    @given(grid_and_field())
+    def test_match_pad_oracle_and_sum_by_parts(self, case):
+        grid, f = case
+        lap = grid.laplacian(f)
+        oracle = pad_laplacian(grid, f)
+        scale = max(np.max(np.abs(oracle)), 1e-300)
+        assert np.max(np.abs(lap - oracle)) <= 1e-13 * scale
+        h1 = grid.h1_seminorm_sq(f)
+        assert h1 == pytest.approx(pad_h1_seminorm_sq(grid, f), rel=1e-13,
+                                   abs=0.0)
+        assert -grid.inner(lap, f) == pytest.approx(h1, rel=1e-12, abs=1e-300)
+
+
 class TestPoisson:
     def test_zero_rhs(self):
         g = line_grid(n=30)

@@ -16,6 +16,21 @@ def grid_pi(n=200):
 
 
 EXP11 = RelaxationKernel.exponential(1.0, 1.0)
+POLY15 = RelaxationKernel.polynomial(1.0, 1.5)
+
+
+def logical_rows(mem):
+    """The ring's rows newest first, as the quadrature indexes them."""
+    return np.roll(mem.rows, -mem.head, axis=0)
+
+
+def trapezoid_weights(mem, weight_fn, delta):
+    """Row weights on the nodes delta + j*ds, built from the kernel alone."""
+    s = delta + mem.ds * np.arange(mem.depth + 1)
+    coef = np.full(mem.depth + 1, mem.ds)
+    coef[0] = 0.5 * (delta + mem.ds)
+    coef[-1] = 0.5 * mem.ds
+    return coef * weight_fn(s)
 
 
 class TestProfiles:
@@ -77,6 +92,58 @@ class TestHistoryDatum:
         assert datum.support_T0 == 2.0
         # forward difference over the first table interval
         assert np.allclose(datum.velocity_at_0, 0.5 * base)
+
+
+    @pytest.mark.parametrize("mode", ["zero", "frozen"])
+    def test_table_rows_match_per_node_interp(self, mode):
+        grid = SpatialGrid.rectangle((math.pi, 2.0), (7, 5))
+        rng = np.random.default_rng(4)
+        times = np.r_[0.0, -np.cumsum(rng.uniform(0.1, 0.5, 6))]
+        samples = rng.standard_normal((len(times),) + grid.shape)
+        datum = HistoryDatum.from_table(grid, times, samples, mode=mode)
+        T0 = datum.support_T0
+        flat = samples.reshape(len(times), -1)
+
+        def oracle(t):
+            if t < -T0:
+                if mode == "zero":
+                    return np.zeros(grid.size)
+                t = -T0
+            return np.array([np.interp(t, times[::-1], flat[::-1, j])
+                             for j in range(grid.size)])
+
+        # every table node, points between them, and points beyond -T0
+        probes = list(times) + list(rng.uniform(-T0, 0.0, 20))
+        probes += [-T0 - 0.7, -3.0 * T0]
+        for t in probes:
+            np.testing.assert_allclose(datum.value_at(float(t)).ravel(),
+                                       oracle(float(t)), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("profile,mode", [("ramp", "zero"),
+                                              ("bump", "zero"),
+                                              ("ramp", "frozen"),
+                                              ("constant", "frozen"),
+                                              ("table", "zero"),
+                                              ("table", "frozen")])
+    def test_memory_prefill_matches_value_at(self, profile, mode):
+        grid = SpatialGrid.rectangle((math.pi, 2.0), (9, 6))
+        if profile == "table":
+            rng = np.random.default_rng(5)
+            times = np.r_[0.0, -np.cumsum(rng.uniform(0.1, 0.4, 5))]
+            samples = rng.standard_normal((len(times),) + grid.shape)
+            datum = HistoryDatum.from_table(grid, times, samples, mode=mode)
+        else:
+            datum = HistoryDatum.from_template(grid, 0.3, modes=(1, 2),
+                                               profile=profile,
+                                               support_T0=1.3, mode=mode)
+        mem = MemoryState(datum, EXP11, ds=0.1, s_depth=2.0)
+        assert -mem.s_max_at_push < -datum.support_T0
+        for j in range(mem.depth + 1):
+            f = datum.value_at(-j * mem.ds)
+            np.testing.assert_allclose(mem.rows[j], f.ravel(), rtol=1e-14,
+                                       atol=1e-300)
+            assert mem.row_h1[j] == pytest.approx(grid.h1_seminorm_sq(f),
+                                                  rel=1e-13, abs=1e-300)
 
 
 class TestMemoryIntegral:
@@ -145,10 +212,71 @@ class TestMemoryIntegral:
         u = rng.standard_normal(grid.shape)
         delta = 0.04
         fast = mem.convolution_field(u, delta, "mu")
-        rowsum = mem._row_weights("mu", delta) @ mem.rows
-        direct = (rowsum + mem._now_weight("mu", delta) * u.ravel()
-                  + mem._tail("mu", delta) * mem.ext_field)
+        rowsum = trapezoid_weights(mem, EXP11.mu, delta) @ logical_rows(mem)
+        direct = (rowsum + 0.5 * delta * EXP11.mu(0.0) * u.ravel()
+                  + EXP11.tail_mass(delta + mem.s_max_at_push) * mem.ext_field)
         assert np.allclose(fast.ravel(), direct, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("kernel", [EXP11, POLY15],
+                             ids=["exponential", "polynomial"])
+    def test_wrap_around_matches_logical_ring(self, kernel):
+        grid = grid_pi(30)
+        rng = np.random.default_rng(13)
+        datum = HistoryDatum.from_template(grid, 0.2, profile="ramp",
+                                           support_T0=0.3, mode="frozen")
+        mem = MemoryState(datum, kernel, ds=0.1, s_depth=0.5)
+        pushed = []
+        # three and a half laps of the six-row ring
+        for j in range(1, 22):
+            pushed.append(rng.standard_normal(grid.shape))
+            mem.push(pushed[-1], j * 0.1)
+        assert mem.head != 0
+        logical = logical_rows(mem)
+        newest_first = [f.ravel() for f in pushed[::-1][:mem.depth + 1]]
+        assert np.array_equal(logical, np.array(newest_first))
+        u = rng.standard_normal(grid.shape)
+        terms = {"mu": (kernel.mu, kernel.tail_mass),
+                 "mu_prime": (kernel.mu_prime, kernel.mu_prime_tail)}
+        for weight, (fn, tail) in terms.items():
+            for delta in (0.0, 0.03):
+                w = trapezoid_weights(mem, fn, delta)
+                tail_w = tail(delta + mem.s_max_at_push)
+                conv = (w @ logical + 0.5 * delta * fn(0.0) * u.ravel()
+                        + tail_w * mem.ext_field)
+                assert np.allclose(mem.convolution_field(u, delta, weight).ravel(),
+                                   conv, rtol=1e-12, atol=1e-14)
+                vals = [grid.h1_seminorm_sq((u.ravel() - row).reshape(grid.shape))
+                        for row in logical]
+                tail_f = u - mem.ext_field.reshape(grid.shape)
+                oracle = w @ vals + tail_w * grid.h1_seminorm_sq(tail_f)
+                a = mem.memory_integral(u, weight, delta)
+                assert a == pytest.approx(
+                    mem.memory_integral_direct(u, weight, delta),
+                    rel=1e-10, abs=1e-12)
+                assert a == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("kernel", [EXP11, POLY15], ids=["exp", "poly"])
+    def test_quadrature_cache_stays_bounded(self, kernel):
+        # each dt halving doubles the lags a run visits between pushes; the
+        # cached weights must never outgrow the ring, and emptying the cache
+        # must not change any result
+        grid = grid_pi(20)
+        datum = HistoryDatum.from_template(grid, 0.1, profile="ramp",
+                                           support_T0=1.0)
+        mem = MemoryState(datum, kernel, ds=0.1, s_depth=2.0)
+        u = 0.2 * np.sin(grid.coords())
+        stride = 4
+        for halvings in range(6):
+            mem.push(u * (1.0 + 0.1 * halvings), 0.1 * (halvings + 1))
+            lags = stride * 2 ** halvings
+            for delta in 0.1 * np.arange(lags) / lags:
+                a = mem.memory_integral(u, "mu_prime", delta)
+                cached = sum(q[0].size for q in mem._quadratures.values())
+                assert cached <= mem.rows.size
+                assert a == pytest.approx(
+                    mem.memory_integral_direct(u, "mu_prime", delta),
+                    rel=1e-10, abs=1e-12)
+        assert len(mem._quadratures) <= mem.max_cached_lags
 
     def test_finer_stride_agreement(self):
         # compactly supported history: refining the s-grid 10x moves the
@@ -165,18 +293,21 @@ class TestMemoryIntegral:
 
 
 class TestMemoryForce:
+    # the memory force is lap(integral mu(s) u(t - s) ds)
+
     def test_zero_everything(self):
         grid = grid_pi(20)
         datum = HistoryDatum.from_template(grid, 0.0)
         mem = MemoryState(datum, EXP11, ds=0.1, s_depth=2.0)
-        assert np.all(mem.memory_force(grid.zeros()) == 0.0)
+        F = grid.laplacian(mem.convolution_field(grid.zeros()))
+        assert np.all(F == 0.0)
 
     def test_frozen_constant_history(self):
         grid = grid_pi(80)
         datum = HistoryDatum.from_template(grid, 0.6, mode="frozen")
         mem = MemoryState(datum, EXP11, ds=0.05, s_depth=30.0)
         U = datum.value_at(0.0)
-        F = mem.memory_force(U)
+        F = grid.laplacian(mem.convolution_field(U))
         expected = (EXP11.k0 - 1.0) * grid.laplacian(U)
         # trapezoid weight error scales with ds^2
         assert np.allclose(F, expected, rtol=1e-3, atol=1e-8)
@@ -190,11 +321,10 @@ class TestMemoryForce:
         ds = 0.01
         mem = MemoryState(datum, EXP11, ds=ds, s_depth=60.0)
         t = 10.0
-        for j in range(mem.depth + 1):
-            mem.rows[j] = (t - j * ds) * U.ravel()
-            mem.row_h1[j] = grid.h1_seminorm_sq((t - j * ds) * U)
-        mem._cache.clear()
-        F = mem.memory_force(t * U)
+        # one full lap of the ring, oldest first
+        for j in range(mem.depth, -1, -1):
+            mem.push((t - j * ds) * U, t - j * ds)
+        F = grid.laplacian(mem.convolution_field(t * U))
         expected = (t - 1.0) * grid.laplacian(U)
         assert np.allclose(F, expected, rtol=1e-3, atol=1e-6)
         # dense-quadrature oracle for the scalar weight

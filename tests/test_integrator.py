@@ -133,3 +133,36 @@ class TestRun:
     def test_validation_errors_propagate(self):
         with pytest.raises(Exception):
             run(quick_config(m=0.5))
+
+    def test_finished_run_holds_no_lag_caches(self):
+        # kept results must not carry per-lag weights; they refill lazily
+        res = run(quick_config(t_end=0.3))
+        memory, u = res.state.memory, res.state.u
+        assert not memory._quadratures and memory._row_sums is None
+        conv = memory.convolution_field(u, res.state.t - memory.t_push)
+        np.testing.assert_allclose(conv, res.trajectory.conv[-1], rtol=1e-12)
+
+
+# E(t_end) and the final identity residual of three small scenarios, recorded
+# before the stepper was rewritten to compute each quantity once per step; a
+# change to the hot path may move them by round-off only.
+GOLDEN = {
+    "exponential_1d": (quick_config(m=3.0),
+                       0.00578074927356543, 3.911168357871586e-06),
+    "polynomial_frozen_1d": (
+        quick_config(n=60, t_end=2.0, kernel_family="polynomial", r=1.5,
+                     extension="frozen"),
+        0.0029310118639967993, 4.7040936691188084e-06),
+    "grid_2d_16x16": (quick_config(dim=2, n=16, n_y=16, t_end=2.0,
+                                   modes=(1, 2), m=3.0),
+                      0.05398636103940911, 0.0027151344509509373),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_end_state(name):
+    cfg, E_end, residual = GOLDEN[name]
+    last = run(cfg).ledger.rows[-1]
+    assert last["E"] == pytest.approx(E_end, rel=1e-9, abs=0.0)
+    assert last["identity_residual"] == pytest.approx(residual, rel=1e-9,
+                                                      abs=0.0)

@@ -1,7 +1,7 @@
 """Scenario configuration: INI-style key = value files, validated all at once.
 
 Sections mirror the subsystems: [grid], [kernel], [dynamics], [history],
-[time], [memory], [run].  Unknown sections or keys are rejected.  Floats are
+[time], [memory].  Unknown sections or keys are rejected.  Floats are
 serialized with 17 significant digits so that persist -> load round-trips are
 lossless and reruns are bit-identical.
 """
@@ -35,8 +35,7 @@ _SCHEMA = {
     "history": {"template", "modes", "amplitude", "profile", "ramp_rate",
                 "support_T0", "extension", "table_path"},
     "time": {"dt", "t_end", "cfl_safety", "output_every"},
-    "memory": {"stride", "s_cap"},
-    "run": {"seed", "dim3_semantics"},
+    "memory": {"stride"},
 }
 
 _PI_NAMES = {"pi": math.pi, "2pi": 2 * math.pi, "pi/2": math.pi / 2}
@@ -83,10 +82,6 @@ class ScenarioConfig:
     output_every: int = 10
     # memory
     stride: int = 1            # s-grid spacing = stride * dt
-    s_cap: float = 0.0         # 0 means "auto"
-    # run
-    seed: int = 0
-    dim3_semantics: bool = False
 
     # -- derived objects ----------------------------------------------------
 
@@ -120,15 +115,14 @@ class ScenarioConfig:
         return self.dt
 
     def resolved_s_cap(self, kernel: RelaxationKernel) -> float:
-        """Memory truncation depth.
+        """Depth of the memory's s-grid quadrature; the exact tail covers
+        the lags beyond it.
 
-        Exponential default: 50/c.  Compactly supported history: t_end + T0
-        suffices since the zero-extension tail is exact beyond that depth.
-        Polynomial frozen mode: depth with tail_mass <= 1e-10 * (k0 - 1),
-        hard-capped at 100 * t_end (truncation then surfaces in the ledger).
+        Exponential: 50/c.  Compactly supported history: t_end + T0 suffices
+        since the zero-extension tail is exact beyond that depth.  Polynomial
+        frozen mode: depth with tail_mass <= 1e-10 * (k0 - 1), capped at
+        100 * t_end.
         """
-        if self.s_cap > 0:
-            return self.s_cap
         if self.extension == ZERO:
             compact = self.t_end + self.support_T0
         else:
@@ -164,13 +158,6 @@ class ScenarioConfig:
             probs.append(f"dynamics.m must satisfy m >= 1, got {self.m}")
         if self.p <= 1:
             probs.append(f"dynamics.p must satisfy p > 1, got {self.p}")
-        if self.dim3_semantics:
-            if self.p >= 6:
-                probs.append(f"dim-3 semantics require p < 6, got p={self.p}")
-            if self.m >= 1 and self.p * (self.m + 1) / self.m >= 6:
-                probs.append(
-                    f"dim-3 semantics require p(m+1)/m < 6, got "
-                    f"{self.p * (self.m + 1) / self.m:g}")
         if self.template not in ("sine", "table"):
             probs.append(f"history.template must be sine or table, got "
                          f"{self.template!r}")
@@ -255,10 +242,6 @@ class ScenarioConfig:
             f"output_every = {self.output_every}",
             "", "[memory]",
             f"stride = {self.stride}",
-            f"s_cap = {f(self.s_cap) if self.s_cap > 0 else 'auto'}",
-            "", "[run]",
-            f"seed = {self.seed}",
-            f"dim3_semantics = {str(self.dim3_semantics).lower()}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -330,9 +313,6 @@ def loads(text: str) -> ScenarioConfig:
         cfl_safety=_get(cp, "time", "cfl_safety", float, 0.5, probs),
         output_every=_get(cp, "time", "output_every", int, 10, probs),
         stride=_get(cp, "memory", "stride", int, 1, probs),
-        s_cap=_get(cp, "memory", "s_cap", _auto_float, 0.0, probs),
-        seed=_get(cp, "run", "seed", int, 0, probs),
-        dim3_semantics=_get(cp, "run", "dim3_semantics", _bool, False, probs),
     )
     if probs:
         raise ConfigError(probs)

@@ -1,9 +1,10 @@
-"""History data on t <= 0, the evolving memory buffer, and well classification.
+"""History data on t <= 0, the fading memory, and well classification.
 
-The memory buffer realizes ``w(t, s) = u(t) - u(t - s)`` on a uniform s-grid
-with spacing ``ds`` (a fixed multiple of the time step), with an exact
-closed-form tail beyond the covered depth.  Two extension modes are supported
-for the history beyond its tabulated support:
+The memory realizes ``w(t, s) = u(t) - u(t - s)`` on a uniform s-grid with
+spacing ``ds`` (a fixed multiple of the time step), with an exact closed-form
+tail beyond the covered depth, and keeps the past as a few exponential modes
+of the kernel rather than as stored fields.  Two extension modes are
+supported for the history beyond its tabulated support:
 
 * ``zero``   -- u0(t) = 0 for t <= -T0 (compactly supported history); the
                 tail of every memory integral is then exact.
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import SpatialGrid, GridError
-from .kernel import EXPONENTIAL, RelaxationKernel
+from .kernel import RelaxationKernel
 
 ZERO = "zero"
 FROZEN = "frozen"
@@ -162,7 +163,7 @@ class HistoryDatum:
             return (slope * (t - ts[j]) + rows[j]).reshape(self.grid.shape)
         return self.shape_field * float(self.profile(t))
 
-    def ring_fields(self, ts: np.ndarray) -> tuple:
+    def fields_at(self, ts: np.ndarray) -> tuple:
         """u0 at the times ts <= 0 as (len(ts), N) rows, and ||grad||^2 of
         each row; a table fills one array in place, holding its rows once."""
         ts = np.asarray(ts, dtype=float)
@@ -280,19 +281,22 @@ _WEIGHT_INDEX = {"mu": 0, "mu_prime": 1}
 
 
 class MemoryState:
-    """Circular ring of past fields plus exact closed-form tails.
+    """The past of u as K exponential modes plus the extension field.
 
-    Logical row j holds u(t_push - j*ds), where t_push is the latest push
-    time.  It is stored at ``rows[(head + j) % (depth + 1)]``: a push moves
-    ``head`` back one row and overwrites the oldest field there.  Between
-    pushes the current field enters as an extra node on the nonuniform first
-    interval [0, delta], delta = t - t_push.  The buffer has fixed depth: it
-    is prefilled from the history datum at construction, so s-coverage never
-    needs to grow and no interpolation is ever required.  Quadratures are
-    cached per lag delta (``stride`` lags per push, doubled by each dt
-    halving) and emptied at ``max_cached_lags`` lags, so that the cached
-    weights, 2 (depth + 1) floats a lag, never outgrow the ring; a finished
-    run drops them (``drop_caches``).
+    Each past field is the extension field (zero, or u0(-T0)) plus a
+    deviation D, which is zero beyond the history's support.  Logical row j,
+    the past field u(t_push - j*ds), sits on the node s = delta + j*ds at lag
+    delta = t - t_push after the latest push.  With the kernel's modes
+    w(s) = sum_k b_k exp(-lam_k s) (b = a for mu, -a*lam for mu'), the
+    trapezoid sum of w over the rows' deviations is
+    sum_k b_k exp(-lam_k delta) (P_k + delta/2 D_0), where
+    P_k = sum_j c_j exp(-lam_k j ds) D_j with c_0 = ds/2 and c_j = ds beyond;
+    a push updates P in O(K N).  Each field carries its ||grad||^2 as one
+    more column, which the scalar convolution sums the same way.  The
+    extension field takes the whole quadrature weight Q(delta): the trapezoid
+    over the ``s_depth`` nodes, the current field's node and the exact tail,
+    cached per lag as two floats.  No state grows with ``s_depth`` or with
+    the run's length.
     """
 
     def __init__(self, datum: HistoryDatum, kernel: RelaxationKernel,
@@ -303,85 +307,65 @@ class MemoryState:
         self.depth = int(np.ceil(s_depth / ds - 1e-12))
         if self.depth < 1:
             raise ValueError("memory depth must cover at least one stride")
-        self.ext_field = datum.frozen_field().ravel()
-        self.ext_h1 = self.grid.h1_seminorm_sq(datum.frozen_field())
-        self.rows, self.row_h1 = datum.ring_fields(
-            -self.ds * np.arange(self.depth + 1))
-        self.max_cached_lags = max(1, self.grid.size // 2)
-        self.head = 0
+        self.ext = self._augmented(datum.frozen_field())
+        self.lam, a = kernel.modes(kernel.memory_horizon)
+        self.weights = np.stack([a, -a * self.lam])
+        self.w0 = np.array([kernel.mu(0.0), kernel.mu_prime(0.0)])
+        self.decay = np.exp(-self.lam * self.ds)
+        # the support's rows, j*ds <= min(T0, s_depth); the rows beyond it
+        # are the extension field
+        lags = self.ds * np.arange(
+            int(min(datum.support_T0, s_depth) / self.ds + 1e-12) + 1)
+        dev = np.column_stack(datum.fields_at(-lags)) - self.ext
+        coef = self.ds * np.exp(-np.outer(self.lam, lags))
+        coef[:, 0] *= 0.5
+        self.P, self.D0 = coef @ dev, dev[0]
         self.t_push = 0.0
-        self._quadratures = {}
-        self._push_sum = None   # exponential family: mu row sum at delta = 0
-        self._row_sums = None   # (delta, row sums) of the latest lag
+        self._totals = {}
 
-    @property
-    def s_max_at_push(self) -> float:
-        return self.depth * self.ds
+    def _augmented(self, u: np.ndarray) -> np.ndarray:
+        """The field's values and, as one more entry, its ||grad||^2."""
+        return np.append(u.ravel(), self.grid.h1_seminorm_sq(u))
 
     def push(self, u: np.ndarray, t: float):
         """Record u(t); t must advance by exactly one stride."""
-        u = self.grid.check(u)
-        self.head = (self.head - 1) % (self.depth + 1)
-        self.rows[self.head] = u.ravel()
-        self.row_h1[self.head] = self.grid.h1_seminorm_sq(u)
+        dev = self._augmented(self.grid.check(u)) - self.ext
+        # the old row 0 moves to node ds, where its weight doubles
+        self.P += 0.5 * self.ds * self.D0
+        self.P *= self.decay[:, None]
+        self.P += 0.5 * self.ds * dev
+        self.D0 = dev
         self.t_push = t
-        self._push_sum = self._row_sums = None
 
-    def drop_caches(self):
-        """Forget the per-lag quadratures and row sums; they refill lazily."""
-        self._quadratures.clear()
-        self._push_sum = self._row_sums = None
-
-    # -- quadrature weights -------------------------------------------------
+    # -- quadrature ---------------------------------------------------------
 
     def _quadrature(self, delta: float) -> tuple:
-        """(rows, now, tail, total) at lag delta, index 0 for mu and 1 for mu':
-        (2, depth + 1) trapezoid row weights in logical order, then the weight
-        of the current field, the exact tail and the weight's quadrature."""
-        quad = self._quadratures.get(delta)
-        if quad is not None:
-            return quad
-        if len(self._quadratures) >= self.max_cached_lags:
-            self._quadratures.clear()
-        kern = self.kernel
-        s = delta + self.ds * np.arange(self.depth + 1)
-        coef = np.full(self.depth + 1, self.ds)
-        coef[0] = 0.5 * (delta + self.ds)
-        coef[-1] = 0.5 * self.ds
-        s_max = delta + self.s_max_at_push
-        rows = coef * np.stack([kern.mu(s), kern.mu_prime(s)])
-        now = 0.5 * delta * np.array([kern.mu(0.0), kern.mu_prime(0.0)])
-        tail = np.array([kern.tail_mass(s_max), kern.mu_prime_tail(s_max)])
-        quad = self._quadratures[delta] = (rows, now, tail,
-                                           rows.sum(axis=1) + now + tail)
-        return quad
+        """(total, now) at lag delta, index 0 for mu and 1 for mu': the
+        weight's whole quadrature, and the weight of the current field."""
+        now = 0.5 * delta * self.w0
+        total = self._totals.get(delta)
+        if total is None:
+            kern = self.kernel
+            s = delta + self.ds * np.arange(self.depth + 1)
+            coef = np.full(self.depth + 1, self.ds)
+            coef[0] = 0.5 * (delta + self.ds)
+            coef[-1] = 0.5 * self.ds
+            s_max = delta + self.depth * self.ds
+            rows = coef * np.stack([kern.mu(s), kern.mu_prime(s)])
+            tail = np.array([kern.tail_mass(s_max), kern.mu_prime_tail(s_max)])
+            total = self._totals[delta] = rows.sum(axis=1) + now + tail
+        return total, now
 
-    def _ordered(self, weights: np.ndarray) -> np.ndarray:
-        """Logical-order row weights rearranged into the ring's storage order."""
-        return np.roll(weights, self.head, axis=-1)
-
-    def _sums(self, delta: float) -> np.ndarray:
-        """(2, n) mu and mu' weighted row sums at lag delta, kept until the
-        next push or lag.  Exponential family: the push-time mu sum scaled by
-        exp(-c*delta), so one pass over the ring per push serves every lag and
-        both weights; polynomial: one stacked product per lag."""
-        if self._row_sums is not None and self._row_sums[0] == delta:
-            return self._row_sums[1]
-        kern = self.kernel
-        if kern.family == EXPONENTIAL:
-            if self._push_sum is None:
-                mu_rows = self._quadrature(0.0)[0][0]
-                self._push_sum = self._ordered(mu_rows) @ self.rows
-            # at lag delta the first cell widens by delta; its extra weight
-            # 0.5 * delta * mu(0) is the weight of the current field
-            now_mu = self._quadrature(delta)[1][0]
-            scale = float(np.exp(-kern.c * delta))
-            mu_sum = scale * (self._push_sum + now_mu * self.rows[self.head])
-            sums = np.stack([mu_sum, -kern.c * mu_sum])
-        else:
-            sums = self._ordered(self._quadrature(delta)[0]) @ self.rows
-        self._row_sums = (delta, sums)
-        return sums
+    def _past(self, weight: str, delta: float, cols) -> tuple:
+        """Columns ``cols`` of the weight's integral over every node but the
+        current field's, and that node's weight."""
+        k = _WEIGHT_INDEX[weight]
+        total, now = self._quadrature(delta)
+        f = self.weights[k] * np.exp(-self.lam * delta)
+        # row 0's first cell widens by delta
+        past = (f @ self.P[:, cols] + 0.5 * delta * f.sum() * self.D0[cols]
+                + (total[k] - now[k]) * self.ext[cols])
+        return past, now[k]
 
     # -- convolutions -------------------------------------------------------
 
@@ -389,19 +373,14 @@ class MemoryState:
                           weight: str = "mu") -> np.ndarray:
         """integral weight(s) * u(t - s) ds, including tail extension."""
         u_now = self.grid.check(u_now)
-        k = _WEIGHT_INDEX[weight]
-        _, now, tail, _ = self._quadrature(delta)
-        out = self._sums(delta)[k] + now[k] * u_now.ravel()
-        out = out + tail[k] * self.ext_field
-        return out.reshape(self.grid.shape)
+        past, now = self._past(weight, delta, slice(-1))
+        return (past + now * u_now.ravel()).reshape(self.grid.shape)
 
     def scalar_convolution(self, weight: str, delta: float,
                            h1_now: float) -> float:
-        """integral weight(s) * ||grad u(t-s)||^2 ds via the h1 ring."""
-        k = _WEIGHT_INDEX[weight]
-        rows, now, tail, _ = self._quadrature(delta)
-        return (float(self._ordered(rows[k]) @ self.row_h1)
-                + now[k] * h1_now + tail[k] * self.ext_h1)
+        """integral weight(s) * ||grad u(t-s)||^2 ds, including the tail."""
+        past, now = self._past(weight, delta, -1)
+        return float(past + now * h1_now)
 
     def memory_integral(self, u_now: np.ndarray, weight: str = "mu",
                         delta: float = 0.0, conv: np.ndarray | None = None,
@@ -409,9 +388,9 @@ class MemoryState:
                         lap_u: np.ndarray | None = None) -> float:
         """integral weight(s) * ||grad w(t, s)||^2 ds with exact tail.
 
-        Expands the square through bilinearity; agrees with the direct
-        row-by-row trapezoid (memory_integral_direct) to round-off.  Pieces
-        the caller holds (conv, h1 = ||grad u||^2, lap_u) are reused.
+        Expands the square through bilinearity, so it agrees with the
+        row-by-row trapezoid to round-off.  Pieces the caller holds
+        (conv, h1 = ||grad u||^2, lap_u) are reused.
         """
         u_now = self.grid.check(u_now)
         if h1 is None:
@@ -420,24 +399,8 @@ class MemoryState:
             lap_u = self.grid.laplacian(u_now)
         if conv is None:
             conv = self.convolution_field(u_now, delta, weight)
-        Q = float(self._quadrature(delta)[3][_WEIGHT_INDEX[weight]])
+        Q = float(self._quadrature(delta)[0][_WEIGHT_INDEX[weight]])
         # <grad u, grad conv>, by summation by parts
         cross = -self.grid.inner(lap_u, conv)
         q = self.scalar_convolution(weight, delta, h1)
         return Q * h1 - 2.0 * cross + q
-
-    def memory_integral_direct(self, u_now: np.ndarray, weight: str = "mu",
-                               delta: float = 0.0) -> float:
-        """Reference row-by-row evaluation of memory_integral (O(J*n))."""
-        u_now = self.grid.check(u_now)
-        k = _WEIGHT_INDEX[weight]
-        rows, _, tail, _ = self._quadrature(delta)
-        flat = u_now.ravel()
-        diffs = flat[None, :] - self.rows
-        vals = np.array([self.grid.h1_seminorm_sq(d.reshape(self.grid.shape))
-                         for d in diffs])
-        # w(t, 0) = 0, so the current node adds nothing
-        total = float(self._ordered(rows[k]) @ vals)
-        tail_f = (flat - self.ext_field).reshape(self.grid.shape)
-        total += tail[k] * self.grid.h1_seminorm_sq(tail_f)
-        return total

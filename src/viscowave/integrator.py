@@ -5,16 +5,18 @@
 
 by an operator-split leapfrog.  A step runs the phases kick (velocity
 half-kick), damp and drift (implicit pointwise damping split symmetrically
-around the drift), memory (push u into the circular history ring on the
+around the drift), memory (fold u into the memory's exponential modes on the
 s-grid), force (lap u, the memory convolutions, ||grad u||^2 and the viscous
 power, each once, then the second half-kick) and diagnostics (dissipation,
 ledger rows, step controller), which reuse the force phase's values.  The
-only implicit piece is a scalar monotone solve per node, so a step costs O(N)
-plus at most one pass over the memory ring.
+only implicit piece is a scalar monotone solve per node, so a step costs
+O(K N) for the kernel's K memory modes.
 
-Near blow-up the step controller halves dt each time ||grad u|| doubles, down
-to dt0 / 2^10, then stops and flags.  Time is tracked in integer ticks of
-dt0 / 2^10 so that memory pushes land exactly on the s-grid after halvings.
+Near blow-up the step controller halves dt each time ||grad u|| doubles,
+from the larger of ||grad u(0)|| and the potential well's gradient radius
+gamma^(-(p+1)/(p-1)), down to dt0 / 2^10, then stops and flags.  Time is
+tracked in integer ticks of dt0 / 2^10 so that memory pushes land exactly on
+the s-grid after halvings.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import energetics
+from . import energetics, wellconst
 from .config import ScenarioConfig
 from .energetics import EnergyLedger
 from .grid import SpatialGrid
@@ -198,8 +200,7 @@ def run(config: ScenarioConfig) -> RunResult:
     ledger = EnergyLedger()
     trajectory = Trajectory()
     flags = {"completed": False, "nonfinite": False, "dt_exhausted": False,
-             "dt_halvings": 0, "truncated_tail_mass": kernel.tail_mass(
-                 memory.s_max_at_push)}
+             "dt_halvings": 0}
 
     damp_cum = 0.0
     visc_cum = 0.0
@@ -229,7 +230,10 @@ def run(config: ScenarioConfig) -> RunResult:
     damp_prev = energetics.damping_power(grid, v, m) if damping else 0.0
     record_row(0.0, 0.0, u, v, conv, lap_u, h1)
 
-    grad_ref = max(math.sqrt(h1), 1e-12)
+    # a datum at rest grows inside the well without blowing up: the
+    # controller's scale is never below the well's gradient radius
+    gamma = wellconst.cached_constants(grid, p, k0).gamma
+    grad_ref = max(math.sqrt(h1), gamma ** (-(p + 1.0) / (p - 1.0)))
     step_index = 0
     steps_since_output = 0
 
@@ -289,7 +293,6 @@ def run(config: ScenarioConfig) -> RunResult:
             grad_ref = grad
     else:
         flags["completed"] = True
-    memory.drop_caches()
 
     state = SimState(t=tick * tick_dt, u=u, v=v, memory=memory, dt=dt,
                      step_index=step_index)

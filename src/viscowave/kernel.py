@@ -7,7 +7,8 @@ Two closed-form families are supported:
 
 Only these families are built in, so tail integrals are exact.  Each kernel
 carries ``k0 = k(0) = 1 + integral of mu``, the effective instantaneous
-stiffness of the wave operator.
+stiffness of the wave operator, and is a sum of decaying exponentials
+(``modes``), which lets a memory keep its past as a few fields.
 """
 from __future__ import annotations
 
@@ -18,6 +19,9 @@ import numpy as np
 
 EXPONENTIAL = "exponential"
 POLYNOMIAL = "polynomial"
+
+# relative accuracy of the polynomial kernel's exponential modes
+MODES_RTOL = 1e-13
 
 
 class KernelError(ValueError):
@@ -116,6 +120,40 @@ class RelaxationKernel:
     def mu_prime_tail(self, s_max):
         """Exact integral of mu' over [s_max, infinity) = -mu(s_max)."""
         return -self.mu(s_max)
+
+    def modes(self, horizon: float) -> tuple:
+        """(lam, a) with mu(s) = sum_k a_k exp(-lam_k s) for 0 <= s <= horizon;
+        mu'(s) is the same sum with weights -a_k lam_k.
+
+        Exponential: the kernel itself, one exact mode.  Polynomial: the
+        trapezoid rule in x = ln(lam) on the Laplace form
+        (1+s)^-q = Gamma(q)^-1 int lam^(q-1) exp(-lam (1+s)) dlam
+        (Beylkin & Monzon 2010), relative error near MODES_RTOL for mu and
+        mu'.  The x-range leaves out at most MODES_RTOL * mu(horizon) at small
+        lam and, by the sub-gamma tail bound of Gamma(q+1), a MODES_RTOL share
+        of mu' at large lam.
+        """
+        if self.family == EXPONENTIAL:
+            return np.array([self.c]), np.array([self.mu0])
+        q = 1.0 / (self.r - 1.0)
+        t = -math.log(MODES_RTOL)
+        h = math.pi ** 2 / (t + 9.0) / max(1.0, math.sqrt(q / 2.0))
+        x_lo = (math.lgamma(q + 1.0) - t) / q - math.log1p(horizon)
+        x_hi = math.log(q + 1.0 + math.sqrt(2.0 * (q + 1.0) * t) + t)
+        x = x_lo + h * np.arange(math.ceil((x_hi - x_lo) / h) + 1)
+        lam = np.exp(x)
+        # weights in log space: Gamma(q) overflows for r close to 1
+        return lam, self.mu0 * h * np.exp(q * x - lam - math.lgamma(q))
+
+    @property
+    def memory_horizon(self) -> float:
+        """Lag where mu falls to MODES_RTOL * mu(0).  The modes of this
+        horizon err by at most about MODES_RTOL * (mu(s) + MODES_RTOL * mu(0))
+        at every lag, so a memory needs no longer horizon, however long the
+        run: its mode count is the kernel's."""
+        if self.family == EXPONENTIAL:
+            return -math.log(MODES_RTOL) / self.c
+        return MODES_RTOL ** (1.0 - self.r) - 1.0
 
     def k_at(self, s):
         """k(s) = 1 + tail_mass(s); strictly decreasing to k(inf) = 1."""

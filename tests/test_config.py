@@ -62,11 +62,6 @@ class TestValidation:
             loads("[dynamics]\nm = 0.5\n")
         assert "m" in str(exc.value)
 
-    def test_dim3_growth_bound(self):
-        with pytest.raises(ConfigError) as exc:
-            ScenarioConfig(p=5.5, m=1.0, dim3_semantics=True).validate()
-        assert "p(m+1)/m" in str(exc.value)
-
     def test_all_problems_reported_at_once(self):
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig(m=0.5, p=0.5, cfl_safety=2.0, stride=0).validate()
@@ -120,11 +115,6 @@ class TestResolution:
         cap = cfg.resolved_s_cap(cfg.make_kernel())
         assert cap == 100.0 * cfg.t_end
 
-    def test_explicit_s_cap_wins(self):
-        cfg = ScenarioConfig(s_cap=7.0)
-        assert cfg.resolved_s_cap(cfg.make_kernel()) == 7.0
-
     def test_auto_sentinels_serialized(self):
         text = ScenarioConfig().to_ini()
         assert "dt = auto" in text
-        assert "s_cap = auto" in text

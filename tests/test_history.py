@@ -19,18 +19,65 @@ EXP11 = RelaxationKernel.exponential(1.0, 1.0)
 POLY15 = RelaxationKernel.polynomial(1.0, 1.5)
 
 
-def logical_rows(mem):
-    """The ring's rows newest first, as the quadrature indexes them."""
-    return np.roll(mem.rows, -mem.head, axis=0)
+class DenseMemory:
+    """Reference oracle for MemoryState: every past field kept as a row,
+    newest first, from the value_at prefill over the depth and the pushes.
 
+    Row j sits on the node delta + j*ds.  The trapezoid is the one over the
+    depth with the exact tail past it (weights (delta+ds)/2, ds, ..., ds/2),
+    the current field taking delta/2; rows past the depth that still differ
+    from the extension field keep weight ds on that difference.
+    """
 
-def trapezoid_weights(mem, weight_fn, delta):
-    """Row weights on the nodes delta + j*ds, built from the kernel alone."""
-    s = delta + mem.ds * np.arange(mem.depth + 1)
-    coef = np.full(mem.depth + 1, mem.ds)
-    coef[0] = 0.5 * (delta + mem.ds)
-    coef[-1] = 0.5 * mem.ds
-    return coef * weight_fn(s)
+    def __init__(self, datum, kernel, ds, s_depth):
+        self.grid, self.kernel, self.ds = datum.grid, kernel, ds
+        self.depth = int(np.ceil(s_depth / ds - 1e-12))
+        self.ext = datum.frozen_field().ravel()
+        self.rows = [datum.value_at(-j * ds).ravel()
+                     for j in range(self.depth + 1)]
+
+    def push(self, u):
+        self.rows.insert(0, np.ravel(u).copy())
+
+    def _weights(self, weight, delta):
+        """(weights of the rows' differences from ext, now-weight, total)."""
+        kern = self.kernel
+        fn, tail = {"mu": (kern.mu, kern.tail_mass),
+                    "mu_prime": (kern.mu_prime, kern.mu_prime_tail)}[weight]
+        J = self.depth
+        s = delta + self.ds * np.arange(len(self.rows))
+        coef = np.full(len(self.rows), self.ds)
+        coef[0] = 0.5 * (delta + self.ds)
+        now = 0.5 * delta * fn(0.0)
+        depth_coef = coef[:J + 1].copy()
+        depth_coef[-1] = 0.5 * self.ds
+        total = (depth_coef @ fn(s[:J + 1]) + now
+                 + tail(delta + J * self.ds))
+        return coef * fn(s), now, total
+
+    def h1(self, flat):
+        return self.grid.h1_seminorm_sq(flat.reshape(self.grid.shape))
+
+    def convolution_field(self, u, delta, weight):
+        w, now, total = self._weights(weight, delta)
+        dev = np.array(self.rows) - self.ext
+        return (total * self.ext + w @ dev
+                + now * (u.ravel() - self.ext)).reshape(self.grid.shape)
+
+    def scalar_convolution(self, weight, delta, h1_now):
+        w, now, total = self._weights(weight, delta)
+        ext_h1 = self.h1(self.ext)
+        dev = np.array([self.h1(row) for row in self.rows]) - ext_h1
+        return total * ext_h1 + w @ dev + now * (h1_now - ext_h1)
+
+    def memory_integral(self, u, weight, delta):
+        """Row by row: integral weight(s) ||grad(u - u(t - s))||^2 ds."""
+        w, now, total = self._weights(weight, delta)
+        flat = u.ravel()
+        tail_sq = self.h1(flat - self.ext)
+        vals = np.array([self.h1(flat - row) for row in self.rows])
+        # w(t, 0) = 0, so the current node adds nothing
+        return w @ (vals - tail_sq) + (total - now) * tail_sq
 
 
 class TestProfiles:
@@ -137,13 +184,21 @@ class TestHistoryDatum:
                                                profile=profile,
                                                support_T0=1.3, mode=mode)
         mem = MemoryState(datum, EXP11, ds=0.1, s_depth=2.0)
-        assert -mem.s_max_at_push < -datum.support_T0
-        for j in range(mem.depth + 1):
-            f = datum.value_at(-j * mem.ds)
-            np.testing.assert_allclose(mem.rows[j], f.ravel(), rtol=1e-14,
-                                       atol=1e-300)
-            assert mem.row_h1[j] == pytest.approx(grid.h1_seminorm_sq(f),
-                                                  rel=1e-13, abs=1e-300)
+        oracle = DenseMemory(datum, EXP11, ds=0.1, s_depth=2.0)
+        assert mem.depth * mem.ds > datum.support_T0
+        u = datum.value_at(0.0)
+        h1 = grid.h1_seminorm_sq(u)
+        for weight in ("mu", "mu_prime"):
+            for delta in (0.0, 0.03):
+                expected = oracle.convolution_field(u, delta, weight)
+                # sums of signed rows: 1e-14 of the field's scale, not of
+                # each node, which may cancel to a few ulps of that scale
+                np.testing.assert_allclose(
+                    mem.convolution_field(u, delta, weight), expected,
+                    rtol=1e-14, atol=1e-14 * np.max(np.abs(expected)))
+                assert mem.scalar_convolution(weight, delta, h1) == \
+                    pytest.approx(oracle.scalar_convolution(weight, delta, h1),
+                                  rel=1e-13, abs=1e-300)
 
 
 class TestMemoryIntegral:
@@ -183,10 +238,11 @@ class TestMemoryIntegral:
         # dense trapezoid over the covered depth plus the exact tail; w = 0
         # for s < t and w = U beyond
         t = 2.0
-        s = np.linspace(0.0, mem.s_max_at_push, 10_000)
+        s_max = mem.depth * mem.ds
+        s = np.linspace(0.0, s_max, 10_000)
         w_sq = np.where(s <= t, 0.0, h1)
         oracle = float(np.trapezoid(w_sq * EXP11.mu(s), s))
-        oracle += h1 * EXP11.tail_mass(mem.s_max_at_push)
+        oracle += h1 * EXP11.tail_mass(s_max)
         assert mem.memory_integral(U) == pytest.approx(oracle, rel=1e-2)
 
     def test_expansion_agrees_with_direct_rows(self):
@@ -194,12 +250,15 @@ class TestMemoryIntegral:
         rng = np.random.default_rng(5)
         datum = HistoryDatum.from_template(grid, 0.2, profile="ramp")
         mem = MemoryState(datum, EXP11, ds=0.1, s_depth=5.0)
+        oracle = DenseMemory(datum, EXP11, ds=0.1, s_depth=5.0)
         for j in range(1, 8):
-            mem.push(rng.standard_normal(grid.shape), j * 0.1)
+            f = rng.standard_normal(grid.shape)
+            mem.push(f, j * 0.1)
+            oracle.push(f)
         u = rng.standard_normal(grid.shape)
         for weight in ("mu", "mu_prime"):
             a = mem.memory_integral(u, weight, delta=0.03)
-            b = mem.memory_integral_direct(u, weight, delta=0.03)
+            b = oracle.memory_integral(u, weight, delta=0.03)
             assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
     def test_exponential_fast_path_matches_weighted_row_sum(self):
@@ -207,76 +266,72 @@ class TestMemoryIntegral:
         rng = np.random.default_rng(9)
         datum = HistoryDatum.from_template(grid, 0.1)
         mem = MemoryState(datum, EXP11, ds=0.1, s_depth=3.0)
+        oracle = DenseMemory(datum, EXP11, ds=0.1, s_depth=3.0)
         for j in range(1, 5):
-            mem.push(rng.standard_normal(grid.shape), j * 0.1)
+            f = rng.standard_normal(grid.shape)
+            mem.push(f, j * 0.1)
+            oracle.push(f)
         u = rng.standard_normal(grid.shape)
         delta = 0.04
         fast = mem.convolution_field(u, delta, "mu")
-        rowsum = trapezoid_weights(mem, EXP11.mu, delta) @ logical_rows(mem)
-        direct = (rowsum + 0.5 * delta * EXP11.mu(0.0) * u.ravel()
-                  + EXP11.tail_mass(delta + mem.s_max_at_push) * mem.ext_field)
-        assert np.allclose(fast.ravel(), direct, rtol=1e-12, atol=1e-14)
+        direct = oracle.convolution_field(u, delta, "mu")
+        assert np.allclose(fast, direct, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("kernel", [EXP11, POLY15],
                              ids=["exponential", "polynomial"])
-    def test_wrap_around_matches_logical_ring(self, kernel):
+    def test_more_pushes_than_depth_match_dense_oracle(self, kernel):
+        # rows older than the depth keep their decayed weight: the memory
+        # agrees with an oracle that keeps every row
         grid = grid_pi(30)
         rng = np.random.default_rng(13)
         datum = HistoryDatum.from_template(grid, 0.2, profile="ramp",
                                            support_T0=0.3, mode="frozen")
         mem = MemoryState(datum, kernel, ds=0.1, s_depth=0.5)
-        pushed = []
-        # three and a half laps of the six-row ring
+        oracle = DenseMemory(datum, kernel, ds=0.1, s_depth=0.5)
+        # three and a half times the depth of six rows
         for j in range(1, 22):
-            pushed.append(rng.standard_normal(grid.shape))
-            mem.push(pushed[-1], j * 0.1)
-        assert mem.head != 0
-        logical = logical_rows(mem)
-        newest_first = [f.ravel() for f in pushed[::-1][:mem.depth + 1]]
-        assert np.array_equal(logical, np.array(newest_first))
+            f = rng.standard_normal(grid.shape)
+            mem.push(f, j * 0.1)
+            oracle.push(f)
         u = rng.standard_normal(grid.shape)
-        terms = {"mu": (kernel.mu, kernel.tail_mass),
-                 "mu_prime": (kernel.mu_prime, kernel.mu_prime_tail)}
-        for weight, (fn, tail) in terms.items():
+        for weight in ("mu", "mu_prime"):
             for delta in (0.0, 0.03):
-                w = trapezoid_weights(mem, fn, delta)
-                tail_w = tail(delta + mem.s_max_at_push)
-                conv = (w @ logical + 0.5 * delta * fn(0.0) * u.ravel()
-                        + tail_w * mem.ext_field)
-                assert np.allclose(mem.convolution_field(u, delta, weight).ravel(),
-                                   conv, rtol=1e-12, atol=1e-14)
-                vals = [grid.h1_seminorm_sq((u.ravel() - row).reshape(grid.shape))
-                        for row in logical]
-                tail_f = u - mem.ext_field.reshape(grid.shape)
-                oracle = w @ vals + tail_w * grid.h1_seminorm_sq(tail_f)
-                a = mem.memory_integral(u, weight, delta)
-                assert a == pytest.approx(
-                    mem.memory_integral_direct(u, weight, delta),
+                assert np.allclose(mem.convolution_field(u, delta, weight),
+                                   oracle.convolution_field(u, delta, weight),
+                                   rtol=1e-12, atol=1e-14)
+                assert mem.memory_integral(u, weight, delta) == pytest.approx(
+                    oracle.memory_integral(u, weight, delta),
                     rel=1e-10, abs=1e-12)
-                assert a == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("kernel", [EXP11, POLY15], ids=["exp", "poly"])
     def test_quadrature_cache_stays_bounded(self, kernel):
         # each dt halving doubles the lags a run visits between pushes; the
-        # cached weights must never outgrow the ring, and emptying the cache
-        # must not change any result
+        # memory's arrays keep their size, the quadrature cache holds two
+        # floats a lag, and every lag agrees with the row-by-row oracle
         grid = grid_pi(20)
         datum = HistoryDatum.from_template(grid, 0.1, profile="ramp",
                                            support_T0=1.0)
         mem = MemoryState(datum, kernel, ds=0.1, s_depth=2.0)
+        oracle = DenseMemory(datum, kernel, ds=0.1, s_depth=2.0)
+        sizes = {k: v.size for k, v in vars(mem).items()
+                 if isinstance(v, np.ndarray)}
         u = 0.2 * np.sin(grid.coords())
         stride = 4
+        lags = set()
         for halvings in range(6):
-            mem.push(u * (1.0 + 0.1 * halvings), 0.1 * (halvings + 1))
-            lags = stride * 2 ** halvings
-            for delta in 0.1 * np.arange(lags) / lags:
-                a = mem.memory_integral(u, "mu_prime", delta)
-                cached = sum(q[0].size for q in mem._quadratures.values())
-                assert cached <= mem.rows.size
-                assert a == pytest.approx(
-                    mem.memory_integral_direct(u, "mu_prime", delta),
-                    rel=1e-10, abs=1e-12)
-        assert len(mem._quadratures) <= mem.max_cached_lags
+            f = u * (1.0 + 0.1 * halvings)
+            mem.push(f, 0.1 * (halvings + 1))
+            oracle.push(f)
+            n_lags = stride * 2 ** halvings
+            for delta in 0.1 * np.arange(n_lags) / n_lags:
+                lags.add(delta)
+                assert mem.memory_integral(u, "mu_prime", delta) == \
+                    pytest.approx(oracle.memory_integral(u, "mu_prime", delta),
+                                  rel=1e-10, abs=1e-12)
+            assert sizes == {k: v.size for k, v in vars(mem).items()
+                             if isinstance(v, np.ndarray)}
+        assert len(mem._totals) == len(lags)
+        assert all(v.size == 2 for v in mem._totals.values())
 
     def test_finer_stride_agreement(self):
         # compactly supported history: refining the s-grid 10x moves the
@@ -321,7 +376,7 @@ class TestMemoryForce:
         ds = 0.01
         mem = MemoryState(datum, EXP11, ds=ds, s_depth=60.0)
         t = 10.0
-        # one full lap of the ring, oldest first
+        # pushes over the whole depth, oldest first
         for j in range(mem.depth, -1, -1):
             mem.push((t - j * ds) * U, t - j * ds)
         F = grid.laplacian(mem.convolution_field(t * U))

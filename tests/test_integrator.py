@@ -134,13 +134,37 @@ class TestRun:
         with pytest.raises(Exception):
             run(quick_config(m=0.5))
 
-    def test_finished_run_holds_no_lag_caches(self):
-        # kept results must not carry per-lag weights; they refill lazily
-        res = run(quick_config(t_end=0.3))
-        memory, u = res.state.memory, res.state.u
-        assert not memory._quadratures and memory._row_sums is None
-        conv = memory.convolution_field(u, res.state.t - memory.t_push)
-        np.testing.assert_allclose(conv, res.trajectory.conv[-1], rtol=1e-12)
+    def test_finished_run_memory_size_independent_of_t_end(self):
+        # the polynomial frozen depth is 100 * t_end, yet the memory's arrays
+        # keep one size; the kept state still gives the last convolution
+        def memory_sizes(t_end):
+            res = run(quick_config(kernel_family="polynomial", r=1.5,
+                                   extension="frozen", t_end=t_end))
+            memory, u = res.state.memory, res.state.u
+            conv = memory.convolution_field(u, res.state.t - memory.t_push)
+            np.testing.assert_allclose(conv, res.trajectory.conv[-1],
+                                       rtol=1e-12)
+            return {k: v.shape for k, v in vars(memory).items()
+                    if isinstance(v, np.ndarray)}
+
+        assert memory_sizes(1.0) == memory_sizes(4.0)
+
+    def test_datum_at_rest_needs_no_halvings(self, tmp_path):
+        # u(0) = 0 with a small past: the memory sets the string moving and
+        # the energy decays; ||grad u(0)|| = 0 must not make every later
+        # gradient look like a doubling
+        n = 200
+        x = np.linspace(0.0, np.pi, n + 2)[1:-1]
+        table = tmp_path / "history.csv"
+        np.savetxt(table, np.column_stack(
+            [[0.0, -0.1], np.stack([0.0 * x, 0.01 * np.sin(x)])]),
+            delimiter=",")
+        res = run(ScenarioConfig(n=n, stride=8, t_end=5.0, template="table",
+                                 table_path=str(table)))
+        assert res.flags["completed"] and not res.blew_up
+        assert res.flags["dt_halvings"] == 0
+        E = res.ledger.column("E")
+        assert E[-1] < E[0]
 
 
 # E(t_end) and the final identity residual of three small scenarios, recorded

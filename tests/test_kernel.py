@@ -40,6 +40,11 @@ class TestExponential:
         assert report.C == 2.0
         assert report.k0 == 1.5
 
+    def test_modes_are_the_kernel(self):
+        k = RelaxationKernel.exponential(0.7, 2.5)
+        lam, a = k.modes(k.memory_horizon)
+        assert lam.tolist() == [2.5] and a.tolist() == [0.7]
+
 
 class TestPolynomial:
     def test_mu_at_one(self):
@@ -71,6 +76,20 @@ class TestPolynomial:
         assert report.decay_class == "polynomial"
         assert report.r == 1.5
         assert report.C == pytest.approx(2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("r", np.linspace(1.01, 1.999, 12))
+    def test_modes_relative_error(self, r):
+        # sum_k a_k exp(-lam_k s) against mu and -a_k lam_k against mu', to
+        # each horizon, wherever mu is still a normal double
+        k = RelaxationKernel.polynomial(1.3, r)
+        for horizon in (1.0, 50.0, 500.0, 1e4, k.memory_horizon):
+            lam, a = k.modes(horizon)
+            s = np.concatenate([[0.0], np.geomspace(1e-6, horizon, 400)])
+            s = s[k.mu(s) > 1e-300]
+            decay = np.exp(-np.outer(s, lam))
+            np.testing.assert_allclose(decay @ a, k.mu(s), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(-decay @ (a * lam), k.mu_prime(s),
+                                       rtol=1e-12, atol=0)
 
     def test_r_out_of_range_rejected(self):
         with pytest.raises(KernelError):

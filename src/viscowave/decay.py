@@ -52,20 +52,38 @@ class DecayModel:
                     f"sigma must lie in (0, 2-r), got sigma={self.sigma}, r={self.r}")
 
     def phi(self, s):
-        """Phi(s) = C * (s^(2/(m+1)) + s); increasing, Phi(0) = 0."""
-        s = np.asarray(s, dtype=float)
-        out = self.phi_C * (s ** (2.0 / (self.m + 1.0)) + s)
-        return float(out) if out.ndim == 0 else out
+        """Phi(s) = C * (s^(2/(m+1)) + s); increasing, Phi(0) = 0.  A float
+        gives a float, an array an array."""
+        if not isinstance(s, float):
+            s = np.asarray(s, dtype=float)
+        return self.phi_C * (_power(s, 2.0 / (self.m + 1.0)) + s)
 
     def psi(self, s):
-        """Psi(s) = C1 * s^(sigma/(sigma+r-1)) + C2 * (s^(2/(m+1)) + s)."""
+        """Psi(s) = C1 * s^(sigma/(sigma+r-1)) + C2 * (s^(2/(m+1)) + s),
+        of a float or an array as ``phi``."""
         if self.r is None or self.sigma is None:
             raise DecayError("psi needs r and sigma")
-        s = np.asarray(s, dtype=float)
+        if not isinstance(s, float):
+            s = np.asarray(s, dtype=float)
         e = self.sigma / (self.sigma + self.r - 1.0)
-        out = (self.psi_C1 * s ** e
-               + self.psi_C2 * (s ** (2.0 / (self.m + 1.0)) + s))
-        return float(out) if out.ndim == 0 else out
+        return (self.psi_C1 * _power(s, e)
+                + self.psi_C2 * (_power(s, 2.0 / (self.m + 1.0)) + s))
+
+
+def _power(s, e):
+    """s ** e, rounded as NumPy's ** rounds it; a float for a float.
+
+    s ** 1 is s exactly, and NumPy takes s ** 0.5 as sqrt, which is
+    correctly rounded everywhere.  Other powers go through NumPy: its power
+    may be a SIMD routine that differs in the last bit from the C library's
+    pow behind Python's **, and Phi must not depend on the argument's type.
+    """
+    if e == 1.0:
+        return s
+    if e == 0.5 and isinstance(s, float):
+        return math.sqrt(s)
+    out = np.asarray(s) ** e
+    return float(out) if out.ndim == 0 else out
 
 
 def resolvent(fn, S: float, rtol: float = 1e-13, max_iter: int = 200) -> float:
@@ -111,23 +129,22 @@ def lt_ode_solve(model: DecayModel, E0: float, t_end: float,
     if n_steps is None:
         n_steps = 1000
     times = np.linspace(0.0, t_end, n_steps + 1)
-    h = times[1] - times[0] if n_steps else 0.0
-    S = np.empty_like(times)
-    S[0] = E0
+    h = float(times[1] - times[0]) if n_steps else 0.0
+    # Python floats in the loop: fn then takes its float path
+    s = float(E0)
+    S = [s]
 
     def rhs(s):
         return -resolvent(fn, max(s, 0.0))
 
-    for i in range(n_steps):
-        s = S[i]
+    for _ in range(n_steps):
         k1 = rhs(s)
         k2 = rhs(s + 0.5 * h * k1)
         k3 = rhs(s + 0.5 * h * k2)
         k4 = rhs(s + h * k3)
-        S[i + 1] = s + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if S[i + 1] < 0.0:
-            S[i + 1] = 0.0
-    return times, S
+        s = max(s + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), 0.0)
+        S.append(s)
+    return times, np.array(S)
 
 
 # ---------------------------------------------------------------------------

@@ -34,15 +34,8 @@ def quadratic_energy(grid: SpatialGrid, u, v, memory: MemoryState,
     if h1 is None:
         h1 = grid.h1_seminorm_sq(u)
     if mem_mu is None:
-        mem_mu = memory.memory_integral(u, "mu", delta, h1=h1)
+        mem_mu = memory.memory_integral(u, "mu", delta)
     return 0.5 * (grid.l2_norm_sq(v) + h1 + mem_mu)
-
-
-def total_energy(grid: SpatialGrid, u, v, memory: MemoryState, p: float,
-                 delta: float = 0.0) -> float:
-    """E = scriptE - ||u||_{p+1}^{p+1} / (p+1)."""
-    return (quadratic_energy(grid, u, v, memory, delta)
-            - grid.lp_norm_pow(u, p + 1.0) / (p + 1.0))
 
 
 def damping_power(grid: SpatialGrid, v, m: float) -> float:
@@ -51,16 +44,12 @@ def damping_power(grid: SpatialGrid, v, m: float) -> float:
 
 
 def viscous_power(grid: SpatialGrid, u, memory: MemoryState,
-                  delta: float = 0.0, conv_mu_prime=None, h1=None,
-                  lap_u=None) -> float:
-    """-(1/2) integral mu'(s) ||grad w||^2 ds >= 0; pieces as memory_integral."""
-    val = memory.memory_integral(u, "mu_prime", delta, conv=conv_mu_prime,
-                                 h1=h1, lap_u=lap_u)
-    return -0.5 * val
+                  delta: float = 0.0) -> float:
+    """-(1/2) integral mu'(s) ||grad w||^2 ds >= 0."""
+    return -0.5 * memory.memory_integral(u, "mu_prime", delta)
 
 
-def dissipation_increment(grid: SpatialGrid, dt: float,
-                          damp_before: float, damp_after: float,
+def dissipation_increment(dt: float, damp_before: float, damp_after: float,
                           visc_before: float, visc_after: float) -> tuple:
     """Trapezoid-in-time dissipation over one step: (damp, visc)."""
     return (0.5 * dt * (damp_before + damp_after),

@@ -23,11 +23,6 @@ class GridError(ValueError):
     """Raised for mismatched fields or ill-formed grid parameters."""
 
 
-def _along(axis: int, start, stop) -> tuple:
-    """Index taking ``start:stop`` along ``axis`` and all of earlier axes."""
-    return (slice(None),) * axis + (slice(start, stop),)
-
-
 @dataclass(frozen=True)
 class SpatialGrid:
     """Interior nodes of an interval or rectangle, Dirichlet boundary."""
@@ -67,6 +62,17 @@ class SpatialGrid:
             out *= hi
         return out
 
+    @cached_property
+    def _stencils(self) -> tuple:
+        """Per axis: the indices of all nodes but the last and all but the
+        first along it, and of its first and last node, and h_i^2."""
+        def along(axis, start, stop):
+            return (slice(None),) * axis + (slice(start, stop),)
+
+        return tuple((along(axis, None, -1), along(axis, 1, None),
+                      along(axis, None, 1), along(axis, -1, None), hi ** 2)
+                     for axis, hi in enumerate(self.h))
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.n
@@ -90,7 +96,7 @@ class SpatialGrid:
 
     def check(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
-        if f.shape != self.shape:
+        if f.shape != self.n:
             raise GridError(f"field shape {f.shape} does not match grid {self.shape}")
         return f
 
@@ -100,12 +106,11 @@ class SpatialGrid:
         """Centered second-difference Laplacian with zero exterior values."""
         f = self.check(f)
         out = None
-        for axis, hi in enumerate(self.h):
-            lo, up = _along(axis, None, -1), _along(axis, 1, None)
+        for lo, up, _, _, h2 in self._stencils:
             d = -2.0 * f
             d[up] += f[lo]
             d[lo] += f[up]
-            d /= hi ** 2
+            d /= h2
             out = d if out is None else out + d
         return out
 
@@ -116,21 +121,18 @@ class SpatialGrid:
         """
         f = self.check(f)
         total = 0.0
-        for axis, hi in enumerate(self.h):
-            shape = list(f.shape)
-            shape[axis] += 1
-            # the n + 1 edges along the axis, two of them to the zero exterior
-            d = np.zeros(shape)
-            d[_along(axis, None, -1)] = f
-            d[_along(axis, 1, None)] -= f
-            d /= hi
+        for lo, up, first, last, h2 in self._stencils:
+            # the n - 1 inner edges along the axis, and the two edges to the
+            # zero exterior, whose differences are the first and last nodes
+            d, a, b = f[up] - f[lo], f[first], f[last]
+            sq = np.vdot(d, d) + np.vdot(a, a) + np.vdot(b, b)
             # each edge carries the edge length hi times the transverse measure
-            total += float(np.sum(d * d)) * self.cell_volume
+            total += float(sq) / h2 * self.cell_volume
         return total
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """Midpoint-quadrature L2 inner product."""
-        return float(np.sum(self.check(f) * self.check(g))) * self.cell_volume
+        return float((self.check(f) * self.check(g)).sum()) * self.cell_volume
 
     def l2_norm_sq(self, f: np.ndarray) -> float:
         return self.inner(f, f)
@@ -140,7 +142,7 @@ class SpatialGrid:
         if q < 1:
             raise GridError(f"lp_norm_pow needs q >= 1, got {q}")
         f = self.check(f)
-        return float(np.sum(np.abs(f) ** q)) * self.cell_volume
+        return float((np.abs(f) ** q).sum()) * self.cell_volume
 
     # -- elliptic solve -----------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -280,6 +280,23 @@ def classify(datum: HistoryDatum, d: float, p: float,
 _WEIGHT_INDEX = {"mu": 0, "mu_prime": 1}
 
 
+class MemoryEval(NamedTuple):
+    """The memory at one lag, index 0 for mu and 1 for mu' throughout."""
+
+    grid: SpatialGrid
+    conv: np.ndarray      # (2, *grid.shape): integral weight(s) u(t - s) ds
+    scalar: np.ndarray    # (2,): integral weight(s) ||grad u(t - s)||^2 ds
+    total: np.ndarray     # (2,): integral weight(s) ds, the quadrature's Q
+
+    def integral(self, k: int, h1: float, lap_u: np.ndarray) -> float:
+        """integral weight_k(s) ||grad w(t, s)||^2 ds from h1 = ||grad u||^2
+        and lap u: the square expanded through bilinearity, so it agrees
+        with the row-by-row trapezoid to round-off, and
+        <grad u, grad conv> = -inner(lap u, conv) by summation by parts."""
+        return (self.total[k] * h1 + 2.0 * self.grid.inner(lap_u, self.conv[k])
+                + self.scalar[k])
+
+
 class MemoryState:
     """The past of u as K exponential modes plus the extension field.
 
@@ -297,6 +314,11 @@ class MemoryState:
     over the ``s_depth`` nodes, the current field's node and the exact tail,
     cached per lag as two floats.  No state grows with ``s_depth`` or with
     the run's length.
+
+    ``evaluate`` is the one place that sums the modes: for both weights at
+    once it gives the convolution fields, the scalar convolutions and Q, and
+    a step calls it once.  ``convolution_field``, ``scalar_convolution`` and
+    ``memory_integral`` are views of it.
     """
 
     def __init__(self, datum: HistoryDatum, kernel: RelaxationKernel,
@@ -356,51 +378,38 @@ class MemoryState:
             total = self._totals[delta] = rows.sum(axis=1) + now + tail
         return total, now
 
-    def _past(self, weight: str, delta: float, cols) -> tuple:
-        """Columns ``cols`` of the weight's integral over every node but the
-        current field's, and that node's weight."""
-        k = _WEIGHT_INDEX[weight]
+    def evaluate(self, u_now: np.ndarray, h1_now: float,
+                 delta: float = 0.0) -> MemoryEval:
+        """Both weights' convolutions at lag delta, u_now = u(t) on the grid
+        and h1_now = ||grad u(t)||^2 taking the current node."""
         total, now = self._quadrature(delta)
-        f = self.weights[k] * np.exp(-self.lam * delta)
-        # row 0's first cell widens by delta
-        past = (f @ self.P[:, cols] + 0.5 * delta * f.sum() * self.D0[cols]
-                + (total[k] - now[k]) * self.ext[cols])
-        return past, now[k]
+        f = self.weights * np.exp(-self.lam * delta)
+        # every node but the current field's; row 0's first cell widens by
+        # delta
+        past = (f @ self.P + (0.5 * delta * f.sum(axis=1))[:, None] * self.D0
+                + (total - now)[:, None] * self.ext)
+        conv = past[:, :-1] + now[:, None] * u_now.ravel()
+        return MemoryEval(self.grid, conv.reshape((2,) + self.grid.shape),
+                          past[:, -1] + now * h1_now, total)
 
-    # -- convolutions -------------------------------------------------------
+    # -- views --------------------------------------------------------------
 
     def convolution_field(self, u_now: np.ndarray, delta: float = 0.0,
                           weight: str = "mu") -> np.ndarray:
         """integral weight(s) * u(t - s) ds, including tail extension."""
         u_now = self.grid.check(u_now)
-        past, now = self._past(weight, delta, slice(-1))
-        return (past + now * u_now.ravel()).reshape(self.grid.shape)
+        return self.evaluate(u_now, 0.0, delta).conv[_WEIGHT_INDEX[weight]]
 
     def scalar_convolution(self, weight: str, delta: float,
                            h1_now: float) -> float:
         """integral weight(s) * ||grad u(t-s)||^2 ds, including the tail."""
-        past, now = self._past(weight, delta, -1)
-        return float(past + now * h1_now)
+        ev = self.evaluate(self.grid.zeros(), h1_now, delta)
+        return float(ev.scalar[_WEIGHT_INDEX[weight]])
 
     def memory_integral(self, u_now: np.ndarray, weight: str = "mu",
-                        delta: float = 0.0, conv: np.ndarray | None = None,
-                        h1: float | None = None,
-                        lap_u: np.ndarray | None = None) -> float:
-        """integral weight(s) * ||grad w(t, s)||^2 ds with exact tail.
-
-        Expands the square through bilinearity, so it agrees with the
-        row-by-row trapezoid to round-off.  Pieces the caller holds
-        (conv, h1 = ||grad u||^2, lap_u) are reused.
-        """
+                        delta: float = 0.0) -> float:
+        """integral weight(s) * ||grad w(t, s)||^2 ds with exact tail."""
         u_now = self.grid.check(u_now)
-        if h1 is None:
-            h1 = self.grid.h1_seminorm_sq(u_now)
-        if lap_u is None:
-            lap_u = self.grid.laplacian(u_now)
-        if conv is None:
-            conv = self.convolution_field(u_now, delta, weight)
-        Q = float(self._quadrature(delta)[0][_WEIGHT_INDEX[weight]])
-        # <grad u, grad conv>, by summation by parts
-        cross = -self.grid.inner(lap_u, conv)
-        q = self.scalar_convolution(weight, delta, h1)
-        return Q * h1 - 2.0 * cross + q
+        h1 = self.grid.h1_seminorm_sq(u_now)
+        return float(self.evaluate(u_now, h1, delta).integral(
+            _WEIGHT_INDEX[weight], h1, self.grid.laplacian(u_now)))

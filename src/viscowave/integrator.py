@@ -6,11 +6,12 @@
 by an operator-split leapfrog.  A step runs the phases kick (velocity
 half-kick), damp and drift (implicit pointwise damping split symmetrically
 around the drift), memory (fold u into the memory's exponential modes on the
-s-grid), force (lap u, the memory convolutions, ||grad u||^2 and the viscous
-power, each once, then the second half-kick) and diagnostics (dissipation,
-ledger rows, step controller), which reuse the force phase's values.  The
-only implicit piece is a scalar monotone solve per node, so a step costs
-O(K N) for the kernel's K memory modes.
+s-grid), force (lap u, ||grad u||^2 and one memory evaluation, which gives the
+mu and mu' convolutions for the force and the viscous power, then the second
+half-kick) and diagnostics (dissipation, ledger rows, step controller), which
+reuse the force phase's values.  The only implicit piece is a scalar
+monotone solve per node, so a step costs O(K N) for the kernel's K memory
+modes.
 
 Near blow-up the step controller halves dt each time ||grad u|| doubles,
 from the larger of ||grad u(0)|| and the potential well's gradient radius
@@ -68,7 +69,7 @@ def _solve_magnitude(absa: np.ndarray, dt: float, m: float) -> np.ndarray:
     for _ in range(100):
         xm1 = x ** (m - 1.0)
         res = x + dt * xm1 * x - absa
-        if np.all(np.abs(res) <= tol):
+        if (np.abs(res) <= tol).all():
             break
         lo = np.where(res < 0, x, lo)
         hi = np.where(res > 0, x, hi)
@@ -150,19 +151,15 @@ class RunResult:
 def _terms(grid: SpatialGrid, memory: MemoryState, u: np.ndarray,
            delta: float, k0: float, p: float, source: bool):
     """Each quantity a step needs at (u, delta), computed once: the force
-    F = k0 lap u - lap conv (+ |u|^(p-1) u), the mu-convolution conv, lap u,
-    ||grad u||^2 and the viscous power."""
+    F = k0 lap u - lap conv (+ |u|^(p-1) u), the memory's evaluation, lap u,
+    ||grad u||^2 and the viscous power -(1/2) integral mu' ||grad w||^2 ds."""
     lap_u = grid.laplacian(u)
     h1 = grid.h1_seminorm_sq(u)
-    conv = memory.convolution_field(u, delta, "mu")
-    F = k0 * lap_u - grid.laplacian(conv)
+    mem = memory.evaluate(u, h1, delta)
+    F = k0 * lap_u - grid.laplacian(mem.conv[0])
     if source:
         F = F + np.abs(u) ** (p - 1.0) * u
-    visc = energetics.viscous_power(
-        grid, u, memory, delta,
-        conv_mu_prime=memory.convolution_field(u, delta, "mu_prime"),
-        h1=h1, lap_u=lap_u)
-    return F, conv, lap_u, h1, visc
+    return F, mem, lap_u, h1, -0.5 * mem.integral(1, h1, lap_u)
 
 
 def run(config: ScenarioConfig) -> RunResult:
@@ -205,10 +202,9 @@ def run(config: ScenarioConfig) -> RunResult:
     damp_cum = 0.0
     visc_cum = 0.0
 
-    def record_row(t, delta, u, v, conv, lap_u, h1):
-        mem_mu = memory.memory_integral(u, "mu", delta, conv=conv, h1=h1,
-                                        lap_u=lap_u)
-        sE = energetics.quadratic_energy(grid, u, v, memory, delta, h1=h1,
+    def record_row(t, u, v, mem, lap_u, h1):
+        mem_mu = mem.integral(0, h1, lap_u)
+        sE = energetics.quadratic_energy(grid, u, v, memory, h1=h1,
                                          mem_mu=mem_mu)
         lp_pow = grid.lp_norm_pow(u, p + 1.0)
         source_part = lp_pow / (p + 1.0) if source else 0.0
@@ -222,13 +218,13 @@ def run(config: ScenarioConfig) -> RunResult:
                       visc_cum=visc_cum, grad_norm=math.sqrt(h1),
                       lp_pow=lp_pow, nehari_gap=gap,
                       identity_residual=resid)
-        trajectory.append(t, u, v, conv)
+        trajectory.append(t, u, v, mem.conv[0])
 
     # initial diagnostics
     tick = 0
-    F, conv, lap_u, h1, visc_prev = _terms(grid, memory, u, 0.0, k0, p, source)
+    F, mem, lap_u, h1, visc_prev = _terms(grid, memory, u, 0.0, k0, p, source)
     damp_prev = energetics.damping_power(grid, v, m) if damping else 0.0
-    record_row(0.0, 0.0, u, v, conv, lap_u, h1)
+    record_row(0.0, u, v, mem, lap_u, h1)
 
     # a datum at rest grows inside the well without blowing up: the
     # controller's scale is never below the well's gradient radius
@@ -257,11 +253,11 @@ def run(config: ScenarioConfig) -> RunResult:
             memory.push(u, t)
         delta = (tick % ticks_per_push) * tick_dt
         # force: second half-kick with the recomputed force
-        F, conv, lap_u, h1, visc_now = _terms(grid, memory, u, delta, k0, p,
-                                              source)
+        F, mem, lap_u, h1, visc_now = _terms(grid, memory, u, delta, k0, p,
+                                             source)
         v = v + 0.5 * dt * F
 
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
             flags["nonfinite"] = True
             flags["stop_step"] = step_index
             break
@@ -269,14 +265,14 @@ def run(config: ScenarioConfig) -> RunResult:
         # diagnostics: dissipation by the trapezoid rule in time, every step
         damp_now = energetics.damping_power(grid, v, m) if damping else 0.0
         d_inc, v_inc = energetics.dissipation_increment(
-            grid, dt, damp_prev, damp_now, visc_prev, visc_now)
+            dt, damp_prev, damp_now, visc_prev, visc_now)
         damp_cum += d_inc
         visc_cum += v_inc
         damp_prev, visc_prev = damp_now, visc_now
 
         steps_since_output += 1
         if steps_since_output >= config.output_every or tick >= total_ticks:
-            record_row(t, delta, u, v, conv, lap_u, h1)
+            record_row(t, u, v, mem, lap_u, h1)
             steps_since_output = 0
 
         # blow-up step controller
@@ -286,7 +282,7 @@ def run(config: ScenarioConfig) -> RunResult:
                 flags["dt_exhausted"] = True
                 flags["stop_step"] = step_index
                 if steps_since_output:
-                    record_row(t, delta, u, v, conv, lap_u, h1)
+                    record_row(t, u, v, mem, lap_u, h1)
                 break
             halvings += 1
             flags["dt_halvings"] = halvings

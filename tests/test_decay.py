@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -140,6 +141,43 @@ class TestResolventAndOde:
             lhs = 0.5 * (lo + hi)
             rhs = x - decay.resolvent(model.phi, x)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+# Outputs recorded before Phi and Psi got their Python-float path, which must
+# reproduce them bit for bit: S as the first 16 hex digits of the sha256 of
+# its bytes, and S(t_end).  Recorded on x86-64 with AVX-512 and NumPy 2.4.6;
+# NumPy's power, which Psi's 0.375 exponent uses, may round differently
+# where NumPy picks another SIMD routine.
+ODE_GOLDEN = {
+    "phi_m1": (DecayModel(phi_C=0.7, m=1.0, T_reiter=1.0), False,
+               "1fb05b8f436dd61d", "0x1.fc07c015d0326p-6"),
+    "phi_m3": (DecayModel(phi_C=0.7, m=3.0, T_reiter=1.0), False,
+               "c4f6ff33eb64598f", "0x1.2419925d9d464p-3"),
+    "psi": (DecayModel(phi_C=1.0, m=3.0, T_reiter=1.0, psi_C1=0.4,
+                       psi_C2=0.3, r=1.5, sigma=0.3), True,
+            "2ca8ad4e12f789e6", "0x1.3364351f90efap-3"),
+}
+# E at t = 10, 12, ..., 20 of the acceptance suite's w1_scenario() ledger:
+# all that comparison_check(ledger, 1.0, 2.0, t_start=10.0) reads from it.
+W1_SAMPLES = ["0x1.617483ab472a6p-21", "0x1.b4fdeaf3e98e6p-24",
+              "0x1.148cc415f0a6ap-26", "0x1.67c7df0dacf63p-29",
+              "0x1.d7e2e6105d630p-32", "0x1.3c1578445c731p-34"]
+W1_CALIBRATED_C = "0x1.5798ee2308c3ap-27"
+
+
+class TestComparisonOdeBitIdentity:
+    @pytest.mark.parametrize("name", sorted(ODE_GOLDEN))
+    def test_lt_ode_solve(self, name):
+        model, use_psi, digest, last = ODE_GOLDEN[name]
+        _, S = decay.lt_ode_solve(model, 2.0, 10.0, use_psi=use_psi)
+        assert hashlib.sha256(S.tobytes()).hexdigest()[:16] == digest
+        assert S[-1] == float.fromhex(last)
+
+    def test_comparison_check_calibration(self):
+        E = [float.fromhex(x) for x in W1_SAMPLES]
+        led = ledger_from_series(10.0 + 2.0 * np.arange(len(E)), E)
+        report = decay.comparison_check(led, 1.0, 2.0, t_start=10.0)
+        assert report["calibrated_C"] == float.fromhex(W1_CALIBRATED_C)
 
 
 class TestComparisonCheck:

@@ -26,7 +26,8 @@ class TestPointwiseFunctionals:
         mem = memory_for(datum)
         z = grid.zeros()
         assert energetics.quadratic_energy(grid, z, z, mem) == 0.0
-        assert energetics.total_energy(grid, z, z, mem, 3.0) == 0.0
+        assert (energetics.quadratic_energy(grid, z, z, mem)
+                - grid.lp_norm_pow(z, 4.0) / 4.0) == 0.0
 
     def test_constant_frozen_history(self):
         # w vanishes, so only the gradient term survives
@@ -52,16 +53,17 @@ class TestPointwiseFunctionals:
         big = HistoryDatum.from_template(grid, 5.0)
         for datum, sign in ((small, 1.0), (big, -1.0)):
             mem = memory_for(datum)
-            E = energetics.total_energy(grid, datum.value_at(0.0),
-                                        grid.zeros(), mem, 3.0)
+            U = datum.value_at(0.0)
+            E = (energetics.quadratic_energy(grid, U, grid.zeros(), mem)
+                 - grid.lp_norm_pow(U, 4.0) / 4.0)
             assert sign * E > 0
 
     def test_dissipation_increment_values(self):
         grid = SpatialGrid.line(math.pi, 50)
-        assert energetics.dissipation_increment(grid, 0.1, 0, 0, 0, 0) == (0, 0)
+        assert energetics.dissipation_increment(0.1, 0, 0, 0, 0) == (0, 0)
         V = 0.3 * np.sin(grid.coords())
         d = energetics.damping_power(grid, V, 1.0)
-        damp, visc = energetics.dissipation_increment(grid, 0.1, d, d, 0.0, 0.0)
+        damp, visc = energetics.dissipation_increment(0.1, d, d, 0.0, 0.0)
         assert damp == pytest.approx(0.1 * grid.l2_norm_sq(V), rel=1e-14)
         assert visc == 0.0
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from viscowave import wellconst
 from viscowave.grid import SpatialGrid
@@ -332,6 +333,50 @@ class TestMemoryIntegral:
                              if isinstance(v, np.ndarray)}
         assert len(mem._totals) == len(lags)
         assert all(v.size == 2 for v in mem._totals.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel=st.sampled_from([EXP11, POLY15]),
+           n_push=st.integers(0, 20), lag=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_evaluate_matches_oracle_and_views(self, kernel, n_push, lag,
+                                               seed):
+        # one evaluation gives both weights' fields, scalars and totals; up
+        # to 20 pushes into a depth of six rows, at a lag in [0, ds)
+        grid = grid_pi(24)
+        rng = np.random.default_rng(seed)
+        datum = HistoryDatum.from_template(grid, 0.2, profile="ramp",
+                                           support_T0=0.3, mode="frozen")
+        mem = MemoryState(datum, kernel, ds=0.1, s_depth=0.5)
+        oracle = DenseMemory(datum, kernel, ds=0.1, s_depth=0.5)
+        for j in range(1, n_push + 1):
+            f = rng.standard_normal(grid.shape)
+            mem.push(f, j * 0.1)
+            oracle.push(f)
+        u = rng.standard_normal(grid.shape)
+        h1, lap_u = grid.h1_seminorm_sq(u), grid.laplacian(u)
+        delta = 0.1 * lag
+        ev = mem.evaluate(u, h1, delta)
+        for k, weight in enumerate(("mu", "mu_prime")):
+            # the modes match mu' to 1e-12 of its scale, so a node where the
+            # signed rows cancel errs by up to 1e-12 of the field's scale
+            expected = oracle.convolution_field(u, delta, weight)
+            np.testing.assert_allclose(
+                ev.conv[k], expected, rtol=1e-12,
+                atol=1e-12 * np.max(np.abs(expected)))
+            assert ev.scalar[k] == pytest.approx(
+                oracle.scalar_convolution(weight, delta, h1), rel=1e-13,
+                abs=1e-300)
+            assert ev.total[k] == pytest.approx(
+                oracle._weights(weight, delta)[2], rel=1e-13)
+            assert ev.integral(k, h1, lap_u) == pytest.approx(
+                oracle.memory_integral(u, weight, delta), rel=1e-10,
+                abs=1e-12)
+            # the public calls are views of the same evaluation
+            assert np.array_equal(mem.convolution_field(u, delta, weight),
+                                  ev.conv[k])
+            assert mem.scalar_convolution(weight, delta, h1) == ev.scalar[k]
+            assert mem.memory_integral(u, weight, delta) == \
+                ev.integral(k, h1, lap_u)
 
     def test_finer_stride_agreement(self):
         # compactly supported history: refining the s-grid 10x moves the

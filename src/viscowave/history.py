@@ -308,16 +308,18 @@ class MemoryState:
     trapezoid sum of w over the rows' deviations is
     sum_k b_k exp(-lam_k delta) (P_k + delta/2 D_0), where
     P_k = sum_j c_j exp(-lam_k j ds) D_j with c_0 = ds/2 and c_j = ds beyond;
-    a push updates P in O(K N).  Each field carries its ||grad||^2 as one
-    more column, which the scalar convolution sums the same way.  The
-    extension field takes the whole quadrature weight Q(delta): the trapezoid
-    over the ``s_depth`` nodes, the current field's node and the exact tail,
-    cached per lag as two floats.  No state grows with ``s_depth`` or with
-    the run's length.
+    a push updates P in O(K N).  The extension field takes the whole
+    quadrature weight Q(delta): the trapezoid over the ``s_depth`` nodes, the
+    current field's node and the exact tail.
 
-    ``evaluate`` is the one place that sums the modes: for both weights at
-    once it gives the convolution fields, the scalar convolutions and Q, and
-    a step calls it once.  ``convolution_field``, ``scalar_convolution`` and
+    The state is one matrix ``M`` (K+3, N+1), which neither ``s_depth`` nor
+    the run's length grows: the K modes P, D_0, the extension field and a
+    workspace row for the current field, each with its ||grad||^2 as the last
+    column, which the scalar convolution sums the same way.  Each lag keeps
+    one entry (G, Q), G the (2, K+3) matrix [b_k exp(-lam_k delta) |
+    delta/2 sum_k | Q - now | now] for mu and mu', now = delta/2 w(0) the
+    current node's weight.  ``evaluate`` takes the one product G @ M of a
+    step; ``convolution_field``, ``scalar_convolution`` and
     ``memory_integral`` are views of it.
     """
 
@@ -329,68 +331,66 @@ class MemoryState:
         self.depth = int(np.ceil(s_depth / ds - 1e-12))
         if self.depth < 1:
             raise ValueError("memory depth must cover at least one stride")
-        self.ext = self._augmented(datum.frozen_field())
         self.lam, a = kernel.modes(kernel.memory_horizon)
         self.weights = np.stack([a, -a * self.lam])
         self.w0 = np.array([kernel.mu(0.0), kernel.mu_prime(0.0)])
-        self.decay = np.exp(-self.lam * self.ds)
+        self.decay = np.exp(-self.lam * self.ds)[:, None]
+        ext = datum.frozen_field()
+        ext = np.append(ext.ravel(), self.grid.h1_seminorm_sq(ext))
         # the support's rows, j*ds <= min(T0, s_depth); the rows beyond it
         # are the extension field
         lags = self.ds * np.arange(
             int(min(datum.support_T0, s_depth) / self.ds + 1e-12) + 1)
-        dev = np.column_stack(datum.fields_at(-lags)) - self.ext
+        dev = np.column_stack(datum.fields_at(-lags)) - ext
         coef = self.ds * np.exp(-np.outer(self.lam, lags))
         coef[:, 0] *= 0.5
-        self.P, self.D0 = coef @ dev, dev[0]
+        self.M = np.vstack([coef @ dev, dev[0], ext, np.zeros_like(ext)])
         self.t_push = 0.0
-        self._totals = {}
-
-    def _augmented(self, u: np.ndarray) -> np.ndarray:
-        """The field's values and, as one more entry, its ||grad||^2."""
-        return np.append(u.ravel(), self.grid.h1_seminorm_sq(u))
+        self._lags = {}
 
     def push(self, u: np.ndarray, t: float):
         """Record u(t); t must advance by exactly one stride."""
-        dev = self._augmented(self.grid.check(u)) - self.ext
+        P, D0 = self.M[:-3], self.M[-3]
         # the old row 0 moves to node ds, where its weight doubles
-        self.P += 0.5 * self.ds * self.D0
-        self.P *= self.decay[:, None]
-        self.P += 0.5 * self.ds * dev
-        self.D0 = dev
+        P += 0.5 * self.ds * D0
+        P *= self.decay
+        D0[:-1] = self.grid.check(u).ravel()
+        D0[-1] = self.grid.h1_seminorm_sq(u)
+        D0 -= self.M[-2]
+        P += 0.5 * self.ds * D0
         self.t_push = t
 
-    # -- quadrature ---------------------------------------------------------
-
-    def _quadrature(self, delta: float) -> tuple:
-        """(total, now) at lag delta, index 0 for mu and 1 for mu': the
-        weight's whole quadrature, and the weight of the current field."""
-        now = 0.5 * delta * self.w0
-        total = self._totals.get(delta)
-        if total is None:
+    def _lag(self, delta: float) -> tuple:
+        """(G, Q) at lag delta, row 0 for mu and 1 for mu': the coefficients
+        that take M to the convolutions, and the weight's whole quadrature."""
+        entry = self._lags.get(delta)
+        if entry is None:
             kern = self.kernel
+            now = 0.5 * delta * self.w0
             s = delta + self.ds * np.arange(self.depth + 1)
             coef = np.full(self.depth + 1, self.ds)
             coef[0] = 0.5 * (delta + self.ds)
             coef[-1] = 0.5 * self.ds
-            s_max = delta + self.depth * self.ds
             rows = coef * np.stack([kern.mu(s), kern.mu_prime(s)])
-            tail = np.array([kern.tail_mass(s_max), kern.mu_prime_tail(s_max)])
-            total = self._totals[delta] = rows.sum(axis=1) + now + tail
-        return total, now
+            tail = np.array([kern.tail_mass(s[-1]), kern.mu_prime_tail(s[-1])])
+            total = rows.sum(axis=1) + now + tail
+            f = self.weights * np.exp(-self.lam * delta)
+            # row 0's first cell widens by delta
+            G = np.column_stack([f, 0.5 * delta * f.sum(axis=1), total - now,
+                                 now])
+            entry = self._lags[delta] = (G, total)
+        return entry
 
     def evaluate(self, u_now: np.ndarray, h1_now: float,
                  delta: float = 0.0) -> MemoryEval:
         """Both weights' convolutions at lag delta, u_now = u(t) on the grid
         and h1_now = ||grad u(t)||^2 taking the current node."""
-        total, now = self._quadrature(delta)
-        f = self.weights * np.exp(-self.lam * delta)
-        # every node but the current field's; row 0's first cell widens by
-        # delta
-        past = (f @ self.P + (0.5 * delta * f.sum(axis=1))[:, None] * self.D0
-                + (total - now)[:, None] * self.ext)
-        conv = past[:, :-1] + now[:, None] * u_now.ravel()
-        return MemoryEval(self.grid, conv.reshape((2,) + self.grid.shape),
-                          past[:, -1] + now * h1_now, total)
+        G, total = self._lag(delta)
+        self.M[-1, :-1] = u_now.ravel()
+        self.M[-1, -1] = h1_now
+        out = G @ self.M
+        return MemoryEval(self.grid, out[:, :-1].reshape(2, *self.grid.shape),
+                          out[:, -1], total)
 
     # -- views --------------------------------------------------------------
 

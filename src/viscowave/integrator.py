@@ -5,13 +5,13 @@
 
 by an operator-split leapfrog.  A step runs the phases kick (velocity
 half-kick), damp and drift (implicit pointwise damping split symmetrically
-around the drift), memory (fold u into the memory's exponential modes on the
-s-grid), force (lap u, ||grad u||^2 and one memory evaluation, which gives the
-mu and mu' convolutions for the force and the viscous power, then the second
-half-kick) and diagnostics (dissipation, ledger rows, step controller), which
-reuse the force phase's values.  The only implicit piece is a scalar
-monotone solve per node, so a step costs O(K N) for the kernel's K memory
-modes.
+around the drift: an in-place Newton solve, which makes its bisection
+brackets only if its initial guess misses), memory (fold u into the
+memory's exponential modes on the s-grid), force (lap u, ||grad u||^2 and
+one memory product, which gives the mu and mu' convolutions for the force
+and the viscous power, then the second half-kick) and diagnostics
+(dissipation, ledger rows, step controller), which reuse the force phase's
+values.  A step costs O(K N) for the kernel's K memory modes.
 
 Near blow-up the step controller halves dt each time ||grad u|| doubles,
 from the larger of ||grad u(0)|| and the potential well's gradient radius
@@ -60,23 +60,33 @@ def pointwise_damping_solve(a: float, dt: float, m: float) -> float:
 
 
 def _solve_magnitude(absa: np.ndarray, dt: float, m: float) -> np.ndarray:
-    """Solve x + dt*x^m = absa for x >= 0, elementwise."""
-    tol = 1e-14 * np.maximum(1.0, absa)
-    x = absa / (1.0 + dt * np.maximum(absa, 1e-300) ** (m - 1.0))
-    x = np.maximum(x, 0.0)
-    lo = np.zeros_like(absa)
-    hi = absa.copy()
-    for _ in range(100):
+    """Solve x + dt*x^m = absa for x >= 0, elementwise, into a new array."""
+    tol = np.maximum(absa, 1.0)
+    tol *= 1e-14
+    x = np.maximum(absa, 1e-300) ** (m - 1.0)
+    x *= dt
+    x += 1.0
+    np.divide(absa, x, out=x)
+    for i in range(100):
         xm1 = x ** (m - 1.0)
-        res = x + dt * xm1 * x - absa
+        res = xm1 * dt
+        res *= x
+        res += x
+        res -= absa
         if (np.abs(res) <= tol).all():
             break
-        lo = np.where(res < 0, x, lo)
-        hi = np.where(res > 0, x, hi)
-        step = res / (1.0 + dt * m * xm1)
-        x_new = x - step
-        bad = (x_new < lo) | (x_new > hi)
-        x = np.where(bad, 0.5 * (lo + hi), x_new)
+        if i == 0:  # most solves converge at the initial guess
+            lo, hi = np.zeros_like(absa), absa.copy()
+        np.copyto(lo, x, where=res < 0)
+        np.copyto(hi, x, where=res > 0)
+        # Newton step res / (1 + dt*m*x^(m-1)), bisected outside [lo, hi]
+        xm1 *= dt * m
+        xm1 += 1.0
+        res /= xm1
+        x -= res
+        bad = (x < lo) | (x > hi)
+        if bad.any():
+            np.copyto(x, 0.5 * (lo + hi), where=bad)
     return x
 
 
@@ -84,8 +94,8 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
     """Vectorized pointwise_damping_solve."""
     if m == 1.0:
         return a / (1.0 + dt)
-    out = np.sign(a) * _solve_magnitude(np.abs(a).ravel(), dt, m).reshape(a.shape)
-    return out
+    x = _solve_magnitude(np.abs(a), dt, m)
+    return np.multiply(np.sign(a), x, out=x)
 
 
 def _damp_midpoint(v: np.ndarray, tau: float, m: float) -> np.ndarray:
@@ -97,7 +107,7 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float) -> np.ndarray:
     bookkeeping to second order.
     """
     w = damping_solve_field(v, 0.5 * tau, m)
-    return 2.0 * w - v
+    return np.subtract(np.multiply(w, 2.0, out=w), v, out=w)
 
 
 # ---------------------------------------------------------------------------

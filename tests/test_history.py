@@ -18,6 +18,8 @@ def grid_pi(n=200):
 
 EXP11 = RelaxationKernel.exponential(1.0, 1.0)
 POLY15 = RelaxationKernel.polynomial(1.0, 1.5)
+# lags as fractions of the stride; a few, so that lags repeat
+LAGS = (0.0, 0.25, 0.5, 0.75)
 
 
 class DenseMemory:
@@ -306,9 +308,12 @@ class TestMemoryIntegral:
 
     @pytest.mark.parametrize("kernel", [EXP11, POLY15], ids=["exp", "poly"])
     def test_quadrature_cache_stays_bounded(self, kernel):
-        # each dt halving doubles the lags a run visits between pushes; the
-        # memory's arrays keep their size, the quadrature cache holds two
-        # floats a lag, and every lag agrees with the row-by-row oracle
+        """Each dt halving doubles the lags a run visits between pushes; the
+        memory's arrays keep their size, the cache holds one entry per lag,
+        a G of shape (2, K+3) and a Q of size 2, and every lag agrees with
+        the row-by-row oracle.  The worst case is stride * 2^10 lags after
+        ten halvings, 2 (K+3) floats each: about 18 MB for the polynomial
+        kernel (K = 133) at stride 8."""
         grid = grid_pi(20)
         datum = HistoryDatum.from_template(grid, 0.1, profile="ramp",
                                            support_T0=1.0)
@@ -331,8 +336,9 @@ class TestMemoryIntegral:
                                   rel=1e-10, abs=1e-12)
             assert sizes == {k: v.size for k, v in vars(mem).items()
                              if isinstance(v, np.ndarray)}
-        assert len(mem._totals) == len(lags)
-        assert all(v.size == 2 for v in mem._totals.values())
+        assert len(mem._lags) == len(lags)
+        assert all(G.shape == (2, len(mem.lam) + 3) and Q.size == 2
+                   for G, Q in mem._lags.values())
 
     @settings(max_examples=40, deadline=None)
     @given(kernel=st.sampled_from([EXP11, POLY15]),
@@ -377,6 +383,38 @@ class TestMemoryIntegral:
             assert mem.scalar_convolution(weight, delta, h1) == ev.scalar[k]
             assert mem.memory_integral(u, weight, delta) == \
                 ev.integral(k, h1, lap_u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel=st.sampled_from([EXP11, POLY15]),
+           ops=st.lists(st.one_of(st.none(), st.sampled_from(LAGS)),
+                        max_size=16),
+           lag=st.sampled_from(LAGS), seed=st.integers(0, 2 ** 32 - 1))
+    def test_evaluate_leaves_no_trace(self, kernel, ops, lag, seed):
+        # evaluations (a lag) interleaved with pushes (None) end in exactly
+        # the state of the same pushes alone: the current field's workspace
+        # never reaches a push or a later lag
+        grid = SpatialGrid.rectangle((math.pi, 2.0), (7, 5))
+        rng = np.random.default_rng(seed)
+        datum = HistoryDatum.from_template(grid, 0.2, modes=(1, 2),
+                                           profile="ramp", support_T0=0.3,
+                                           mode="frozen")
+        mem = MemoryState(datum, kernel, ds=0.1, s_depth=0.5)
+        fresh = MemoryState(datum, kernel, ds=0.1, s_depth=0.5)
+        t = 0.0
+        for op in ops:
+            f = rng.standard_normal(grid.shape)
+            if op is None:
+                t += 0.1
+                mem.push(f, t)
+                fresh.push(f, t)
+            else:
+                mem.evaluate(f, grid.h1_seminorm_sq(f), 0.1 * op)
+        u = rng.standard_normal(grid.shape)
+        h1 = grid.h1_seminorm_sq(u)
+        a = mem.evaluate(u, h1, 0.1 * lag)
+        b = fresh.evaluate(u, h1, 0.1 * lag)
+        for field in ("conv", "scalar", "total"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_finer_stride_agreement(self):
         # compactly supported history: refining the s-grid 10x moves the

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viscowave.config import ScenarioConfig
-from viscowave.integrator import (damping_solve_field,
+from viscowave.integrator import (_damp_midpoint, damping_solve_field,
                                   pointwise_damping_solve, run)
 
 
@@ -50,6 +51,67 @@ class TestDampingSolve:
         for ai, oi in zip(a, out):
             assert oi == pytest.approx(
                 pointwise_damping_solve(float(ai), 0.3, 2.5), rel=1e-12)
+
+
+# Damping-solve outputs recorded before the solve was rewritten in place,
+# which must reproduce them bit for bit: per function and m, the first 16 hex
+# digits of the sha256 of the outputs' bytes over DAMP_DTS x DAMP_INPUTS.  The
+# solves take 0 to 80 Newton iterations, or stop at the cap of 100.  Recorded
+# on x86-64 with AVX-512 and NumPy 2.4.6; NumPy's power, which m = 5 and 9
+# use, may round differently where NumPy picks another SIMD routine.
+_MAG = np.logspace(-3, 4, 36)
+_TINY = np.finfo(float).smallest_subnormal
+_WIDE = np.r_[_MAG, -_MAG, 0.0, -0.0, _TINY]
+_SMALL = np.r_[_MAG[:6], -_MAG[:6], 0.0, -0.0, _TINY]
+DAMP_DTS = (1e-3, 1.0, 100.0)
+# nodes of one array that converge early keep iterating with the rest: at
+# m = 1.5 and dt = 100 two nodes of _SPAN then leave their bracket and are
+# bisected, and at m = 9 its largest nodes stop unconverged at the cap
+_SPAN = np.logspace(-8, 8, 401)
+DAMP_INPUTS = (_WIDE, _WIDE.reshape(3, 25), _SMALL, _SMALL.reshape(3, 5),
+               _SPAN)
+DAMP_GOLDEN = {
+    "damping_solve_field": {
+        1.0: "16c4a422ad439a74",
+        1.5: "1c7d0f19f935471a",
+        2.0: "b01e29182c834c91",
+        3.0: "36666a57fed801d1",
+        5.0: "f125759f88884291",
+        9.0: "685a9a9d1e60bbb3",
+    },
+    "_damp_midpoint": {
+        1.0: "6488e0d3e1a14d36",
+        1.5: "ea3966264ac4e4ce",
+        2.0: "4384255521710394",
+        3.0: "9e6eb77d4e3d3bdc",
+        5.0: "f748788fd0291a3a",
+        9.0: "d9be444c36e38986",
+    },
+}
+POINTWISE_GOLDEN = "78e7d8db43d6813e"
+
+
+class TestDampingSolveBitIdentity:
+    @pytest.mark.parametrize("m", sorted(DAMP_GOLDEN["damping_solve_field"]))
+    @pytest.mark.parametrize("fn", [damping_solve_field, _damp_midpoint],
+                             ids=["damping_solve_field", "_damp_midpoint"])
+    def test_field_outputs(self, fn, m):
+        h = hashlib.sha256()
+        for dt in DAMP_DTS:
+            for a in DAMP_INPUTS:
+                out = fn(a, dt, m)
+                assert out.shape == a.shape
+                h.update(out.tobytes())
+        assert h.hexdigest()[:16] == DAMP_GOLDEN[fn.__name__][m]
+
+    def test_pointwise_outputs(self):
+        h = hashlib.sha256()
+        for m in sorted(DAMP_GOLDEN["damping_solve_field"]):
+            for dt in DAMP_DTS:
+                for a in (1e-3, -0.7, 2.5, -1e4, _TINY, -0.0):
+                    h.update(np.float64(
+                        pointwise_damping_solve(a, dt, m)).tobytes())
+        assert h.hexdigest()[:16] == POINTWISE_GOLDEN
 
 
 def quick_config(**overrides):

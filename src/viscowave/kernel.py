@@ -169,15 +169,12 @@ class RelaxationKernel:
     def decay_constant(self) -> float:
         """Largest C with mu' + C*mu <= 0 (exponential) or mu' + C*mu^r <= 0.
 
-        The polynomial constant is taken as the infimum of -mu'/mu^r over a
-        log-spaced sample grid; only the existence of a positive C matters to
-        the decay theorems, so a grid infimum is adequate.
+        For the polynomial kernel -mu'/mu^r = q c^(1-r) (1+s)^(q(r-1)-1) with
+        q = 1/(r-1), and q(r-1) = 1, so the ratio is the constant q c^(1-r).
         """
         if self.family == EXPONENTIAL:
             return self.c
-        s = np.concatenate([[0.0], np.logspace(-6, 3, 100_000)])
-        ratio = -self.mu_prime(s) / self.mu(s) ** self.r
-        return float(np.min(ratio))
+        return self.mu0 ** (1.0 - self.r) / (self.r - 1.0)
 
     def validate_assumptions(self, n_samples: int = 200) -> DecayClassReport:
         """Check positivity, monotonicity, and the decay-class inequality.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from viscowave import wellconst
 from viscowave.grid import GridError, SpatialGrid
 
 
@@ -222,7 +223,9 @@ class TestPoisson:
     @pytest.mark.parametrize("grid", [
         line_grid(n=90, length=1.3),
         SpatialGrid.rectangle((1.0, 1.0), (25, 25)),
-    ], ids=["1d", "2d"])
+        line_grid(n=800),
+        SpatialGrid.rectangle((math.pi, math.pi), (64, 64)),
+    ], ids=["1d", "2d", "1d-800", "2d-64"])
     def test_residual_contract(self, grid):
         rng = np.random.default_rng(3)
         rhs = rng.standard_normal(grid.shape)
@@ -230,6 +233,16 @@ class TestPoisson:
         res = -grid.laplacian(sol) - rhs
         rel = math.sqrt(grid.l2_norm_sq(res) / grid.l2_norm_sq(rhs))
         assert rel <= 1e-12
+
+    @pytest.mark.parametrize("grid, gamma", [
+        (line_grid(n=200), 0.8375110887374386),
+        (SpatialGrid.rectangle((math.pi, math.pi), (64, 64)),
+         0.5056694587228651),
+    ], ids=["1d-200", "2d-64"])
+    def test_well_constant(self, grid, gamma):
+        # reference values from a banded (1-D) and sparse LU (2-D) direct solve
+        assert wellconst.sobolev_gamma(grid, 3.0) == pytest.approx(gamma,
+                                                                   rel=1e-12)
 
     def test_first_eigenmode_shape(self):
         g = line_grid(n=99)

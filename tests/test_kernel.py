@@ -77,6 +77,23 @@ class TestPolynomial:
         assert report.r == 1.5
         assert report.C == pytest.approx(2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("c, r, expected", [
+        (1.0, 1.5, 2.0),
+        (4.0, 1.5, 1.0),
+        (0.25, 1.5, 4.0),
+        (1.0, 1.25, 4.0),
+        (16.0, 1.75, 1.0 / 6.0),
+        (2.0, 1.5, math.sqrt(2.0)),
+        (0.3, 1.1, 10.0 * 0.3 ** -0.1),
+        (7.5, 1.9, 7.5 ** -0.9 / 0.9),
+    ])
+    def test_decay_constant_closed_form(self, c, r, expected):
+        # -mu'/mu^r = q c^(1-r) at every s; at s = 0 it is q c / c^r exactly
+        k = RelaxationKernel.polynomial(c, r)
+        C = k.decay_constant()
+        assert C == pytest.approx(expected, rel=1e-15)
+        assert C == pytest.approx(-k.mu_prime(0.0) / k.mu(0.0) ** r, rel=1e-15)
+
     @pytest.mark.parametrize("r", np.linspace(1.01, 1.999, 12))
     def test_modes_relative_error(self, r):
         # sum_k a_k exp(-lam_k s) against mu and -a_k lam_k against mu', to

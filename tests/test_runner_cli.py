@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import viscowave
 from viscowave import cli, runner
 from viscowave.cli import SpecError, parse_grid_spec, parse_kernel_spec
 from viscowave.config import ScenarioConfig, load
@@ -172,3 +177,51 @@ class TestCli:
     def test_bad_grid_spec_exits_usage(self, capsys):
         assert cli.main(["constants", "--p", "3", "--grid", "zz",
                         "--kernel", "exp:1:1"]) == 1
+
+
+_SETUP_WITHOUT_SCIPY = """\
+import sys
+import viscowave.cli
+from viscowave import config, runner
+
+POLY_1D = '''
+[grid]
+n = 40
+[kernel]
+family = polynomial
+[history]
+extension = frozen
+[time]
+t_end = 0
+'''
+
+EXP_2D = '''
+[grid]
+dim = 2
+n = 16
+n_y = 16
+[dynamics]
+m = 3
+[history]
+modes = 1,1
+[time]
+t_end = 0
+'''
+
+for text in (POLY_1D, EXP_2D):
+    runner.run_scenario(config.loads(text))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_run_setup_loads_no_scipy():
+    # SciPy serves only criterion 10's optimizer; importing the CLI and
+    # running a scenario (well constants included) must not import it
+    src = Path(viscowave.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _SETUP_WITHOUT_SCIPY],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

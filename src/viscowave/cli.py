@@ -12,6 +12,7 @@ Compact specs used by several subcommands:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from .energetics import EnergyLedger
 from .grid import SpatialGrid
 from .history import HistoryDatum, classify
 from .kernel import RelaxationKernel
-from .runner import OutputExists, _dump_json, run_scenario
+from .runner import OutputExists, run_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,7 +77,7 @@ def cmd_run(args) -> int:
     summary = record.summary
     if record.run_dir is not None:
         summary["run_dir"] = str(record.run_dir)
-    print(_dump_json(summary))
+    print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
@@ -84,7 +85,7 @@ def cmd_constants(args) -> int:
     grid = parse_grid_spec(args.grid)
     kernel = parse_kernel_spec(args.kernel)
     consts = wellconst.compute_constants(grid, args.p, kernel.k0)
-    print(_dump_json(consts.as_dict()))
+    print(json.dumps(consts.as_dict(), indent=2))
     return EXIT_OK
 
 
@@ -98,8 +99,9 @@ def cmd_classify(args) -> int:
         ramp_rate=args.ramp_rate)
     consts = wellconst.compute_constants(grid, args.p, kernel.k0)
     verdict = classify(datum, consts.d, args.p, kernel)
-    print(_dump_json({"classification": verdict.value, "d": consts.d,
-                      "gamma": consts.gamma, "p": args.p, "k0": kernel.k0}))
+    print(json.dumps({"classification": verdict.value, "d": consts.d,
+                      "gamma": consts.gamma, "p": args.p, "k0": kernel.k0},
+                     indent=2))
     return EXIT_OK
 
 
@@ -130,7 +132,7 @@ def cmd_decay_fit(args) -> int:
             out["verdict"] = ("consistent"
                              if fit["rate"] >= 0.8 * pred.exponent
                              else "inconsistent")
-    print(_dump_json(out))
+    print(json.dumps(out, indent=2))
     return EXIT_OK
 
 

@@ -87,7 +87,6 @@ class HistoryDatum:
     profile_dt: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_T0: float = 0.0
     mode: str = ZERO
-    _velocity: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.shape_field = self.grid.check(self.shape_field)
@@ -180,8 +179,6 @@ class HistoryDatum:
 
     @property
     def velocity_at_0(self) -> np.ndarray:
-        if self._velocity is not None:
-            return self._velocity
         if self.tabulated:
             ts = self._table_times
             if len(ts) < 2:
@@ -189,10 +186,6 @@ class HistoryDatum:
             dt = float(ts[-1] - ts[-2])
             return (self.value_at(0.0) - self.value_at(float(ts[-2]))) / dt
         return self.shape_field * float(self.profile_dt(0.0))
-
-    @velocity_at_0.setter
-    def velocity_at_0(self, v: np.ndarray):
-        self._velocity = self.grid.check(v)
 
     def frozen_field(self) -> np.ndarray:
         """Extension field beyond the support: zero or u0(-T0)."""
@@ -265,10 +258,11 @@ def classify(datum: HistoryDatum, d: float, p: float,
     quad = quadratic_part(datum, kernel, ds)
     if quad == 0.0:
         return Classification.W1
-    gap = quad - datum.grid.lp_norm_pow(datum.value_at(0.0), p + 1.0)
+    lp_pow = datum.grid.lp_norm_pow(datum.value_at(0.0), p + 1.0)
+    gap = quad - lp_pow
     if abs(gap) <= ON_MANIFOLD_RTOL * quad:
         return Classification.ON_MANIFOLD
-    if functional_I(datum, p, kernel, ds) >= d:
+    if 0.5 * quad - lp_pow / (p + 1.0) >= d:  # functional_I
         return Classification.OUTSIDE_WELL
     return Classification.W1 if gap > 0 else Classification.W2
 

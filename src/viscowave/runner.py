@@ -60,13 +60,13 @@ class RunRecord:
             "wall_seconds": self.wall_seconds,
             "config_hash": res.config.content_hash(),
             "classification": self.classification,
-            "constants": _jsonable(self.constants.as_dict()),
+            "constants": self.constants.as_dict(),
             "kernel": {
                 "family": res.kernel.family,
                 "k0": res.kernel.k0,
                 "decay_constant": res.kernel.decay_constant(),
             },
-            "flags": _jsonable(res.flags),
+            "flags": dict(res.flags),
             "E0": ledger.E0,
             "E_final": last["E"],
             "t_final": last["t"],
@@ -79,39 +79,6 @@ class RunRecord:
             },
             "n_rows": len(ledger),
         }
-
-
-def _jsonable(obj):
-    """Plain-type copy for json.dumps; floats stay floats (serialized below)."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item"):
-        return obj.item()
-    return obj
-
-
-def _dump_json(data, indent: int = 0) -> str:
-    """JSON text with every float at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(data, dict):
-        if not data:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {_dump_json(v, indent + 1)}'
-                 for k, v in data.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(data, (list, tuple)):
-        if not data:
-            return "[]"
-        items = [f"{inner}{_dump_json(v, indent + 1)}" for v in data]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(data, bool) or data is None:
-        return json.dumps(data)
-    if isinstance(data, float):
-        return f"{data:.17g}"
-    return json.dumps(data)
 
 
 def run_scenario(config: ScenarioConfig,
@@ -163,8 +130,8 @@ def persist_record(record: RunRecord, force: bool = False,
                                         encoding="utf-8")
     (run_dir / "ledger.csv").write_text(record.result.ledger.to_csv(),
                                         encoding="utf-8")
-    (run_dir / "summary.json").write_text(_dump_json(record.summary) + "\n",
-                                          encoding="utf-8")
+    (run_dir / "summary.json").write_text(
+        json.dumps(record.summary, indent=2) + "\n", encoding="utf-8")
     return run_dir
 
 

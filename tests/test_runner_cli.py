@@ -45,7 +45,7 @@ class TestRunScenario:
         record = run_scenario(small_config(), persist=True, out_root=tmp_path)
         text = (record.run_dir / "summary.json").read_text()
         parsed = json.loads(text)
-        # 17 significant digits make the serialization lossless
+        # the shortest round-trip float repr makes the serialization lossless
         assert parsed["E0"] == record.result.ledger.E0
         assert parsed["constants"]["gamma"] == record.constants.gamma
         assert parsed["config_hash"] == record.result.config.content_hash()

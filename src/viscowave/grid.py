@@ -66,12 +66,15 @@ class SpatialGrid:
     @cached_property
     def _stencils(self) -> tuple:
         """Per axis: the indices of all nodes but the last and all but the
-        first along it, and of its first and last node, and h_i^2."""
+        first along it, and of its first and last node, h_i^2, and whether
+        the Laplacian shifts along it on the flat array (the last axis of a
+        2-D grid)."""
         def along(axis, start, stop):
             return (slice(None),) * axis + (slice(start, stop),)
 
         return tuple((along(axis, None, -1), along(axis, 1, None),
-                      along(axis, None, 1), along(axis, -1, None), hi ** 2)
+                      along(axis, None, 1), along(axis, -1, None), hi ** 2,
+                      axis == 1)
                      for axis, hi in enumerate(self.h))
 
     @property
@@ -104,15 +107,36 @@ class SpatialGrid:
     # -- differential operators --------------------------------------------
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        """Centered second-difference Laplacian with zero exterior values."""
+        """Centered second-difference Laplacian with zero exterior values.
+
+        Along the last axis of a 2-D grid both shifted adds run on the flat
+        C-order arrays, one contiguous pass each instead of one per row.
+        There the first column picks up the last node of the row before and
+        the last column the first node of the row after, so each is saved
+        before its add and restored after it: bit for bit the slice stencil.
+        """
         f = self.check(f)
         out = None
-        for lo, up, _, _, h2 in self._stencils:
-            d = -2.0 * f
-            d[up] += f[lo]
-            d[lo] += f[up]
+        for lo, up, first, last, h2, flat in self._stencils:
+            if flat:
+                f = np.ascontiguousarray(f)
+                d = -2.0 * f
+                dv, fv = d.reshape(-1), f.reshape(-1)
+                edge = d[first].copy()
+                dv[1:] += fv[:-1]
+                d[first] = edge
+                edge = d[last].copy()
+                dv[:-1] += fv[1:]
+                d[last] = edge
+            else:
+                d = -2.0 * f
+                d[up] += f[lo]
+                d[lo] += f[up]
             d /= h2
-            out = d if out is None else out + d
+            if out is None:
+                out = d
+            else:
+                out += d
         return out
 
     def h1_seminorm_sq(self, f: np.ndarray) -> float:
@@ -122,7 +146,7 @@ class SpatialGrid:
         """
         f = self.check(f)
         total = 0.0
-        for lo, up, first, last, h2 in self._stencils:
+        for lo, up, first, last, h2, _ in self._stencils:
             # the n - 1 inner edges along the axis, and the two edges to the
             # zero exterior, whose differences are the first and last nodes
             d, a, b = f[up] - f[lo], f[first], f[last]

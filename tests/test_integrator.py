@@ -1,11 +1,13 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from viscowave import energetics
+from viscowave import energetics, integrator
 from viscowave.config import ScenarioConfig, loads
 from viscowave.integrator import (_damp_midpoint, damping_solve_field,
                                   pointwise_damping_solve, run)
@@ -58,6 +60,43 @@ class TestDampingSolve:
             assert np.all(np.abs(res) <= 1e-14 * np.maximum(1.0, np.abs(a)))
             assert np.all(np.abs(v) <= np.abs(a))
             assert np.all(v * a >= 0.0)
+
+    @pytest.mark.parametrize("m", [100.0, 1000.0])
+    def test_large_m_stops_early(self, m, monkeypatch):
+        # the solve calls np.abs once on a and once per residual test; with
+        # a tolerance of 1e-14 it ran to the cap of 100 for these m
+        class CountingNumpy:
+            abs_calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def abs(self, x):
+                CountingNumpy.abs_calls += 1
+                return np.abs(x)
+
+        mag = np.logspace(-12, 15, 271)
+        a = np.r_[mag, -mag, 0.0]
+        for dt in (1e-6, 1e-3, 1.0, 1e3):
+            CountingNumpy.abs_calls = 0
+            monkeypatch.setattr(integrator, "np", CountingNumpy())
+            v = damping_solve_field(a, dt, m)
+            monkeypatch.undo()
+            assert CountingNumpy.abs_calls - 2 <= 11  # Newton steps
+            res = v + dt * np.abs(v) ** (m - 1.0) * v - a
+            assert np.all(np.abs(res) <= 1e-14 * (m / 45.0)
+                          * np.maximum(1.0, np.abs(a)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m, mag", [(50.0, 1e15), (80.0, 1e12)])
+    def test_guess_overflow_is_silent(self, m, mag):
+        # |a|^(m-1) overflows to inf, so the guess is 0, below the root
+        a = np.array([mag, -mag, 1.0])
+        v = damping_solve_field(a, 1.0, m)
+        res = v + np.abs(v) ** (m - 1.0) * v - a
+        assert np.all(np.abs(res) <= 1e-14 * (m / 45.0) * np.abs(a))
+        assert pointwise_damping_solve(mag, 1.0, m) == pytest.approx(
+            v[0], rel=1e-14)
 
     def test_field_version_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -128,6 +167,76 @@ class TestDampingSolveBitIdentity:
                     h.update(np.float64(
                         pointwise_damping_solve(a, dt, m)).tobytes())
         assert h.hexdigest()[:16] == POINTWISE_GOLDEN
+
+
+def uncertified_solve(a, dt, m):
+    """damping_solve_field for 1 < m <= 45 as it was before the guess was
+    certified: every array runs the loop, and the clip bound is always the
+    product of powers."""
+    absa = np.abs(a)
+    tol = np.maximum(absa, 1.0)
+    tol *= 1e-14
+    x = absa ** (m - 1.0)
+    x *= dt
+    x += 1.0
+    np.divide(absa, x, out=x)
+    for i in range(100):
+        xm1 = x ** (m - 1.0)
+        res = xm1 * dt
+        res *= x
+        res += x
+        res -= absa
+        if (np.abs(res) <= tol).all():
+            break
+        xm1 *= dt * m
+        xm1 += 1.0
+        res /= xm1
+        x -= res
+        if i == 0:
+            bound = absa ** (1.0 / m)
+            bound *= dt ** (-1.0 / m)
+            np.minimum(bound, absa, out=bound)
+            np.minimum(x, bound, out=x)
+    return np.multiply(np.sign(a), x, out=x)
+
+
+def certificate_amax(dt, m):
+    """The max|a| at which (m-1) (dt max|a|^(m-1))^2 min(max|a|, 1) is
+    0.5e-14, clamped to [1e-300, 1e300]."""
+    log_c = math.log(0.5e-14 / ((m - 1.0) * dt * dt))
+    log_amax = log_c / (2.0 * m - 1.0)
+    if log_amax > 0.0:
+        log_amax = log_c / (2.0 * m - 2.0)
+    return math.exp(min(max(log_amax, -690.0), 690.0))
+
+
+SPECIALS = (-0.0, np.finfo(float).smallest_subnormal, math.inf, -math.inf,
+            math.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.floats(1.0, 20.0, exclude_min=True), dt=st.floats(1e-6, 1e2),
+       shift=st.one_of(st.floats(-40.0, 40.0), st.floats(-700.0, 700.0)),
+       unit=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8),
+                       elements=st.floats(-1.0, 1.0)),
+       extras=st.lists(st.sampled_from(SPECIALS), max_size=3))
+def test_certified_guess_matches_uncertified_loop(m, dt, shift, unit, extras):
+    # max|a| within 2^40 of the certificate's threshold, or anywhere in
+    # [1e-300, 1e300]; an inf or NaN anywhere sends the array to the loop
+    scale = certificate_amax(dt, m) * 2.0 ** shift
+    scale = min(max(scale, 1e-300), 1e300)
+    a = unit * scale
+    a.reshape(-1)[0] = scale
+    if extras:
+        a = np.r_[a.reshape(-1), extras]
+    finite = bool(np.isfinite(a).all())
+    with np.errstate(all="ignore"):
+        expected = uncertified_solve(a, dt, m)
+    with np.errstate(invalid="ignore" if not finite else "raise"):
+        got = damping_solve_field(a, dt, m)
+    assert got.shape == a.shape
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  expected.view(np.int64))
 
 
 def quick_config(**overrides):
@@ -299,6 +408,24 @@ GOLDEN = {
                                    modes=(1, 2), m=3.0),
                       0.05398636103940911, 0.0027151344509509373),
 }
+
+
+# sha256 of ledger.csv for a 2-D run with m = 3, recorded before the damping
+# guess was certified and the last-axis Laplacian shifted on the flat array;
+# both must reproduce it byte for byte.  Its velocities are small enough that
+# some damping solves end at the certified guess and others take the loop.
+# Recorded on x86-64 with AVX-512 and NumPy 2.4.6; NumPy's power may round
+# differently where NumPy picks another SIMD routine.
+LEDGER_2D_M3 = (quick_config(dim=2, n=12, n_y=10, extent_y=2.0, t_end=2.0,
+                             modes=(1, 2), m=3.0, output_every=1,
+                             amplitude=0.003),
+                "923b7bbb2437507a9cef340dcc462434526e0910d4b4da7b55f2fab654642afc")
+
+
+def test_golden_ledger_bytes_2d():
+    cfg, digest = LEDGER_2D_M3
+    csv_text = run(cfg).ledger.to_csv()
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

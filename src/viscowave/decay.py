@@ -249,15 +249,19 @@ def comparison_check(ledger: EnergyLedger, model_m: float, T_reiter: float,
 
     # S(1) is increasing in C (larger perturbation -> slower comparison decay)
     lo, hi = 1e-8, 1.0
-    while S1_for(hi) < target and hi < 1e8:
-        hi *= 10.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if S1_for(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    C = hi  # smallest constant with S(1) >= E at the first point
+    if S1_for(lo) >= target:
+        # the bisection would close on the bracket's lower end, to the bit
+        C = lo
+    else:
+        while S1_for(hi) < target and hi < 1e8:
+            hi *= 10.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if S1_for(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        C = hi  # smallest constant with S(1) >= E at the first point
 
     model = DecayModel(phi_C=C, m=model_m, T_reiter=T_reiter,
                        psi_C1=C, psi_C2=C, r=r, sigma=sigma)

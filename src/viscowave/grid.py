@@ -65,12 +65,14 @@ class SpatialGrid:
 
     @cached_property
     def _stencils(self) -> tuple:
-        """Per axis: the indices of all nodes but the last and all but the
-        first along it, and of its first and last node, h_i^2, and whether
-        the Laplacian shifts along it on the flat array (the last axis of a
-        2-D grid)."""
+        """Per axis, indexed from the last axis so that fields may carry
+        leading stack axes: the indices of all nodes but the last and all but
+        the first along it, and of its first and last node, h_i^2, and
+        whether the Laplacian shifts along it on the flat rows (the last axis
+        of a 2-D grid)."""
         def along(axis, start, stop):
-            return (slice(None),) * axis + (slice(start, stop),)
+            return ((Ellipsis, slice(start, stop))
+                    + (slice(None),) * (self.dim - 1 - axis))
 
         return tuple((along(axis, None, -1), along(axis, 1, None),
                       along(axis, None, 1), along(axis, -1, None), hi ** 2,
@@ -109,24 +111,34 @@ class SpatialGrid:
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Centered second-difference Laplacian with zero exterior values.
 
-        Along the last axis of a 2-D grid both shifted adds run on the flat
-        C-order arrays, one contiguous pass each instead of one per row.
-        There the first column picks up the last node of the row before and
-        the last column the first node of the row after, so each is saved
-        before its add and restored after it: bit for bit the slice stencil.
+        ``f`` may carry leading stack axes, shape ``(..., *grid.shape)``:
+        each field of the stack is differenced on its own, with the same
+        elementwise arithmetic as one call per field, so one call takes the
+        Laplacian of u and of the memory's convolution together.
+
+        Along the last axis of a 2-D grid both shifted adds run on each
+        field's flat C-order row, one contiguous pass each instead of one
+        per grid row; a stack whose fields are each contiguous is not
+        copied.  There the first column picks up the last node of the row
+        before and the last column the first node of the row after, so each
+        is saved before its add and restored after it: bit for bit the slice
+        stencil.
         """
-        f = self.check(f)
+        f = np.asarray(f, dtype=float)
+        if f.shape[f.ndim - self.dim:] != self.n:
+            raise GridError(f"field shape {f.shape} does not match grid "
+                            f"{self.shape}")
         out = None
         for lo, up, first, last, h2, flat in self._stencils:
             if flat:
-                f = np.ascontiguousarray(f)
-                d = -2.0 * f
-                dv, fv = d.reshape(-1), f.reshape(-1)
+                fv = f.reshape(f.shape[:-2] + (-1,))
+                dv = -2.0 * fv
+                d = dv.reshape(f.shape)
                 edge = d[first].copy()
-                dv[1:] += fv[:-1]
+                dv[..., 1:] += fv[..., :-1]
                 d[first] = edge
                 edge = d[last].copy()
-                dv[:-1] += fv[1:]
+                dv[..., :-1] += fv[..., 1:]
                 d[last] = edge
             else:
                 d = -2.0 * f
@@ -149,15 +161,22 @@ class SpatialGrid:
         for lo, up, first, last, h2, _ in self._stencils:
             # the n - 1 inner edges along the axis, and the two edges to the
             # zero exterior, whose differences are the first and last nodes
-            d, a, b = f[up] - f[lo], f[first], f[last]
-            sq = np.vdot(d, d) + np.vdot(a, a) + np.vdot(b, b)
+            d = f[up] - f[lo]
+            if self.dim == 1:
+                # single nodes: their products equal the length-1 dot products
+                a, b = f.item(0), f.item(-1)
+                sq = np.vdot(d, d) + a * a + b * b
+            else:
+                a, b = f[first], f[last]
+                sq = np.vdot(d, d) + np.vdot(a, a) + np.vdot(b, b)
             # each edge carries the edge length hi times the transverse measure
             total += float(sq) / h2 * self.cell_volume
         return total
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """Midpoint-quadrature L2 inner product."""
-        return float((self.check(f) * self.check(g)).sum()) * self.cell_volume
+        return (float(np.add.reduce(self.check(f) * self.check(g), axis=None))
+                * self.cell_volume)
 
     def l2_norm_sq(self, f: np.ndarray) -> float:
         return self.inner(f, f)
@@ -166,8 +185,9 @@ class SpatialGrid:
         """||f||_q^q by midpoint quadrature; requires q >= 1."""
         if q < 1:
             raise GridError(f"lp_norm_pow needs q >= 1, got {q}")
-        f = self.check(f)
-        return float((np.abs(f) ** q).sum()) * self.cell_volume
+        x = np.abs(self.check(f))
+        x **= q
+        return float(np.add.reduce(x, axis=None)) * self.cell_volume
 
     # -- elliptic solve -----------------------------------------------------
 

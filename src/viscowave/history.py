@@ -306,15 +306,19 @@ class MemoryState:
     quadrature weight Q(delta): the trapezoid over the ``s_depth`` nodes, the
     current field's node and the exact tail.
 
-    The state is one matrix ``M`` (K+3, N+1), which neither ``s_depth`` nor
-    the run's length grows: the K modes P, D_0, the extension field and a
-    workspace row for the current field, each with its ||grad||^2 as the last
-    column, which the scalar convolution sums the same way.  Each lag keeps
-    one entry (G, Q), G the (2, K+3) matrix [b_k exp(-lam_k delta) |
+    The state is one matrix ``M`` (K+5, N+1), which neither ``s_depth`` nor
+    the run's length grows, each row a field with its ||grad||^2 as the last
+    column, which the scalar convolution sums the same way: the K modes P,
+    D_0, the extension field, the current field u(t) (the row ``field``
+    views), and the two product rows, the mu and mu' convolutions.  Each lag
+    keeps one entry (G, ev), G the (2, K+3) matrix [b_k exp(-lam_k delta) |
     delta/2 sum_k | Q - now | now] for mu and mu', now = delta/2 w(0) the
-    current node's weight.  ``evaluate`` takes the one product G @ M of a
-    step; ``convolution_field``, ``scalar_convolution`` and
-    ``memory_integral`` are views of it.
+    current node's weight, and ev the evaluation that views the product rows
+    with Q.  ``evaluate`` takes the one product G @ M[:-2] of a step into the
+    product rows, so the current field and the mu convolution are adjacent
+    rows (``stack``) that one stacked Laplacian takes at once;
+    ``convolution_field``, ``scalar_convolution`` and ``memory_integral``
+    take the same product into a new array.
     """
 
     def __init__(self, datum: HistoryDatum, kernel: RelaxationKernel,
@@ -338,25 +342,39 @@ class MemoryState:
         dev = np.column_stack(datum.fields_at(-lags)) - ext
         coef = self.ds * np.exp(-np.outer(self.lam, lags))
         coef[:, 0] *= 0.5
-        self.M = np.vstack([coef @ dev, dev[0], ext, np.zeros_like(ext)])
+        self.M = np.vstack([coef @ dev, dev[0], ext,
+                            np.zeros((3, ext.size))])
         self.t_push = 0.0
         self._lags = {}
 
-    def push(self, u: np.ndarray, t: float):
-        """Record u(t); t must advance by exactly one stride."""
-        P, D0 = self.M[:-3], self.M[-3]
+    @property
+    def field(self) -> np.ndarray:
+        """The current field u(t), a view of the row ``evaluate`` reads; a
+        caller that steps u in place here hands it over without a copy."""
+        return self.M[-3, :-1].reshape(self.grid.shape)
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The current field and the mu convolution of the last
+        ``evaluate``, as one (2, *grid.shape) view of adjacent rows."""
+        return self.M[-3:-1, :-1].reshape((2,) + self.grid.shape)
+
+    def push(self, u: np.ndarray, t: float, h1: Optional[float] = None):
+        """Record u(t); t must advance by exactly one stride.  Pass ``h1`` =
+        ||grad u||^2 if held."""
+        P, D0 = self.M[:-5], self.M[-5]
         # the old row 0 moves to node ds, where its weight doubles
         P += 0.5 * self.ds * D0
         P *= self.decay
         D0[:-1] = self.grid.check(u).ravel()
-        D0[-1] = self.grid.h1_seminorm_sq(u)
-        D0 -= self.M[-2]
+        D0[-1] = self.grid.h1_seminorm_sq(u) if h1 is None else h1
+        D0 -= self.M[-4]
         P += 0.5 * self.ds * D0
         self.t_push = t
 
     def _lag(self, delta: float) -> tuple:
-        """(G, Q) at lag delta, row 0 for mu and 1 for mu': the coefficients
-        that take M to the convolutions, and the weight's whole quadrature."""
+        """(G, ev) at lag delta: G takes M to the convolutions, and ev views
+        the product rows with the weight's whole quadrature Q as its total."""
         entry = self._lags.get(delta)
         if entry is None:
             kern = self.kernel
@@ -372,32 +390,43 @@ class MemoryState:
             # row 0's first cell widens by delta
             G = np.column_stack([f, 0.5 * delta * f.sum(axis=1), total - now,
                                  now])
-            entry = self._lags[delta] = (G, total)
+            entry = self._lags[delta] = (G, self._eval_of(self.M[-2:], total))
         return entry
 
-    def evaluate(self, u_now: np.ndarray, h1_now: float,
-                 delta: float = 0.0) -> MemoryEval:
-        """Both weights' convolutions at lag delta, u_now = u(t) on the grid
-        and h1_now = ||grad u(t)||^2 taking the current node."""
-        G, total = self._lag(delta)
-        self.M[-1, :-1] = u_now.ravel()
-        self.M[-1, -1] = h1_now
-        out = G @ self.M
-        return MemoryEval(self.grid, out[:, :-1].reshape(2, *self.grid.shape),
-                          out[:, -1], total)
+    def _eval_of(self, product: np.ndarray, total: np.ndarray) -> MemoryEval:
+        return MemoryEval(self.grid,
+                          product[:, :-1].reshape(2, *self.grid.shape),
+                          product[:, -1], total)
+
+    def evaluate(self, h1_now: float, delta: float = 0.0) -> MemoryEval:
+        """Both weights' convolutions at lag delta, the current node taking
+        u(t) from ``field`` and h1_now = ||grad u(t)||^2.  The result views
+        the product rows, which the next ``evaluate`` overwrites."""
+        G, ev = self._lag(delta)
+        M = self.M
+        M[-3, -1] = h1_now
+        np.matmul(G, M[:-2], out=M[-2:])
+        return ev
+
+    def _evaluate_at(self, u_now: np.ndarray, h1_now: float,
+                     delta: float) -> MemoryEval:
+        """``evaluate`` at u(t) = u_now, into a new array."""
+        G, ev = self._lag(delta)
+        self.field[...] = self.grid.check(u_now)
+        self.M[-3, -1] = h1_now
+        return self._eval_of(G @ self.M[:-2], ev.total)
 
     # -- views --------------------------------------------------------------
 
     def convolution_field(self, u_now: np.ndarray, delta: float = 0.0,
                           weight: str = "mu") -> np.ndarray:
         """integral weight(s) * u(t - s) ds, including tail extension."""
-        u_now = self.grid.check(u_now)
-        return self.evaluate(u_now, 0.0, delta).conv[_WEIGHT_INDEX[weight]]
+        return self._evaluate_at(u_now, 0.0, delta).conv[_WEIGHT_INDEX[weight]]
 
     def scalar_convolution(self, weight: str, delta: float,
                            h1_now: float) -> float:
         """integral weight(s) * ||grad u(t-s)||^2 ds, including the tail."""
-        ev = self.evaluate(self.grid.zeros(), h1_now, delta)
+        ev = self._evaluate_at(self.grid.zeros(), h1_now, delta)
         return float(ev.scalar[_WEIGHT_INDEX[weight]])
 
     def memory_integral(self, u_now: np.ndarray, weight: str = "mu",
@@ -405,5 +434,5 @@ class MemoryState:
         """integral weight(s) * ||grad w(t, s)||^2 ds with exact tail."""
         u_now = self.grid.check(u_now)
         h1 = self.grid.h1_seminorm_sq(u_now)
-        return float(self.evaluate(u_now, h1, delta).integral(
+        return float(self._evaluate_at(u_now, h1, delta).integral(
             _WEIGHT_INDEX[weight], h1, self.grid.laplacian(u_now)))

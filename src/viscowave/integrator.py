@@ -7,12 +7,25 @@ by an operator-split leapfrog.  A step runs the phases kick (velocity
 half-kick), damp and drift (implicit pointwise damping split symmetrically
 around the drift: a guess that one scalar bound certifies for the whole
 field, else an in-place Newton solve whose first step is clipped to a bound
-on the root), memory (fold u into the memory's exponential modes on
-the s-grid), force (lap u, ||grad u||^2 and one memory product, which gives
-the mu and mu' convolutions for the force and the viscous power, then the
-second half-kick) and diagnostics (dissipation, ledger rows, step
-controller), which reuse the force phase's values.  A step costs O(K N) for
-the kernel's K memory modes.
+on the root), memory (||grad u||^2, then fold u into the memory's
+exponential modes on the s-grid), force (one memory product, which gives
+the mu and mu' convolutions for the force and the viscous power, and one
+Laplacian of u and the mu convolution together, then the second half-kick)
+and diagnostics (dissipation, finiteness, ledger rows, step controller),
+which reuse the force phase's values.  A step costs O(K N) for the kernel's
+K memory modes.
+
+u lives in the memory's current row, which the product rows follow: the
+memory reads u there without a copy and writes the mu convolution next to
+it, so one stacked Laplacian call takes both.  The kicks, the drift and the
+force write into buffers allocated once per run, each with the operand
+order of the plain expressions, v + (dt/2) F and k0 lap u - lap conv, so
+every value is the same to the bit; the second half-kick's increment
+(dt/2) F is also the next step's first unless dt is halved in between.  A
+step tests finiteness from scalars
+it already has: ||grad u||^2 is non-finite wherever u is, and the damping
+power wherever v is; only when one of them is non-finite, or when damping
+is off, are the fields themselves tested.
 
 Near blow-up the step controller halves dt each time ||grad u|| doubles,
 from the larger of ||grad u(0)|| and the potential well's gradient radius
@@ -190,20 +203,6 @@ class RunResult:
 # the run loop
 
 
-def _terms(grid: SpatialGrid, memory: MemoryState, u: np.ndarray,
-           delta: float, k0: float, p: float, source: bool):
-    """Each quantity a step needs at (u, delta), computed once: the force
-    F = k0 lap u - lap conv (+ |u|^(p-1) u), the memory's evaluation, lap u,
-    ||grad u||^2 and the viscous power -(1/2) integral mu' ||grad w||^2 ds."""
-    lap_u = grid.laplacian(u)
-    h1 = grid.h1_seminorm_sq(u)
-    mem = memory.evaluate(u, h1, delta)
-    F = k0 * lap_u - grid.laplacian(mem.conv[0])
-    if source:
-        F = F + np.abs(u) ** (p - 1.0) * u
-    return F, mem, lap_u, h1, -0.5 * mem.integral(1, h1, lap_u)
-
-
 def run(config: ScenarioConfig) -> RunResult:
     """Advance the scenario to t_end or blow-up; returns ledger + trajectory.
 
@@ -220,8 +219,14 @@ def run(config: ScenarioConfig) -> RunResult:
     s_cap = config.resolved_s_cap(kernel)
     memory = MemoryState(datum, kernel, ds, max(s_cap, ds))
 
-    u = datum.value_at(0.0).copy()
+    # u is stepped in place in the memory's current row
+    u = memory.field
+    u[...] = datum.value_at(0.0)
+    stack = memory.stack
     v = datum.velocity_at_0.copy()
+    F = np.empty(grid.shape)
+    kick = np.empty(grid.shape)   # (dt/2) F
+    work = np.empty(grid.shape)
 
     m, p = config.m, config.p
     damping = config.damping_enabled
@@ -244,7 +249,22 @@ def run(config: ScenarioConfig) -> RunResult:
     damp_cum = 0.0
     visc_cum = 0.0
 
-    def record_row(t, u, v, mem, lap_u, h1):
+    def force(h1, delta):
+        """F = k0 lap u - lap conv (+ |u|^(p-1) u) into F, from
+        h1 = ||grad u||^2 at lag delta; returns the memory's evaluation, lap u
+        and the viscous power -(1/2) integral mu' ||grad w||^2 ds."""
+        mem = memory.evaluate(h1, delta)
+        lap_u, lap_conv = grid.laplacian(stack)
+        f = np.multiply(lap_u, k0, out=F)
+        f -= lap_conv
+        if source:
+            x = np.abs(u, out=work)
+            x **= p - 1.0
+            x *= u
+            f += x
+        return mem, lap_u, -0.5 * mem.integral(1, h1, lap_u)
+
+    def record_row(t, v, mem, lap_u, h1):
         mem_mu = mem.integral(0, h1, lap_u)
         sE = energetics.quadratic_energy(grid, u, v, memory, h1=h1,
                                          mem_mu=mem_mu)
@@ -264,9 +284,10 @@ def run(config: ScenarioConfig) -> RunResult:
 
     # initial diagnostics
     tick = 0
-    F, mem, lap_u, h1, visc_prev = _terms(grid, memory, u, 0.0, k0, p, source)
+    h1 = grid.h1_seminorm_sq(u)
+    mem, lap_u, visc_prev = force(h1, 0.0)
     damp_prev = energetics.damping_power(grid, v, m) if damping else 0.0
-    record_row(0.0, u, v, mem, lap_u, h1)
+    record_row(0.0, v, mem, lap_u, h1)
 
     # a datum at rest grows inside the well without blowing up: the
     # controller's scale is never below the well's gradient radius
@@ -274,38 +295,50 @@ def run(config: ScenarioConfig) -> RunResult:
     grad_ref = max(math.sqrt(h1), gamma ** (-(p + 1.0) / (p - 1.0)))
     step_index = 0
     steps_since_output = 0
+    kick_dt = None
 
     while tick < total_ticks:
         ticks_per_step = 2 ** (MAX_DT_HALVINGS - halvings)
         dt = ticks_per_step * tick_dt
+        half_dt = 0.5 * dt
 
-        # kick: first half-kick
-        v = v + 0.5 * dt * F
+        # kick: first half-kick, v + (dt/2) F; the last step's second
+        # half-kick added the same increment unless dt has been halved since
+        if half_dt != kick_dt:
+            np.multiply(F, half_dt, out=kick)
+            kick_dt = half_dt
+        np.add(v, kick, out=v)
         # damp and drift: damping split symmetrically around the drift
         if damping:
-            v = _damp_midpoint(v, 0.5 * dt, m)
-        u = u + dt * v
+            v = _damp_midpoint(v, half_dt, m)
+        np.multiply(v, dt, out=work)
+        np.add(u, work, out=u)
         if damping:
-            v = _damp_midpoint(v, 0.5 * dt, m)
+            v = _damp_midpoint(v, half_dt, m)
         tick += ticks_per_step
         step_index += 1
         t = tick * tick_dt
+        h1 = grid.h1_seminorm_sq(u)
         # memory: push on the fixed s-grid
         if tick % ticks_per_push == 0:
-            memory.push(u, t)
+            memory.push(u, t, h1)
         delta = (tick % ticks_per_push) * tick_dt
         # force: second half-kick with the recomputed force
-        F, mem, lap_u, h1, visc_now = _terms(grid, memory, u, delta, k0, p,
-                                             source)
-        v = v + 0.5 * dt * F
+        mem, lap_u, visc_now = force(h1, delta)
+        np.multiply(F, half_dt, out=kick)
+        np.add(v, kick, out=v)
+        damp_now = energetics.damping_power(grid, v, m) if damping else 0.0
 
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            flags["nonfinite"] = True
-            flags["stop_step"] = step_index
-            break
+        # ||grad u||^2 is non-finite wherever u is, and the damping power
+        # wherever v is: the exact tests run only when a scalar says so
+        if not (math.isfinite(h1) and math.isfinite(damp_now)
+                and (damping or np.isfinite(v).all())):
+            if not (np.isfinite(u).all() and np.isfinite(v).all()):
+                flags["nonfinite"] = True
+                flags["stop_step"] = step_index
+                break
 
         # diagnostics: dissipation by the trapezoid rule in time, every step
-        damp_now = energetics.damping_power(grid, v, m) if damping else 0.0
         d_inc, v_inc = energetics.dissipation_increment(
             dt, damp_prev, damp_now, visc_prev, visc_now)
         damp_cum += d_inc
@@ -314,7 +347,7 @@ def run(config: ScenarioConfig) -> RunResult:
 
         steps_since_output += 1
         if steps_since_output >= config.output_every or tick >= total_ticks:
-            record_row(t, u, v, mem, lap_u, h1)
+            record_row(t, v, mem, lap_u, h1)
             steps_since_output = 0
 
         # blow-up step controller
@@ -324,7 +357,7 @@ def run(config: ScenarioConfig) -> RunResult:
                 flags["dt_exhausted"] = True
                 flags["stop_step"] = step_index
                 if steps_since_output:
-                    record_row(t, u, v, mem, lap_u, h1)
+                    record_row(t, v, mem, lap_u, h1)
                 break
             halvings += 1
             flags["dt_halvings"] = halvings
@@ -332,7 +365,8 @@ def run(config: ScenarioConfig) -> RunResult:
     else:
         flags["completed"] = True
 
-    state = SimState(t=tick * tick_dt, u=u, v=v, memory=memory, dt=dt,
+    # the memory's later evaluations rewrite its current row
+    state = SimState(t=tick * tick_dt, u=u.copy(), v=v, memory=memory, dt=dt,
                      step_index=step_index)
     return RunResult(config=config, grid=grid, kernel=kernel, datum=datum,
                      ledger=ledger, trajectory=trajectory, flags=flags,

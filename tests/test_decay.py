@@ -179,6 +179,23 @@ class TestComparisonOdeBitIdentity:
         report = decay.comparison_check(led, 1.0, 2.0, t_start=10.0)
         assert report["calibrated_C"] == float.fromhex(W1_CALIBRATED_C)
 
+    def test_calibration_at_bracket_end_skips_bisection(self, monkeypatch):
+        # the w1 samples' constant is the bracket's lower end, 1e-8: one
+        # solve finds it and one checks the bound, where bisecting took 82
+        solve, calls = decay.lt_ode_solve, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(decay, "lt_ode_solve", counting)
+        E = [float.fromhex(x) for x in W1_SAMPLES]
+        led = ledger_from_series(10.0 + 2.0 * np.arange(len(E)), E)
+        report = decay.comparison_check(led, 1.0, 2.0, t_start=10.0)
+        assert len(calls) <= 2
+        assert report["calibrated_C"] == 1e-8
+        assert report["ok"]
+
 
 class TestComparisonCheck:
     def test_energy_equal_to_model_passes(self):

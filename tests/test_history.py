@@ -310,10 +310,11 @@ class TestMemoryIntegral:
     def test_quadrature_cache_stays_bounded(self, kernel):
         """Each dt halving doubles the lags a run visits between pushes; the
         memory's arrays keep their size, the cache holds one entry per lag,
-        a G of shape (2, K+3) and a Q of size 2, and every lag agrees with
-        the row-by-row oracle.  The worst case is stride * 2^10 lags after
-        ten halvings, 2 (K+3) floats each: about 18 MB for the polynomial
-        kernel (K = 133) at stride 8."""
+        a G of shape (2, K+3) and an evaluation whose Q has size 2, and
+        every lag agrees with the row-by-row oracle.  The worst case is
+        stride * 2^10 lags after ten halvings, 2 (K+3) floats and the
+        evaluation's views of the product rows each: about 24 MB for the
+        polynomial kernel (K = 133) at stride 8."""
         grid = grid_pi(20)
         datum = HistoryDatum.from_template(grid, 0.1, profile="ramp",
                                            support_T0=1.0)
@@ -337,8 +338,8 @@ class TestMemoryIntegral:
             assert sizes == {k: v.size for k, v in vars(mem).items()
                              if isinstance(v, np.ndarray)}
         assert len(mem._lags) == len(lags)
-        assert all(G.shape == (2, len(mem.lam) + 3) and Q.size == 2
-                   for G, Q in mem._lags.values())
+        assert all(G.shape == (2, len(mem.lam) + 3) and ev.total.size == 2
+                   for G, ev in mem._lags.values())
 
     @settings(max_examples=40, deadline=None)
     @given(kernel=st.sampled_from([EXP11, POLY15]),
@@ -361,7 +362,8 @@ class TestMemoryIntegral:
         u = rng.standard_normal(grid.shape)
         h1, lap_u = grid.h1_seminorm_sq(u), grid.laplacian(u)
         delta = 0.1 * lag
-        ev = mem.evaluate(u, h1, delta)
+        mem.field[...] = u
+        ev = mem.evaluate(h1, delta)
         for k, weight in enumerate(("mu", "mu_prime")):
             # the modes match mu' to 1e-12 of its scale, so a node where the
             # signed rows cancel errs by up to 1e-12 of the field's scale
@@ -408,11 +410,13 @@ class TestMemoryIntegral:
                 mem.push(f, t)
                 fresh.push(f, t)
             else:
-                mem.evaluate(f, grid.h1_seminorm_sq(f), 0.1 * op)
+                mem.field[...] = f
+                mem.evaluate(grid.h1_seminorm_sq(f), 0.1 * op)
         u = rng.standard_normal(grid.shape)
         h1 = grid.h1_seminorm_sq(u)
-        a = mem.evaluate(u, h1, 0.1 * lag)
-        b = fresh.evaluate(u, h1, 0.1 * lag)
+        mem.field[...] = fresh.field[...] = u
+        a = mem.evaluate(h1, 0.1 * lag)
+        b = fresh.evaluate(h1, 0.1 * lag)
         for field in ("conv", "scalar", "total"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 

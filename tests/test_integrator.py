@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from viscowave import energetics, integrator
+from viscowave.acceptance import w1_scenario
 from viscowave.config import ScenarioConfig, loads
+from viscowave.grid import SpatialGrid
+from viscowave.history import MemoryState
 from viscowave.integrator import (_damp_midpoint, damping_solve_field,
                                   pointwise_damping_solve, run)
 from viscowave.runner import run_scenario
@@ -336,6 +339,54 @@ class TestRun:
 
         assert memory_sizes(1.0) == memory_sizes(4.0)
 
+    @pytest.mark.parametrize("overrides, stop_step, halvings", [
+        ({"amplitude": 1e30}, 2, 1),
+        # without damping no damping power vouches for v: at 1e45 the force
+        # overflows v in the first step while ||grad u||^2 stays finite
+        ({"amplitude": 1e45, "damping_enabled": False}, 1, 0),
+        ({"amplitude": 1e60, "damping_enabled": False}, 1, 0),
+    ], ids=["damped", "undamped_v_only", "undamped"])
+    def test_nonfinite_state_stops_the_run(self, overrides, stop_step,
+                                           halvings):
+        cfg = replace(w1_scenario(t_end=1.0), **overrides)
+        with np.errstate(all="ignore"):
+            result = run(cfg)
+        assert result.flags["nonfinite"] and result.blew_up
+        assert not result.flags["completed"]
+        assert result.flags["stop_step"] == stop_step
+        assert result.flags["dt_halvings"] == halvings
+        assert result.state.step_index == stop_step
+
+    def test_one_laplacian_seminorm_and_evaluation_per_step(self, monkeypatch):
+        # N steps and the initial diagnostics: N + 1 calls each, counted
+        # from the memory's construction on with the well constants cached
+        cfg = quick_config(t_end=0.5)
+        run(cfg)
+        counts = dict.fromkeys(["laplacian", "h1_seminorm_sq", "evaluate"], 0)
+
+        def counting(cls, name):
+            fn = getattr(cls, name)
+
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapped)
+
+        init = MemoryState.__init__
+
+        def init_then_reset(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            counts.update(dict.fromkeys(counts, 0))
+
+        counting(SpatialGrid, "laplacian")
+        counting(SpatialGrid, "h1_seminorm_sq")
+        counting(MemoryState, "evaluate")
+        monkeypatch.setattr(MemoryState, "__init__", init_then_reset)
+        steps = run(cfg).state.step_index
+        assert steps > 10
+        assert counts == dict.fromkeys(counts, steps + 1)
+
     def test_datum_at_rest_needs_no_halvings(self, tmp_path):
         # u(0) = 0 with a small past: the memory sets the string moving and
         # the energy decays; ||grad u(0)|| = 0 must not make every later
@@ -421,9 +472,25 @@ LEDGER_2D_M3 = (quick_config(dim=2, n=12, n_y=10, extent_y=2.0, t_end=2.0,
                              amplitude=0.003),
                 "923b7bbb2437507a9cef340dcc462434526e0910d4b4da7b55f2fab654642afc")
 
+# The same for three 1-D runs, a row per step, recorded before u and the mu
+# convolution shared one stacked Laplacian and the phases wrote in place.
+LEDGER_BYTES = {
+    "exponential_m1_1d": (
+        quick_config(output_every=1),
+        "aac2f03d31de8820911769aba300f29d478fd04287429cb3b43d3eb2a4bca164"),
+    "polynomial_frozen_1d": (
+        replace(GOLDEN["polynomial_frozen_1d"][0], output_every=1),
+        "7ee55c47d3e8fb86e3f504128812c6f547f4f6c2e14dd45e3bf44d2b6fb176e4"),
+    "exponential_m3_1d": (
+        quick_config(m=3.0, output_every=1),
+        "9f321a681232dea0bb4fa5425295aef716903ac9cae6b9a8b90e726584061d55"),
+    "grid_2d_m3": LEDGER_2D_M3,
+}
 
-def test_golden_ledger_bytes_2d():
-    cfg, digest = LEDGER_2D_M3
+
+@pytest.mark.parametrize("name", sorted(LEDGER_BYTES))
+def test_golden_ledger_bytes(name):
+    cfg, digest = LEDGER_BYTES[name]
     csv_text = run(cfg).ledger.to_csv()
     assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
 

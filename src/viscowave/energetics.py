@@ -159,9 +159,9 @@ def variational_residual(trajectory, grid: SpatialGrid,
                          test_profile_dt) -> float:
     """Discrete residual of the weak formulation for phi(x,t) = X(x)g(t).
 
-    ``trajectory`` provides arrays: times, u (rows of fields), v, conv (the
-    mu-weighted past convolution field per output time).  All time integrals
-    use the trapezoid rule on the output grid.
+    ``trajectory`` is what ``run(config, trajectory=True)`` keeps: times, u,
+    v and conv (the mu convolution) per ledger row.  All time integrals use
+    the trapezoid rule on the output grid.
     """
     times = trajectory.times
     X = grid.check(test_field)

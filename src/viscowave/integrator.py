@@ -3,40 +3,25 @@
     u_tt = k(0) lap(u) - integral mu(s) lap(u(t-s)) ds
            - |u_t|^(m-1) u_t + |u|^(p-1) u
 
-by an operator-split leapfrog.  A step runs the phases kick (velocity
-half-kick), damp and drift (implicit pointwise damping split symmetrically
-around the drift: a guess that one scalar bound certifies for the whole
-field, else an in-place Newton solve whose first step is clipped to a bound
-on the root), memory (||grad u||^2, then fold u into the memory's
-exponential modes on the s-grid), force (one memory product, which gives
-the mu and mu' convolutions for the force and the viscous power, and one
-Laplacian of u and the mu convolution together, then the second half-kick)
-and diagnostics (dissipation, finiteness, ledger rows, step controller),
-which reuse the force phase's values.  A step costs O(K N) for the kernel's
-K memory modes.
-
-u lives in the memory's current row, which the product rows follow: the
-memory reads u there without a copy and writes the mu convolution next to
-it, so one stacked Laplacian call takes both.  The kicks, the drift and the
-force write into buffers allocated once per run, each with the operand
-order of the plain expressions, v + (dt/2) F and k0 lap u - lap conv, so
-every value is the same to the bit; the second half-kick's increment
-(dt/2) F is also the next step's first unless dt is halved in between.  A
-step tests finiteness from scalars
-it already has: ||grad u||^2 is non-finite wherever u is, and the damping
-power wherever v is; only when one of them is non-finite, or when damping
-is off, are the fields themselves tested.
+by an operator-split leapfrog.  A step is a half-kick of v, implicit
+pointwise damping split symmetrically around the drift of u, a push of u
+onto the memory's s-grid, the force (one memory product gives the mu and
+mu' convolutions, one stacked Laplacian takes u and the mu convolution),
+the second half-kick and the diagnostics.  It costs O(K N) for the kernel's
+K memory modes.  The phases write into buffers in place, each with the
+operand order of the plain expression, so every value is the same to the
+bit.
 
 Near blow-up the step controller halves dt each time ||grad u|| doubles,
-from the larger of ||grad u(0)|| and the potential well's gradient radius
-gamma^(-(p+1)/(p-1)), down to dt0 / 2^10, then stops and flags.  Time is
-tracked in integer ticks of dt0 / 2^10 so that memory pushes land exactly on
-the s-grid after halvings.
+down to dt0 / 2^10, then stops and flags.  Time is tracked in integer ticks
+of dt0 / 2^10 so that memory pushes land exactly on the s-grid after
+halvings.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -190,7 +175,7 @@ class RunResult:
     kernel: RelaxationKernel
     datum: HistoryDatum
     ledger: EnergyLedger
-    trajectory: Trajectory
+    trajectory: Optional[Trajectory]
     flags: dict
     state: SimState
 
@@ -203,11 +188,13 @@ class RunResult:
 # the run loop
 
 
-def run(config: ScenarioConfig) -> RunResult:
-    """Advance the scenario to t_end or blow-up; returns ledger + trajectory.
+def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
+    """Advance the scenario to t_end or blow-up.
 
-    Deterministic for a fixed config: fixed iteration orders, no time-based
-    seeding.
+    With ``trajectory`` the result keeps u, v and the mu convolution at every
+    ledger row; it is an argument, not a config key, so that it leaves the
+    content hash alone.  Deterministic for a fixed config: fixed iteration
+    orders, no time-based seeding.
     """
     config.validate()
     grid = config.make_grid()
@@ -242,7 +229,7 @@ def run(config: ScenarioConfig) -> RunResult:
     total_ticks = int(round(config.t_end / tick_dt))
 
     ledger = EnergyLedger()
-    trajectory = Trajectory()
+    kept = Trajectory() if trajectory else None
     flags = {"completed": False, "nonfinite": False, "dt_exhausted": False,
              "dt_halvings": 0}
 
@@ -280,7 +267,8 @@ def run(config: ScenarioConfig) -> RunResult:
                       visc_cum=visc_cum, grad_norm=math.sqrt(h1),
                       lp_pow=lp_pow, nehari_gap=gap,
                       identity_residual=resid)
-        trajectory.append(t, u, v, mem.conv[0])
+        if kept is not None:
+            kept.append(t, u, v, mem.conv[0])
 
     # initial diagnostics
     tick = 0
@@ -369,5 +357,5 @@ def run(config: ScenarioConfig) -> RunResult:
     state = SimState(t=tick * tick_dt, u=u.copy(), v=v, memory=memory, dt=dt,
                      step_index=step_index)
     return RunResult(config=config, grid=grid, kernel=kernel, datum=datum,
-                     ledger=ledger, trajectory=trajectory, flags=flags,
+                     ledger=ledger, trajectory=kept, flags=flags,
                      state=state)

@@ -84,11 +84,13 @@ class RunRecord:
 def run_scenario(config: ScenarioConfig,
                  persist: bool = False,
                  force: bool = False,
-                 out_root: Optional[Path] = None) -> RunRecord:
-    """Run a scenario, classify its datum, and (optionally) persist artifacts."""
+                 out_root: Optional[Path] = None,
+                 trajectory: bool = False) -> RunRecord:
+    """Run a scenario, classify its datum, and (optionally) persist artifacts;
+    ``trajectory`` is passed to ``integrator.run``."""
     config.validate()
     t_start = time.monotonic()
-    result = run(config)
+    result = run(config, trajectory=trajectory)
     wall = time.monotonic() - t_start
 
     constants = wellconst.cached_constants(result.grid, config.p,

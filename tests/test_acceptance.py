@@ -21,3 +21,19 @@ def test_criterion(suite, number, title, fn):
     ok, detail = fn(suite)
     print(f"[{'PASS' if ok else 'FAIL'}] {number:2d} {title}: {detail}")
     assert ok, f"criterion {number} ({title}): {detail}"
+
+
+def test_quick_suite_keeps_trajectories_of_criterion_13_runs_only(monkeypatch):
+    # twenty runs, no reruns: w1 and its three amplitude perturbations keep
+    # their fields, and only those
+    kept = []
+    run_scenario = acceptance.run_scenario
+
+    def counting(config, **kwargs):
+        kept.append(kwargs.get("trajectory", False))
+        return run_scenario(config, **kwargs)
+
+    monkeypatch.setattr(acceptance, "run_scenario", counting)
+    assert acceptance.run_all(quick=True, printer=lambda line: None)
+    assert len(kept) == 20
+    assert sum(kept) == 4

@@ -159,7 +159,7 @@ class TestVariationalResidual:
         return replace(base, **overrides)
 
     def test_zero_solution(self):
-        result = run(self.config(amplitude=0.0))
+        result = run(self.config(amplitude=0.0), trajectory=True)
         grid = result.grid
         X = np.sin(grid.coords())
         res = energetics.variational_residual(
@@ -168,7 +168,7 @@ class TestVariationalResidual:
         assert res == 0.0
 
     def test_zero_test_function(self):
-        result = run(self.config())
+        result = run(self.config(), trajectory=True)
         grid = result.grid
         res = energetics.variational_residual(
             result.trajectory, grid, result.kernel, 1.0, 3.0, grid.zeros(),
@@ -176,9 +176,9 @@ class TestVariationalResidual:
         assert res == 0.0
 
     def test_residual_shrinks_with_dt(self):
-        coarse = run(self.config())
+        coarse = run(self.config(), trajectory=True)
         base_dt = self.config().resolved_dt(coarse.grid, coarse.kernel)
-        fine = run(self.config(dt=base_dt / 2.0))
+        fine = run(self.config(dt=base_dt / 2.0), trajectory=True)
         X = np.sin(coarse.grid.coords())
         args = (X, lambda t: math.cos(t), lambda t: -math.sin(t))
         r_coarse = energetics.variational_residual(

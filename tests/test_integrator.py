@@ -266,6 +266,15 @@ class TestRun:
         b = run(quick_config())
         assert a.ledger.to_csv() == b.ledger.to_csv()
 
+    def test_trajectory_only_on_request(self):
+        plain = run(quick_config())
+        kept = run(quick_config(), trajectory=True)
+        assert plain.trajectory is None
+        assert len(kept.trajectory.times) == len(kept.trajectory.u) \
+            == len(kept.ledger)
+        assert kept.trajectory.times == list(kept.ledger.column("t"))
+        assert kept.ledger.to_csv() == plain.ledger.to_csv()
+
     def test_ledger_times_increase(self):
         result = run(quick_config())
         t = result.ledger.column("t")
@@ -282,9 +291,9 @@ class TestRun:
         # change of u at the midpoint agrees with a dt/20 reference within 1%
         cfg = quick_config(mu0=1e-10, source_enabled=False, t_end=5.0,
                            n=60, output_every=1)
-        coarse = run(cfg)
+        coarse = run(cfg, trajectory=True)
         dt = cfg.resolved_dt(coarse.grid, coarse.kernel)
-        fine = run(replace(cfg, dt=dt / 20.0))
+        fine = run(replace(cfg, dt=dt / 20.0), trajectory=True)
 
         def first_crossing(result):
             mid = result.grid.size // 2
@@ -329,7 +338,8 @@ class TestRun:
         # keep one size; the kept state still gives the last convolution
         def memory_sizes(t_end):
             res = run(quick_config(kernel_family="polynomial", r=1.5,
-                                   extension="frozen", t_end=t_end))
+                                   extension="frozen", t_end=t_end),
+                      trajectory=True)
             memory, u = res.state.memory, res.state.u
             conv = memory.convolution_field(u, res.state.t - memory.t_push)
             np.testing.assert_allclose(conv, res.trajectory.conv[-1],
@@ -445,16 +455,11 @@ def test_random_scenarios_are_benign_and_reproducible(cfg):
     assert run(loads(cfg.to_ini())).ledger.to_csv() == ledger.to_csv()
 
 
-# E(t_end) and the final identity residual of three small scenarios, recorded
-# before the stepper was rewritten to compute each quantity once per step; a
-# change to the hot path may move them by round-off only.
+# E(t_end) and the final identity residual of a small 2-D scenario, which no
+# byte digest below covers, recorded before the stepper was rewritten to
+# compute each quantity once per step; a change to the hot path may move them
+# by round-off only.
 GOLDEN = {
-    "exponential_1d": (quick_config(m=3.0),
-                       0.00578074927356543, 3.911168357871586e-06),
-    "polynomial_frozen_1d": (
-        quick_config(n=60, t_end=2.0, kernel_family="polynomial", r=1.5,
-                     extension="frozen"),
-        0.0029310118639967993, 4.7040936691188084e-06),
     "grid_2d_16x16": (quick_config(dim=2, n=16, n_y=16, t_end=2.0,
                                    modes=(1, 2), m=3.0),
                       0.05398636103940911, 0.0027151344509509373),
@@ -479,7 +484,8 @@ LEDGER_BYTES = {
         quick_config(output_every=1),
         "aac2f03d31de8820911769aba300f29d478fd04287429cb3b43d3eb2a4bca164"),
     "polynomial_frozen_1d": (
-        replace(GOLDEN["polynomial_frozen_1d"][0], output_every=1),
+        quick_config(n=60, t_end=2.0, kernel_family="polynomial", r=1.5,
+                     extension="frozen", output_every=1),
         "7ee55c47d3e8fb86e3f504128812c6f547f4f6c2e14dd45e3bf44d2b6fb176e4"),
     "exponential_m3_1d": (
         quick_config(m=3.0, output_every=1),

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -182,7 +183,7 @@ class TestCli:
 _SETUP_WITHOUT_SCIPY = """\
 import sys
 import viscowave.cli
-from viscowave import config, runner
+from viscowave import acceptance, config, runner
 
 POLY_1D = '''
 [grid]
@@ -210,13 +211,29 @@ t_end = 0
 
 for text in (POLY_1D, EXP_2D):
     runner.run_scenario(config.loads(text))
+ok, detail = acceptance.criterion_10(acceptance.Suite(quick=True))
+assert ok, detail
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+def test_no_module_imports_scipy():
+    # the runtime needs NumPy only; a lazy import inside a function counts
+    for path in Path(viscowave.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), \
+                f"{path.name}:{node.lineno} imports scipy"
+
+
 def test_run_setup_loads_no_scipy():
-    # SciPy serves only criterion 10's optimizer; importing the CLI and
-    # running a scenario (well constants included) must not import it
+    # importing the CLI, running a scenario (well constants included) and
+    # criterion 10's oracles load no SciPy module
     src = Path(viscowave.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from viscowave import wellconst
-from viscowave.acceptance import gamma_ascent_oracle
+from viscowave.acceptance import gamma_shooting_oracle
 from viscowave.grid import SpatialGrid
 
 
@@ -19,8 +19,34 @@ class TestSobolevGamma:
     def test_agrees_with_ascent_oracle_unit_interval(self):
         grid = SpatialGrid.line(1.0, 100)
         gamma = wellconst.sobolev_gamma(grid, 3.0)
-        oracle = gamma_ascent_oracle(grid, 3.0, n_restarts=8, seed=20)
+        oracle = gamma_shooting_oracle(grid, 3.0)
         assert gamma == pytest.approx(oracle, rel=1e-4)
+
+    @pytest.mark.parametrize("n", [200, 400, 800])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+    def test_shooting_oracle_agrees_and_profile_is_a_single_bump(
+            self, n, p, monkeypatch):
+        profiles = []
+        ratio = wellconst.rayleigh_ratio
+
+        def spy(grid, u, p):
+            profiles.append(u)
+            return ratio(grid, u, p)
+
+        monkeypatch.setattr(wellconst, "rayleigh_ratio", spy)
+        grid = SpatialGrid.line(math.pi, n)
+        oracle = gamma_shooting_oracle(grid, p)
+        monkeypatch.undo()
+        assert oracle == pytest.approx(wellconst.sobolev_gamma(grid, p),
+                                       rel=1e-10)
+        (u,) = profiles
+        assert u.shape == grid.shape and np.all(u > 0)
+        # rising to one maximum, then falling; mirror symmetry may leave the
+        # two middle nodes of an even grid equal
+        d = np.diff(u)
+        top = int(np.argmax(u))
+        assert 0 < top < n - 1
+        assert np.all(d[:top] > 0) and d[top] <= 0 and np.all(d[top + 1:] < 0)
 
     def test_scale_invariance_of_ratio(self):
         grid = SpatialGrid.line(math.pi, 80)

@@ -185,8 +185,12 @@ class SpatialGrid:
         """||f||_q^q by midpoint quadrature; requires q >= 1."""
         if q < 1:
             raise GridError(f"lp_norm_pow needs q >= 1, got {q}")
-        x = np.abs(self.check(f))
-        x **= q
+        f = self.check(f)
+        # from q = 2 on the square goes first, and NumPy squares in place at
+        # q = 4 instead of calling pow; below 2 f*f could overflow alone
+        x, e = (np.multiply(f, f), 0.5 * q) if q >= 2.0 else (np.abs(f), q)
+        if e != 1.0:
+            x **= e
         return float(np.add.reduce(x, axis=None)) * self.cell_volume
 
     # -- elliptic solve -----------------------------------------------------

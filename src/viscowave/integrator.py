@@ -4,13 +4,13 @@
            - |u_t|^(m-1) u_t + |u|^(p-1) u
 
 by an operator-split leapfrog.  A step is a half-kick of v, implicit
-pointwise damping split symmetrically around the drift of u, a push of u
-onto the memory's s-grid, the force (one memory product gives the mu and
-mu' convolutions, one stacked Laplacian takes u and the mu convolution),
-the second half-kick and the diagnostics.  It costs O(K N) for the kernel's
-K memory modes.  The phases write into buffers in place, each with the
-operand order of the plain expression, so every value is the same to the
-bit.
+pointwise damping (in closed form for m = 1 and 3, by Newton otherwise)
+split symmetrically around the drift of u, a push of u onto the memory's
+s-grid, the force (one memory product gives the mu and mu' convolutions,
+one stacked Laplacian takes u and the mu convolution), the second
+half-kick and the diagnostics.  It costs O(K N) for the kernel's K memory
+modes.  The phases write into buffers in place, each with the operand
+order of the plain expression, so every value is the same to the bit.
 
 Near blow-up the step controller halves dt each time ||grad u|| doubles,
 down to dt0 / 2^10, then stops and flags.  Time is tracked in integer ticks
@@ -34,6 +34,9 @@ from .kernel import RelaxationKernel
 
 MAX_DT_HALVINGS = 10
 GRAD_DOUBLING_FACTOR = 2.0
+# largest scaled argument 3|a|/(2k) of the m = 3 closed form: from about
+# 1e28 on, the rounding of asinh takes its residual past 1e-14 max(1, |a|)
+CUBIC_ARG_MAX = 1e20
 
 
 # ---------------------------------------------------------------------------
@@ -50,33 +53,41 @@ def _guess(absa: np.ndarray, dt: float, m: float) -> np.ndarray:
 
 def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
     """The unique real v with v + dt*|v|^(m-1)*v = a, elementwise, into a new
-    array: closed form for m = 1, otherwise Newton on the magnitude x.
-
-    The residual x + dt*x^m - |a| is convex and increasing in x.  The guess
-    |a|/(1 + dt|a|^(m-1)) lies below the root; where |a|^(m-1) overflows it
-    is 0, still below the root.  With y = dt|a|^(m-1) its residual is
-    bounded, |r0| <= (m-1)|a|y^2, so one scalar y_max over the nodes
-    certifies the whole array: if (m-1) y_max^2 min(max|a|, 1) <= 0.5e-14,
-    every node meets the stopping test below at the guess, rounding
-    included, and the guess is returned as it is.  NaN, inf and empty input
-    take the loop.
-
-    Otherwise the first Newton step lands above the root; it is clipped to
-    U = min(|a|, |a|^(1/m) dt^(-1/m)), and U/2 <= root <= U.  U is |a|
-    where y <= 1; for y_max <= 1/2 the powers are skipped, a margin that
-    keeps their rounding clear of |a|.  They are formed as a product
-    because (|a|/dt)^(1/m) underflows to 0 for the smallest subnormal at
-    dt = 100.  From there Newton descends monotonically to
-    |residual| <= 1e-14 * max(1, m/45) * max(1, |a|): rounding alone leaves
-    residuals near m * 1.1e-16 * |a|, which the factor m/45 clears.
-    Measured over dt in [1e-6, 1e3] and |a| in [1e-12, 1e15], every node
-    stops within 8 iterations for m <= 50, 9 for m <= 100 and 11 for
-    m = 1000.  The cap of 100 iterations stops non-finite input.
+    array.  m = 1 is a / (1 + dt).  Otherwise the guess |a|/(1 + dt y),
+    y = |a|^(m-1), lies below the root within (m-1)|a|(dt y)^2, so one scalar
+    certifies a whole array whose (m-1)(dt y_max)^2 min(max|a|, 1) <= 0.5e-14:
+    the guess meets Newton's stopping test and is returned.  Other arrays
+    take, for m = 3 and 3 max|a|/(2k) <= CUBIC_ARG_MAX, the cubic's real root
+    2k sinh(asinh(3|a|/(2k))/3), k = (3 dt)^(-1/2), clamped to |a|.  The rest
+    take Newton on |v| from the guess, its first step clipped to
+    U = min(|a|, (|a|/dt)^(1/m)) >= root, down to |residual| <=
+    1e-14 max(1, m/45) max(1, |a|), the factor m/45 clearing rounding.  NaN,
+    inf and empty input take Newton, capped at 100 steps.
     """
     if m == 1.0:
         return a / (1.0 + dt)
-    # as Python floats the scalar bound overflows to inf or raises, never warns
+    # as Python floats the scalar bounds overflow to inf or raise, never warn
     dt, m = float(dt), float(m)
+    if m == 3.0 and a.size:
+        amax = max(float(a.max()), -float(a.min()))
+        root3dt = math.sqrt(3.0 * dt)       # 1 / k
+        scale = 1.5 * root3dt               # 3 / (2k)
+        if scale * amax <= CUBIC_ARG_MAX:   # false for NaN and inf
+            y = dt * amax * amax
+            if 2.0 * y * y * min(amax, 1.0) <= 0.5e-14:
+                x = np.multiply(a, a)
+                x *= dt
+                x += 1.0
+                return np.divide(a, x, out=x)
+            absa = np.abs(a)
+            v = np.multiply(absa, scale)
+            np.arcsinh(v, out=v)
+            v /= 3.0
+            np.sinh(v, out=v)
+            v *= 2.0 / root3dt
+            # where dt a^2 is tiny the rounding may land 1 ulp above |a|
+            np.minimum(v, absa, out=v)
+            return np.copysign(v, a, out=v)
     absa = np.abs(a)
     amax = y_max = math.inf
     if absa.size:
@@ -109,6 +120,8 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
         res /= xm1
         x -= res
         if i == 0:
+            # U = |a| where dt|a|^(m-1) <= 1, with a margin for rounding;
+            # a product, as (|a|/dt)^(1/m) underflows for tiny |a|
             if y_max <= 0.5:
                 bound = absa
             else:

@@ -106,6 +106,46 @@ class TestNorms:
                 2.5 ** q * g.lp_norm_pow(f, q), rel=1e-12)
 
 
+class TestLpNormPowForms:
+    """lp_norm_pow against the |f|^q form it replaced, on the same sum."""
+
+    @staticmethod
+    def pow_form(g, f, q):
+        return float(np.add.reduce(np.abs(f) ** q, axis=None)) * g.cell_volume
+
+    GRIDS = [line_grid(n=200), SpatialGrid.rectangle((3.0, 2.0), (64, 48))]
+
+    @pytest.mark.parametrize("g", GRIDS, ids=["1d", "2d"])
+    def test_squares_are_bit_identical(self, g):
+        f = np.random.default_rng(3).standard_normal(g.shape)
+        for q in (1.0, 2.0):
+            assert g.lp_norm_pow(f, q) == self.pow_form(g, f, q)
+
+    @pytest.mark.parametrize("g", GRIDS, ids=["1d", "2d"])
+    @pytest.mark.parametrize("q", [3.0, 4.0])
+    def test_agrees_with_pow(self, g, q):
+        f = np.random.default_rng(4).standard_normal(g.shape) * 0.3
+        assert g.lp_norm_pow(f, q) == pytest.approx(self.pow_form(g, f, q),
+                                                    rel=1e-15, abs=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_overflows_where_pow_overflows(self, q):
+        # the thresholds |f| = 1.8e308^(1/q) lie between these magnitudes
+        g = line_grid(n=3)
+        for mag in (1e70, 1e76, 2e77, 1e100, 1e102, 1e104, 1e150, 1e154,
+                    2e154, 1e200, 1e206, 1e300):
+            f = np.array([mag, -0.5, 1.0])
+            with np.errstate(over="ignore"):
+                old = self.pow_form(g, f, q)
+                assert math.isinf(g.lp_norm_pow(f, q)) == math.isinf(old)
+            if math.isinf(old):
+                with pytest.raises(RuntimeWarning, match="overflow"):
+                    g.lp_norm_pow(f, q)
+            else:
+                assert g.lp_norm_pow(f, q) == pytest.approx(old, rel=1e-15)
+
+
 class TestSummationByParts:
     @pytest.mark.parametrize("grid", [
         line_grid(n=57, length=2.3),

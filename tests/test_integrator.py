@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from viscowave import energetics, integrator
@@ -44,6 +44,8 @@ class TestDampingSolve:
     @given(a=st.floats(-1e12, 1e12, allow_nan=False),
            dt=st.floats(1e-6, 10.0),
            m=st.floats(1.0, 20.0))
+    @example(a=-37.5, dt=0.01, m=3.0)
+    @example(a=2.0e-4, dt=1e-3, m=3.0)
     def test_contraction_and_residual(self, a, dt, m):
         v = pointwise_damping_solve(a, dt, m)
         assert abs(v) <= abs(a)
@@ -114,10 +116,13 @@ class TestDampingSolve:
 # step, which later changes must reproduce bit for bit: per function and m,
 # the first 16 hex digits of the sha256 of the outputs' bytes over DAMP_DTS x
 # DAMP_INPUTS.  The m = 1 entries are the closed form a / (1 + dt) and date
-# from before.  Every other entry is a converged solve of 0 to 8 Newton
-# iterations, in which 0 and -0.0 map to 0.0 and the smallest subnormal to
-# itself.  Recorded on x86-64 with AVX-512 and NumPy 2.4.6; NumPy's power,
-# which m = 1.5, 3, 5 and 9 call with exponents other than 1/2, 1 and 2, may
+# from before.  The m = 3 entries were re-recorded when m = 3 took the cubic's
+# closed form, which keeps the sign of -0.0 and maps the smallest subnormal
+# to 0 where its scaled argument underflows.  Every other entry is a
+# converged solve of 0 to 8 Newton iterations, in which 0 and -0.0 map to 0.0
+# and the smallest subnormal to itself.  Recorded on x86-64 with AVX-512 and
+# NumPy 2.4.6; NumPy's power, which m = 1.5, 5 and 9 call with exponents
+# other than 1/2, 1 and 2, and its sinh and arcsinh, which m = 3 calls, may
 # round differently where NumPy picks another SIMD routine.
 _MAG = np.logspace(-3, 4, 36)
 _TINY = np.finfo(float).smallest_subnormal
@@ -133,7 +138,7 @@ DAMP_GOLDEN = {
         1.0: "16c4a422ad439a74",
         1.5: "b589de946842d844",
         2.0: "8f5eaa8a45f13ef5",
-        3.0: "6a5a51c5649dcb1d",
+        3.0: "d900d71540c01e5c",
         5.0: "a2b689e3ce74f79f",
         9.0: "f162af7bea654d60",
     },
@@ -141,12 +146,12 @@ DAMP_GOLDEN = {
         1.0: "6488e0d3e1a14d36",
         1.5: "a2ad7206c8ca1fb4",
         2.0: "a8e7d20012e22b0b",
-        3.0: "37646e81893118bd",
+        3.0: "92ef285875631ec2",
         5.0: "edb488936c725418",
         9.0: "8f04dc1c8aafcd42",
     },
 }
-POINTWISE_GOLDEN = "c80ccd5195038967"
+POINTWISE_GOLDEN = "2efb836e26f7a0db"
 
 
 class TestDampingSolveBitIdentity:
@@ -203,6 +208,67 @@ def uncertified_solve(a, dt, m):
     return np.multiply(np.sign(a), x, out=x)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCubicSolve:
+    """m = 3: the certified guess or the cubic's real root, Newton only for
+    non-finite input and arguments beyond CUBIC_ARG_MAX."""
+
+    TINY = np.finfo(float).smallest_subnormal
+    MAG = np.logspace(-300, 15, 631)
+    A = np.r_[0.0, -0.0, TINY, MAG, -MAG]
+    DTS = (1e-6, 1e-3, 1.0, 100.0)
+
+    @pytest.mark.parametrize("dt", DTS)
+    def test_root_over_the_whole_range(self, dt):
+        a = self.A
+        v = damping_solve_field(a, dt, 3.0)
+        res = v + dt * np.abs(v) ** 2.0 * v - a
+        assert np.all(np.abs(res) <= 1e-14 * np.maximum(1.0, np.abs(a)))
+        assert np.all(np.abs(v) <= np.abs(a))
+        assert np.all(v * a >= 0.0)
+        # the smallest subnormal may map to 0: its scaled argument underflows
+        np.testing.assert_allclose(v, uncertified_solve(a, dt, 3.0),
+                                   rtol=1e-12, atol=self.TINY)
+
+    @pytest.mark.parametrize("dt", DTS)
+    def test_certified_arrays_are_the_guess(self, dt):
+        for amax in (certificate_amax(dt, 3.0) / 2.0, 1e-300, 0.0):
+            a = self.A[np.abs(self.A) <= amax]
+            expected = a / (1.0 + dt * a * a)
+            np.testing.assert_array_equal(
+                damping_solve_field(a, dt, 3.0).view(np.int64),
+                expected.view(np.int64))
+
+    @pytest.mark.parametrize("dt, special", [
+        (dt, x) for dt in DTS for x in (math.nan, math.inf, -math.inf)]
+        + [(1e-6, 1.7e308), (1.0, 1e308), (100.0, -1e308), (1e-3, -1e23)])
+    def test_non_finite_and_huge_input_take_newton(self, dt, special):
+        # the certificate fails and the clip bound is the product of powers,
+        # so the Newton path is the uncertified loop bit for bit
+        a = np.r_[self.A[::10], special]
+        with np.errstate(all="ignore"):
+            expected = uncertified_solve(a, dt, 3.0)
+        with np.errstate(invalid="ignore" if math.isinf(special) else "raise"):
+            got = damping_solve_field(a, dt, 3.0)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      expected.view(np.int64))
+
+    @pytest.mark.parametrize("dt", DTS)
+    def test_root_up_to_the_largest_argument(self, dt):
+        top = integrator.CUBIC_ARG_MAX / (1.5 * math.sqrt(3.0 * dt))
+        a = np.r_[np.linspace(-1.0, 1.0, 2001), np.logspace(-10, 0, 101)] * top
+        v = damping_solve_field(a, dt, 3.0)
+        res = v + dt * np.abs(v) ** 2.0 * v - a
+        assert np.all(np.abs(res) <= 1e-14 * np.maximum(1.0, np.abs(a)))
+        np.testing.assert_allclose(v, uncertified_solve(a, dt, 3.0),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_empty_input(self):
+        for shape in ((0,), (0, 3)):
+            assert damping_solve_field(np.empty(shape), 0.1, 3.0).shape \
+                == shape
+
+
 def certificate_amax(dt, m):
     """The max|a| at which (m-1) (dt max|a|^(m-1))^2 min(max|a|, 1) is
     0.5e-14, clamped to [1e-300, 1e300]."""
@@ -225,7 +291,9 @@ SPECIALS = (-0.0, np.finfo(float).smallest_subnormal, math.inf, -math.inf,
        extras=st.lists(st.sampled_from(SPECIALS), max_size=3))
 def test_certified_guess_matches_uncertified_loop(m, dt, shift, unit, extras):
     # max|a| within 2^40 of the certificate's threshold, or anywhere in
-    # [1e-300, 1e300]; an inf or NaN anywhere sends the array to the loop
+    # [1e-300, 1e300]; an inf or NaN anywhere sends the array to the loop.
+    # m = 3 solves uncertified arrays in closed form (TestCubicSolve)
+    assume(m != 3.0)
     scale = certificate_amax(dt, m) * 2.0 ** shift
     scale = min(max(scale, 1e-300), 1e300)
     a = unit * scale
@@ -466,30 +534,31 @@ GOLDEN = {
 }
 
 
-# sha256 of ledger.csv for a 2-D run with m = 3, recorded before the damping
-# guess was certified and the last-axis Laplacian shifted on the flat array;
-# both must reproduce it byte for byte.  Its velocities are small enough that
-# some damping solves end at the certified guess and others take the loop.
-# Recorded on x86-64 with AVX-512 and NumPy 2.4.6; NumPy's power may round
+# sha256 of ledger.csv for a 2-D run with m = 3, re-recorded when m = 3 took
+# the cubic's closed form and ||.||_4^4 became a squared square; later
+# changes must reproduce it byte for byte.  Its velocities are small enough
+# that some damping solves end at the certified guess and others take the
+# closed form.  Recorded on x86-64 with AVX-512 and NumPy 2.4.6; NumPy's
+# sinh, arcsinh and power (the source term's |u|^(p-1)) may round
 # differently where NumPy picks another SIMD routine.
 LEDGER_2D_M3 = (quick_config(dim=2, n=12, n_y=10, extent_y=2.0, t_end=2.0,
                              modes=(1, 2), m=3.0, output_every=1,
                              amplitude=0.003),
-                "923b7bbb2437507a9cef340dcc462434526e0910d4b4da7b55f2fab654642afc")
+                "2f26a995f28b87f58ef33f95561448d22b81ae012a1a3fc883104dce7eae93f6")
 
-# The same for three 1-D runs, a row per step, recorded before u and the mu
-# convolution shared one stacked Laplacian and the phases wrote in place.
+# The same for three 1-D runs, a row per step.  With p = 3 every row holds
+# ||u||_4^4, so the m = 1 digests moved with the m = 3 ones.
 LEDGER_BYTES = {
     "exponential_m1_1d": (
         quick_config(output_every=1),
-        "aac2f03d31de8820911769aba300f29d478fd04287429cb3b43d3eb2a4bca164"),
+        "2aeaf6ca71b87cfcf12c1ac492913af98ccf41180f81352b107e99f952fe949c"),
     "polynomial_frozen_1d": (
         quick_config(n=60, t_end=2.0, kernel_family="polynomial", r=1.5,
                      extension="frozen", output_every=1),
-        "7ee55c47d3e8fb86e3f504128812c6f547f4f6c2e14dd45e3bf44d2b6fb176e4"),
+        "161d2e2c5c55ec93d63249c2fb882dce7eaa88e93e31e0298b3b938357126c5c"),
     "exponential_m3_1d": (
         quick_config(m=3.0, output_every=1),
-        "9f321a681232dea0bb4fa5425295aef716903ac9cae6b9a8b90e726584061d55"),
+        "b6edb60dcb9e3bed7af14046e2f9bde9c0a1e41292fcefd1eb96f2a7f12d909a"),
     "grid_2d_m3": LEDGER_2D_M3,
 }
 

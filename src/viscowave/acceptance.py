@@ -18,8 +18,7 @@ from . import decay, energetics, wellconst
 from .config import ScenarioConfig
 from .decay import DecayModel
 from .grid import SpatialGrid
-from .history import Classification, HistoryDatum, classify, nehari_gap, \
-    quadratic_part
+from .history import Classification, HistoryDatum, classify, quadratic_part
 from .runner import RunRecord, run_scenario
 
 RNG_SEED = 1234
@@ -145,8 +144,7 @@ def w2_datum(grid: SpatialGrid, kernel, p: float, d: float,
     for A in np.geomspace(0.1, 100.0, 200):
         datum = HistoryDatum.from_template(grid, 1.0, modes=(1,))
         datum.shape_field = A * shape
-        if (nehari_gap(datum, p, kernel, ds) < 0
-                and classify(datum, d, p, kernel, ds) is Classification.W2):
+        if classify(datum, d, p, kernel, ds) is Classification.W2:
             return datum
     raise RuntimeError("no W2 amplitude found in the sweep range")
 

@@ -18,7 +18,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import acceptance, decay, wellconst
-from .config import ConfigError, ScenarioConfig, load, _parse_length
+from .config import ConfigError, ScenarioConfig, load, _parse_length, \
+    _parse_modes
 from .energetics import EnergyLedger
 from .grid import SpatialGrid
 from .history import HistoryDatum, classify
@@ -92,9 +93,11 @@ def cmd_constants(args) -> int:
 def cmd_classify(args) -> int:
     grid = parse_grid_spec(args.grid)
     kernel = parse_kernel_spec(args.kernel)
-    modes = tuple(int(k) for k in args.modes.split(","))
+    if len(args.modes) != grid.dim:
+        raise SpecError(f"--modes needs one mode number per grid axis, got "
+                        f"{len(args.modes)} for a {grid.dim}-D grid")
     datum = HistoryDatum.from_template(
-        grid, args.amplitude, modes=modes, profile=args.profile,
+        grid, args.amplitude, modes=args.modes, profile=args.profile,
         support_T0=args.support_t0, mode=args.extension,
         ramp_rate=args.ramp_rate)
     consts = wellconst.compute_constants(grid, args.p, kernel.k0)
@@ -193,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--grid", required=True)
     p_cls.add_argument("--kernel", required=True)
     p_cls.add_argument("--amplitude", type=float, required=True)
-    p_cls.add_argument("--modes", default="1")
+    p_cls.add_argument("--modes", default="1", type=_parse_modes)
     p_cls.add_argument("--profile", default="constant",
                        choices=["constant", "ramp", "bump"])
     p_cls.add_argument("--ramp-rate", type=float, default=1.0)

@@ -1,9 +1,9 @@
 """Scenario configuration: INI-style key = value files, validated all at once.
 
 Sections mirror the subsystems: [grid], [kernel], [dynamics], [history],
-[time], [memory].  Unknown sections or keys are rejected.  Floats are
-serialized with 17 significant digits so that persist -> load round-trips are
-lossless and reruns are bit-identical.
+[time], [memory]; the table _KEYS lists their keys.  Unknown sections or
+keys are rejected.  Floats are serialized with 17 significant digits so that
+persist -> load round-trips are lossless and reruns are bit-identical.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,16 +29,6 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  - " + "\n  - ".join(self.problems))
 
 
-_SCHEMA = {
-    "grid": {"dim", "extent", "extent_y", "n", "n_y"},
-    "kernel": {"family", "mu0", "c", "r"},
-    "dynamics": {"m", "p", "damping_enabled", "source_enabled"},
-    "history": {"template", "modes", "amplitude", "profile", "ramp_rate",
-                "support_T0", "extension", "table_path"},
-    "time": {"dt", "t_end", "cfl_safety", "output_every"},
-    "memory": {"stride"},
-}
-
 _PI_NAMES = {"pi": math.pi, "2pi": 2 * math.pi, "pi/2": math.pi / 2}
 
 
@@ -46,6 +37,10 @@ def _parse_length(text: str) -> float:
     if t in _PI_NAMES:
         return _PI_NAMES[t]
     return float(t)
+
+
+def _parse_modes(text: str) -> tuple:
+    return tuple(int(k) for k in text.split(","))
 
 
 @dataclass
@@ -108,11 +103,11 @@ class ScenarioConfig:
             support_T0=self.support_T0, mode=self.extension,
             ramp_rate=self.ramp_rate)
 
+    def _cfl_bound(self, grid: SpatialGrid, kernel: RelaxationKernel) -> float:
+        return self.cfl_safety * min(grid.h) / math.sqrt(kernel.k0)
+
     def resolved_dt(self, grid: SpatialGrid, kernel: RelaxationKernel) -> float:
-        bound = self.cfl_safety * min(grid.h) / math.sqrt(kernel.k0)
-        if self.dt <= 0:
-            return bound
-        return self.dt
+        return self.dt if self.dt > 0 else self._cfl_bound(grid, kernel)
 
     def resolved_s_cap(self, kernel: RelaxationKernel) -> float:
         """Depth of the memory's s-grid quadrature; the exact tail covers
@@ -161,6 +156,9 @@ class ScenarioConfig:
         if self.template not in ("sine", "table"):
             probs.append(f"history.template must be sine or table, got "
                          f"{self.template!r}")
+        if self.template == "sine" and len(self.modes) != self.dim:
+            probs.append(f"history.modes needs one mode number per grid axis, "
+                         f"got {len(self.modes)} for dim {self.dim}")
         if self.template == "table" and not self.table_path:
             probs.append("history.table_path required for table template")
         if self.profile not in ("constant", "ramp", "bump"):
@@ -183,8 +181,7 @@ class ScenarioConfig:
             probs.append("memory.stride must be a positive integer")
         if self.dt > 0:
             try:
-                bound = self.cfl_safety * min(self.make_grid().h) / \
-                    math.sqrt(self.make_kernel().k0)
+                bound = self._cfl_bound(self.make_grid(), self.make_kernel())
                 if self.dt > bound * (1 + 1e-12):
                     probs.append(f"time.dt={self.dt:g} violates the stability "
                                  f"bound {bound:g}")
@@ -196,68 +193,18 @@ class ScenarioConfig:
     # -- serialization ------------------------------------------------------
 
     def to_ini(self) -> str:
-        def f(x):
-            return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-        lines = [
-            "[grid]",
-            f"dim = {self.dim}",
-            f"extent = {f(self.extent)}",
-        ]
-        if self.dim == 2:
-            lines.append(f"extent_y = {f(self.extent_y)}")
-        lines.append(f"n = {self.n}")
-        if self.dim == 2:
-            lines.append(f"n_y = {self.n_y}")
-        lines += ["", "[kernel]", f"family = {self.kernel_family}"]
-        if self.kernel_family == EXPONENTIAL:
-            lines += [f"mu0 = {f(self.mu0)}", f"c = {f(self.c)}"]
-        else:
-            lines += [f"mu0 = {f(self.mu0)}", f"r = {f(self.r)}"]
-        lines += [
-            "", "[dynamics]",
-            f"m = {f(self.m)}", f"p = {f(self.p)}",
-            f"damping_enabled = {str(self.damping_enabled).lower()}",
-            f"source_enabled = {str(self.source_enabled).lower()}",
-            "", "[history]",
-            f"template = {self.template}",
-        ]
-        if self.template == "sine":
-            lines += [
-                f"modes = {','.join(str(k) for k in self.modes)}",
-                f"amplitude = {f(self.amplitude)}",
-                f"profile = {self.profile}",
-            ]
-            if self.profile == "ramp":
-                lines.append(f"ramp_rate = {f(self.ramp_rate)}")
-        else:
-            lines.append(f"table_path = {self.table_path}")
-        lines += [
-            f"support_T0 = {f(self.support_T0)}",
-            f"extension = {self.extension}",
-            "", "[time]",
-            f"dt = {f(self.dt) if self.dt > 0 else 'auto'}",
-            f"t_end = {f(self.t_end)}",
-            f"cfl_safety = {f(self.cfl_safety)}",
-            f"output_every = {self.output_every}",
-            "", "[memory]",
-            f"stride = {self.stride}",
-        ]
-        return "\n".join(lines) + "\n"
+        lines, section = [], None
+        for row in _KEYS:
+            if not row.when(self):
+                continue
+            if row.section != section:
+                section = row.section
+                lines += ["", f"[{section}]"]
+            lines.append(f"{row.key} = {row.text(getattr(self, row.field))}")
+        return "\n".join(lines[1:]) + "\n"
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_ini().encode()).hexdigest()[:12]
-
-
-def _get(cp, sec, key, conv, default, probs):
-    if not cp.has_option(sec, key):
-        return default
-    raw = cp.get(sec, key).strip()
-    try:
-        return conv(raw)
-    except Exception:
-        probs.append(f"[{sec}] {key} = {raw!r} is not a valid value")
-        return default
 
 
 def _bool(raw: str) -> bool:
@@ -269,53 +216,89 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _auto_float(raw: str) -> float:
-    return 0.0 if raw.lower() == "auto" else float(raw)
+def _g17(x) -> str:
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
+def _sine(cfg: ScenarioConfig) -> bool:
+    return cfg.template == "sine"
+
+
+class _Key(NamedTuple):
+    """One config key: INI parser, canonical text, and when it is written."""
+    section: str
+    key: str
+    parse: Callable = float
+    text: Callable = _g17
+    when: Callable = lambda cfg: True
+    field_name: str = ""          # dataclass field, when it is not ``key``
+
+    @property
+    def field(self) -> str:
+        return self.field_name or self.key
+
+
+# The key reference, in canonical order: loads parses (and reports problems)
+# in this order, and to_ini writes the rows whose ``when`` holds.  Defaults
+# live only on ScenarioConfig.
+_KEYS = (
+    _Key("grid", "dim", int, str),
+    _Key("grid", "extent", _parse_length),
+    _Key("grid", "extent_y", _parse_length, when=lambda cfg: cfg.dim == 2),
+    _Key("grid", "n", int, str),
+    _Key("grid", "n_y", int, str, lambda cfg: cfg.dim == 2),
+    _Key("kernel", "family", str, str, field_name="kernel_family"),
+    _Key("kernel", "mu0"),
+    _Key("kernel", "c", when=lambda cfg: cfg.kernel_family == EXPONENTIAL),
+    _Key("kernel", "r", when=lambda cfg: cfg.kernel_family != EXPONENTIAL),
+    _Key("dynamics", "m"),
+    _Key("dynamics", "p"),
+    _Key("dynamics", "damping_enabled", _bool, lambda b: str(b).lower()),
+    _Key("dynamics", "source_enabled", _bool, lambda b: str(b).lower()),
+    _Key("history", "template", str, str),
+    _Key("history", "modes", _parse_modes,
+         lambda modes: ",".join(str(k) for k in modes), _sine),
+    _Key("history", "amplitude", when=_sine),
+    _Key("history", "profile", str, str, _sine),
+    _Key("history", "ramp_rate",
+         when=lambda cfg: _sine(cfg) and cfg.profile == "ramp"),
+    _Key("history", "table_path", str, str, lambda cfg: not _sine(cfg)),
+    _Key("history", "support_T0"),
+    _Key("history", "extension", str, str),
+    _Key("time", "dt", lambda s: 0.0 if s.lower() == "auto" else float(s),
+         lambda dt: _g17(dt) if dt > 0 else "auto"),
+    _Key("time", "t_end"),
+    _Key("time", "cfl_safety"),
+    _Key("time", "output_every", int, str),
+    _Key("memory", "stride", int, str),
+)
 
 
 def loads(text: str) -> ScenarioConfig:
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys are case-sensitive identifiers
     cp.read_file(io.StringIO(text))
+    keys = {(row.section, row.key) for row in _KEYS}
     probs = []
     for sec in cp.sections():
-        if sec not in _SCHEMA:
+        if sec not in {row.section for row in _KEYS}:
             probs.append(f"unknown section [{sec}]")
             continue
-        for key in cp.options(sec):
-            if key not in _SCHEMA[sec]:
-                probs.append(f"unknown key {key!r} in section [{sec}]")
-    cfg = ScenarioConfig(
-        dim=_get(cp, "grid", "dim", int, 1, probs),
-        extent=_get(cp, "grid", "extent", _parse_length, math.pi, probs),
-        extent_y=_get(cp, "grid", "extent_y", _parse_length, math.pi, probs),
-        n=_get(cp, "grid", "n", int, 200, probs),
-        n_y=_get(cp, "grid", "n_y", int, 0, probs),
-        kernel_family=_get(cp, "kernel", "family", str, EXPONENTIAL, probs),
-        mu0=_get(cp, "kernel", "mu0", float, 1.0, probs),
-        c=_get(cp, "kernel", "c", float, 1.0, probs),
-        r=_get(cp, "kernel", "r", float, 1.5, probs),
-        m=_get(cp, "dynamics", "m", float, 1.0, probs),
-        p=_get(cp, "dynamics", "p", float, 3.0, probs),
-        damping_enabled=_get(cp, "dynamics", "damping_enabled", _bool, True, probs),
-        source_enabled=_get(cp, "dynamics", "source_enabled", _bool, True, probs),
-        template=_get(cp, "history", "template", str, "sine", probs),
-        modes=_get(cp, "history", "modes",
-                   lambda s: tuple(int(k) for k in s.split(",")), (1,), probs),
-        amplitude=_get(cp, "history", "amplitude", float, 0.1, probs),
-        profile=_get(cp, "history", "profile", str, "constant", probs),
-        ramp_rate=_get(cp, "history", "ramp_rate", float, 1.0, probs),
-        support_T0=_get(cp, "history", "support_T0", float, 0.0, probs),
-        extension=_get(cp, "history", "extension", str, ZERO, probs),
-        table_path=_get(cp, "history", "table_path", str, "", probs),
-        dt=_get(cp, "time", "dt", _auto_float, 0.0, probs),
-        t_end=_get(cp, "time", "t_end", float, 20.0, probs),
-        cfl_safety=_get(cp, "time", "cfl_safety", float, 0.5, probs),
-        output_every=_get(cp, "time", "output_every", int, 10, probs),
-        stride=_get(cp, "memory", "stride", int, 1, probs),
-    )
+        probs += [f"unknown key {key!r} in section [{sec}]"
+                  for key in cp.options(sec) if (sec, key) not in keys]
+    parsed = {}
+    for row in _KEYS:
+        if not cp.has_option(row.section, row.key):
+            continue
+        raw = cp.get(row.section, row.key).strip()
+        try:
+            parsed[row.field] = row.parse(raw)
+        except ValueError:
+            probs.append(f"[{row.section}] {row.key} = {raw!r} "
+                         "is not a valid value")
     if probs:
         raise ConfigError(probs)
+    cfg = ScenarioConfig(**parsed)
     cfg.validate()
     return cfg
 

@@ -22,7 +22,6 @@ from typing import Optional
 
 from . import blowup, wellconst
 from .config import ScenarioConfig
-from .energetics import EnergyLedger
 from .history import classify
 from .integrator import RunResult, run
 
@@ -95,10 +94,9 @@ def run_scenario(config: ScenarioConfig,
 
     constants = wellconst.cached_constants(result.grid, config.p,
                                            result.kernel.k0)
-    ds = config.stride * config.resolved_dt(result.grid, result.kernel)
     if config.source_enabled:
         cls = classify(result.datum, constants.d, config.p, result.kernel,
-                       ds=ds).value
+                       ds=result.state.memory.ds).value
     else:
         cls = "W1"  # without the source the well is all of the phase space
 
@@ -135,7 +133,3 @@ def persist_record(record: RunRecord, force: bool = False,
     (run_dir / "summary.json").write_text(
         json.dumps(record.summary, indent=2) + "\n", encoding="utf-8")
     return run_dir
-
-
-def load_ledger(run_dir: Path) -> EnergyLedger:
-    return EnergyLedger.read(Path(run_dir) / "ledger.csv")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -10,10 +11,44 @@ def make_text(**overrides):
     return cfg.to_ini()
 
 
+# sha256 of to_ini() for one config per rule that decides which keys are
+# written.  The canonical text names run directories and the acceptance
+# cache, so a change that moves one of these bytes renames every run.
+CANONICAL_TEXT = {
+    "default": (
+        ScenarioConfig(),
+        "e467d36c0d53241cd01f5ee378d12f3c8eee4c28dae6ec202824837d96fbcd43"),
+    "grid_2d": (
+        ScenarioConfig(dim=2, n=16, n_y=12, extent_y=2.0, modes=(1, 2)),
+        "ccc86da4d9b58d90bb4e619a9289a4280706113f185da7bc0e67ef39fc0a3f05"),
+    "polynomial": (
+        ScenarioConfig(kernel_family="polynomial", r=1.25, extension="frozen"),
+        "524109621562aeed5ce54565741ac8fba1f74525eac47da1e6405e6fd2a3aaa2"),
+    "table": (
+        ScenarioConfig(template="table", table_path="history.csv"),
+        "3e4c70ac4692ec571e96b265c9cbf93c5b8ac9c30129f373414572dc66eacaef"),
+    "ramp": (
+        ScenarioConfig(profile="ramp", ramp_rate=2.5),
+        "f069467b80f221ed1a5aaa3f1b8d9d25f0faed75db48caca0aafa7c6a71ca293"),
+    "bump": (
+        ScenarioConfig(profile="bump", support_T0=1.5),
+        "b06f4818f49fe0742e5833ad76afb3260a602fe509c76bf0e2b93f1c55e60cb4"),
+    "explicit_dt": (
+        ScenarioConfig(dt=1e-3),
+        "65c619347709970ac4e8cba0264f07d39d67c74d5e40951b583a836858878d44"),
+    "toggles_off": (
+        ScenarioConfig(damping_enabled=False, source_enabled=False),
+        "c39a079c3c4cacab62bb24720a3d7a18fa57980d636d4919b83f38015a731ec8"),
+}
+
+
 class TestRoundTrip:
-    def test_default_round_trip(self):
-        cfg = ScenarioConfig()
-        assert loads(cfg.to_ini()) == cfg
+    @pytest.mark.parametrize("name", list(CANONICAL_TEXT))
+    def test_default_round_trip(self, name):
+        cfg, digest = CANONICAL_TEXT[name]
+        text = cfg.to_ini()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert loads(text) == cfg
 
     def test_awkward_floats_round_trip(self):
         cfg = ScenarioConfig(amplitude=0.1 + 1e-16, t_end=1.0 / 3.0,
@@ -56,6 +91,27 @@ class TestValidation:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
             loads("[gridd]\nn = 100\n")
+
+    def test_unknown_names_then_bad_values_in_one_error(self):
+        text = ("[grid]\nn = many\nnn = 3\n[gridd]\nx = 1\n"
+                "[time]\nt_end = soon\n")
+        with pytest.raises(ConfigError) as exc:
+            loads(text)
+        assert exc.value.problems == [
+            "unknown key 'nn' in section [grid]",
+            "unknown section [gridd]",
+            "[grid] n = 'many' is not a valid value",
+            "[time] t_end = 'soon' is not a valid value",
+        ]
+
+    def test_mode_count_must_match_dim(self):
+        with pytest.raises(ConfigError) as exc:
+            loads("[grid]\ndim = 2\nn = 8\nn_y = 8\n[dynamics]\nm = 0.5\n")
+        assert len(exc.value.problems) == 2
+        assert "one mode number per grid axis" in exc.value.problems[1]
+        # the table template takes no modes
+        ScenarioConfig(dim=2, n_y=8, template="table",
+                       table_path="history.csv").validate()
 
     def test_m_below_one_rejected(self):
         with pytest.raises(ConfigError) as exc:

@@ -62,7 +62,7 @@ class TestRunScenario:
 
     def test_load_ledger_helper(self, tmp_path):
         record = run_scenario(small_config(), persist=True, out_root=tmp_path)
-        led = runner.load_ledger(record.run_dir)
+        led = EnergyLedger.read(record.run_dir / "ledger.csv")
         assert led.rows == record.result.ledger.rows
 
     def test_no_source_classified_w1(self, tmp_path):
@@ -141,6 +141,20 @@ class TestCli:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["classification"] == "W1"
+
+    def test_classify_mode_count_exits_usage(self, capsys):
+        assert cli.main(["classify", "--p", "3", "--grid", "2d:pi:pi:8:8",
+                         "--kernel", "exp:1:1", "--amplitude", "0.1"]) == 1
+        assert "one mode number per grid axis" in capsys.readouterr().err
+        assert cli.main(["classify", "--p", "3", "--grid", "1d:pi:20",
+                         "--kernel", "exp:1:1", "--amplitude", "0.1",
+                         "--modes", "a"]) == 1
+
+    def test_run_mode_count_exits_usage(self, tmp_path, capsys):
+        path = tmp_path / "scenario.ini"
+        path.write_text("[grid]\ndim = 2\nn = 8\nn_y = 8\n")
+        assert cli.main(["run", "--config", str(path), "--no-persist"]) == 1
+        assert "one mode number per grid axis" in capsys.readouterr().err
 
     def test_decay_fit_with_prediction(self, tmp_path, capsys):
         led = EnergyLedger()

@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import acceptance, decay, wellconst
+from . import wellconst
 from .config import ConfigError, ScenarioConfig, load, _parse_length, \
     _parse_modes
 from .energetics import EnergyLedger
@@ -109,6 +109,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_decay_fit(args) -> int:
+    from . import decay
+
     ledger = EnergyLedger.read(args.ledger)
     t = ledger.column("t")
     window = (args.window[0], args.window[1]) if args.window \
@@ -162,6 +164,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance
+
     ok = acceptance.run_all(quick=args.quick)
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -82,12 +82,10 @@ class EnergyLedger:
         return self.rows[0]["E"]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(LEDGER_COLUMNS)
-        for row in self.rows:
-            writer.writerow([f"{row[k]:.17g}" for k in LEDGER_COLUMNS])
-        return buf.getvalue()
+        # ``append`` keeps each row's values in LEDGER_COLUMNS order
+        line = ",".join(["%.17g"] * len(LEDGER_COLUMNS)) + "\n"
+        return ",".join(LEDGER_COLUMNS) + "\n" + "".join(
+            line % tuple(row.values()) for row in self.rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "EnergyLedger":

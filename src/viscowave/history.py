@@ -13,6 +13,7 @@ supported for the history beyond its tabulated support:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -297,7 +298,11 @@ class MemoryState:
     Each past field is the extension field (zero, or u0(-T0)) plus a
     deviation D, which is zero beyond the history's support.  Logical row j,
     the past field u(t_push - j*ds), sits on the node s = delta + j*ds at lag
-    delta = t - t_push after the latest push.  With the kernel's modes
+    delta = t - t_push after the latest push.  The deviations lie at lags up
+    to t + T0, so the memory takes the kernel's modes for its ``horizon``,
+    the last such lag it will be asked for (a push past it raises), or for
+    ``kernel.memory_horizon`` if that is shorter or ``horizon`` is None:
+    those modes hold at every lag.  With the modes
     w(s) = sum_k b_k exp(-lam_k s) (b = a for mu, -a*lam for mu'), the
     trapezoid sum of w over the rows' deviations is
     sum_k b_k exp(-lam_k delta) (P_k + delta/2 D_0), where
@@ -306,30 +311,32 @@ class MemoryState:
     quadrature weight Q(delta): the trapezoid over the ``s_depth`` nodes, the
     current field's node and the exact tail.
 
-    The state is one matrix ``M`` (K+5, N+1), which neither ``s_depth`` nor
-    the run's length grows, each row a field with its ||grad||^2 as the last
-    column, which the scalar convolution sums the same way: the K modes P,
-    D_0, the extension field, the current field u(t) (the row ``field``
-    views), and the two product rows, the mu and mu' convolutions.  Each lag
-    keeps one entry (G, ev), G the (2, K+3) matrix [b_k exp(-lam_k delta) |
-    delta/2 sum_k | Q - now | now] for mu and mu', now = delta/2 w(0) the
-    current node's weight, and ev the evaluation that views the product rows
-    with Q.  ``evaluate`` takes the one product G @ M[:-2] of a step into the
-    product rows, so the current field and the mu convolution are adjacent
-    rows (``stack``) that one stacked Laplacian takes at once;
-    ``convolution_field``, ``scalar_convolution`` and ``memory_integral``
-    take the same product into a new array.
+    The state is one matrix ``M`` (K+5, N+1), which ``s_depth`` does not
+    grow and the horizon grows only through K, each row a field with its
+    ||grad||^2 as the last column, which the scalar convolution sums the same
+    way: the K modes P, D_0, the extension field, the current field u(t)
+    (the row ``field`` views), and the two product rows, the mu and mu'
+    convolutions.  Each lag keeps one entry (G, ev), G the (2, K+3) matrix
+    [b_k exp(-lam_k delta) | delta/2 sum_k | Q - now | now] for mu and mu',
+    now = delta/2 w(0) the current node's weight, and ev the evaluation that
+    views the product rows with Q.  ``evaluate`` takes the one product
+    G @ M[:-2] of a step into the product rows, so the current field and the
+    mu convolution are adjacent rows (``stack``) that one stacked Laplacian
+    takes at once; ``convolution_field``, ``scalar_convolution`` and
+    ``memory_integral`` take the same product into a new array.
     """
 
     def __init__(self, datum: HistoryDatum, kernel: RelaxationKernel,
-                 ds: float, s_depth: float):
+                 ds: float, s_depth: float, horizon: Optional[float] = None):
         self.grid = datum.grid
         self.kernel = kernel
         self.ds = float(ds)
         self.depth = int(np.ceil(s_depth / ds - 1e-12))
         if self.depth < 1:
             raise ValueError("memory depth must cover at least one stride")
-        self.lam, a = kernel.modes(kernel.memory_horizon)
+        self.horizon = math.inf if horizon is None else horizon
+        self.lam, a = kernel.modes(min(self.horizon, kernel.memory_horizon))
+        self.T0 = datum.support_T0
         self.weights = np.stack([a, -a * self.lam])
         self.w0 = np.array([kernel.mu(0.0), kernel.mu_prime(0.0)])
         self.decay = np.exp(-self.lam * self.ds)[:, None]
@@ -360,8 +367,11 @@ class MemoryState:
         return self.M[-3:-1, :-1].reshape((2,) + self.grid.shape)
 
     def push(self, u: np.ndarray, t: float, h1: Optional[float] = None):
-        """Record u(t); t must advance by exactly one stride.  Pass ``h1`` =
-        ||grad u||^2 if held."""
+        """Record u(t); t must advance by exactly one stride, and t + T0 stay
+        within the horizon.  Pass ``h1`` = ||grad u||^2 if held."""
+        if t + self.T0 > self.horizon:
+            raise ValueError(f"push at t = {t} takes the history's lags past "
+                             f"the memory's horizon {self.horizon}")
         P, D0 = self.M[:-5], self.M[-5]
         # the old row 0 moves to node ds, where its weight doubles
         P += 0.5 * self.ds * D0

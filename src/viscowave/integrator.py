@@ -8,9 +8,10 @@ pointwise damping (in closed form for m = 1 and 3, by Newton otherwise)
 split symmetrically around the drift of u, a push of u onto the memory's
 s-grid, the force (one memory product gives the mu and mu' convolutions,
 one stacked Laplacian takes u and the mu convolution), the second
-half-kick and the diagnostics.  It costs O(K N) for the kernel's K memory
-modes.  The phases write into buffers in place, each with the operand
-order of the plain expression, so every value is the same to the bit.
+half-kick and the diagnostics.  It costs O(K N) for the K memory modes of
+the run's horizon, t_end + T0 + ds.  The phases write into buffers in
+place, each with the operand order of the plain expression, so every value
+is the same to the bit.
 
 Near blow-up the step controller halves dt each time ||grad u|| doubles,
 down to dt0 / 2^10, then stops and flags.  Time is tracked in integer ticks
@@ -217,7 +218,9 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     dt0 = config.resolved_dt(grid, kernel)
     ds = config.stride * dt0
     s_cap = config.resolved_s_cap(kernel)
-    memory = MemoryState(datum, kernel, ds, max(s_cap, ds))
+    # the last lag a run reaches: the last step may pass t_end by under ds
+    memory = MemoryState(datum, kernel, ds, max(s_cap, ds),
+                         horizon=config.t_end + datum.support_T0 + ds)
 
     # u is stepped in place in the memory's current row
     u = memory.field

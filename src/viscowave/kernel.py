@@ -22,6 +22,13 @@ POLYNOMIAL = "polynomial"
 
 # relative accuracy of the polynomial kernel's exponential modes
 MODES_RTOL = 1e-13
+# Chebyshev nodes of a horizon's mode fit, and the residual per node at
+# which it stops picking modes
+FIT_NODES = 60
+FIT_RESIDUAL = 1e-15
+
+# modes per (mu0, r, horizon), computed once a process
+_MODES_CACHE: dict = {}
 
 
 class KernelError(ValueError):
@@ -123,20 +130,37 @@ class RelaxationKernel:
 
     def modes(self, horizon: float) -> tuple:
         """(lam, a) with mu(s) = sum_k a_k exp(-lam_k s) for 0 <= s <= horizon;
-        mu'(s) is the same sum with weights -a_k lam_k.
+        mu'(s) is the same sum with weights -a_k lam_k.  The arrays are
+        cached per (kernel, horizon) and read-only.
 
         Exponential: the kernel itself, one exact mode.  Polynomial: the
         trapezoid rule in x = ln(lam) on the Laplace form
         (1+s)^-q = Gamma(q)^-1 int lam^(q-1) exp(-lam (1+s)) dlam
         (Beylkin & Monzon 2010), relative error near MODES_RTOL for mu and
-        mu'.  The x-range leaves out at most MODES_RTOL * mu(horizon) at small
-        lam and, by the sub-gamma tail bound of Gamma(q+1), a MODES_RTOL share
-        of mu' at large lam.
+        mu'.  Below ``memory_horizon``, fewer modes fitted to the horizon
+        (``_fitted``) where they hold to MODES_RTOL; they hold on
+        [0, horizon] only.
         """
         if self.family == EXPONENTIAL:
             return np.array([self.c]), np.array([self.mu0])
+        key = (self.mu0, self.r, float(horizon))
+        if key not in _MODES_CACHE:
+            lam, a = self._trapezoid(horizon, MODES_RTOL)
+            fit = (self._fitted(horizon) if horizon < self.memory_horizon
+                   else None)
+            if fit is not None and fit[0].size < lam.size:
+                lam, a = fit
+            lam.flags.writeable = a.flags.writeable = False
+            _MODES_CACHE[key] = lam, a
+        return _MODES_CACHE[key]
+
+    def _trapezoid(self, horizon: float, rtol: float) -> tuple:
+        """The trapezoid modes of relative error near rtol.  The x-range
+        leaves out at most rtol * mu(horizon) at small lam and, by the
+        sub-gamma tail bound of Gamma(q+1), an rtol share of mu' at large
+        lam."""
         q = 1.0 / (self.r - 1.0)
-        t = -math.log(MODES_RTOL)
+        t = -math.log(rtol)
         h = math.pi ** 2 / (t + 9.0) / max(1.0, math.sqrt(q / 2.0))
         x_lo = (math.lgamma(q + 1.0) - t) / q - math.log1p(horizon)
         x_hi = math.log(q + 1.0 + math.sqrt(2.0 * (q + 1.0) * t) + t)
@@ -145,12 +169,67 @@ class RelaxationKernel:
         # weights in log space: Gamma(q) overflows for r close to 1
         return lam, self.mu0 * h * np.exp(q * x - lam - math.lgamma(q))
 
+    def _fitted(self, horizon: float):
+        """Modes for [0, horizon] picked from the trapezoid of MODES_RTOL/10,
+        or None where they miss MODES_RTOL for mu or mu' on a check grid.
+
+        Each candidate is a vector of its terms relative to mu and to mu' on
+        FIT_NODES Chebyshev nodes of ln(1+s) (nodes where mu is not a normal
+        double left out).  Gram-Schmidt with pivoting picks candidates until
+        every residual is below FIT_RESIDUAL a node; the same sweep over the
+        target vector of ones gives the picked ones' least-squares weights.
+        The check grid holds the nodes, the midpoints between them, 0 and
+        400 geometric lags from 1e-6 to the horizon.
+        """
+        lam, a = self._trapezoid(horizon, 0.1 * MODES_RTOL)
+        u = 0.5 * math.log1p(horizon) * (
+            1.0 - np.cos(np.linspace(0.0, math.pi, 2 * FIT_NODES - 1)))
+        s = np.expm1(u)
+        s = s[self.mu(s) > 1e-300]
+        fit = s[::2]
+        # one row a candidate, one column a node relative to mu, then to mu';
+        # the last row is the target
+        R = np.empty((lam.size + 1, 2 * fit.size))
+        terms = np.exp(-np.outer(lam, fit))
+        terms *= a[:, None]
+        np.divide(terms, self.mu(fit), out=R[:-1, :fit.size])
+        terms *= lam[:, None]
+        np.divide(terms, -self.mu_prime(fit), out=R[:-1, fit.size:])
+        R[-1] = 1.0
+        norms = np.einsum("ij,ij->i", R[:-1], R[:-1])
+        stop = FIT_RESIDUAL ** 2 * R.shape[1]
+        picked, coef = [], []
+        while len(picked) < lam.size:
+            j = int(np.argmax(norms))
+            if norms[j] <= stop:
+                break
+            q = R[j] / math.sqrt(norms[j])
+            c = R @ q
+            R -= np.multiply.outer(c, q)
+            picked.append(j)
+            coef.append(c)
+            norms = np.einsum("ij,ij->i", R[:-1], R[:-1])
+            norms[picked] = -1.0
+        if not picked:
+            return None     # mu is no normal double on any node
+        coef = np.array(coef)
+        x = np.linalg.solve(coef[:, picked], coef[:, -1])
+        order = np.argsort(picked)
+        lam = lam[picked][order]
+        a = a[picked][order] * x[order]
+        check = np.concatenate([[0.0], np.geomspace(1e-6, horizon, 400), s])
+        check = check[self.mu(check) > 1e-300]
+        terms = np.exp(-np.outer(check, lam))
+        err = max(np.abs(terms @ a / self.mu(check) - 1.0).max(),
+                  np.abs(terms @ (a * lam) / self.mu_prime(check) + 1.0).max())
+        return (lam, a) if err <= MODES_RTOL else None
+
     @property
     def memory_horizon(self) -> float:
         """Lag where mu falls to MODES_RTOL * mu(0).  The modes of this
-        horizon err by at most about MODES_RTOL * (mu(s) + MODES_RTOL * mu(0))
-        at every lag, so a memory needs no longer horizon, however long the
-        run: its mode count is the kernel's."""
+        horizon, the trapezoid's, err by at most about MODES_RTOL * (mu(s) +
+        MODES_RTOL * mu(0)) at every lag, so a memory needs no longer
+        horizon, however long the run; a shorter one takes fewer modes."""
         if self.family == EXPONENTIAL:
             return -math.log(MODES_RTOL) / self.c
         return MODES_RTOL ** (1.0 - self.r) - 1.0

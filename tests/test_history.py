@@ -306,6 +306,45 @@ class TestMemoryIntegral:
                     oracle.memory_integral(u, weight, delta),
                     rel=1e-10, abs=1e-12)
 
+    def test_run_horizon_memory_matches_dense_oracle(self):
+        # the fewer modes of a run's horizon t_end + T0 + ds, here t_end = 2,
+        # agree with the row-by-row oracle at every lag up to that horizon
+        grid = grid_pi(30)
+        rng = np.random.default_rng(17)
+        datum = HistoryDatum.from_template(grid, 0.2, profile="ramp",
+                                           support_T0=0.3, mode="frozen")
+        horizon = 2.0 + 0.3 + 0.1
+        mem = MemoryState(datum, POLY15, ds=0.1, s_depth=0.5, horizon=horizon)
+        oracle = DenseMemory(datum, POLY15, ds=0.1, s_depth=0.5)
+        assert len(mem.lam) < len(POLY15.modes(POLY15.memory_horizon)[0])
+        for j in range(1, 21):
+            f = rng.standard_normal(grid.shape)
+            mem.push(f, j * 0.1)
+            oracle.push(f)
+        u = rng.standard_normal(grid.shape)
+        h1 = grid.h1_seminorm_sq(u)
+        for delta in (0.0, 0.05, 0.0999):
+            for weight in ("mu", "mu_prime"):
+                expected = oracle.convolution_field(u, delta, weight)
+                np.testing.assert_allclose(
+                    mem.convolution_field(u, delta, weight), expected,
+                    rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+                assert mem.scalar_convolution(weight, delta, h1) == \
+                    pytest.approx(oracle.scalar_convolution(weight, delta, h1),
+                                  rel=1e-12)
+
+    def test_push_past_horizon_raises(self):
+        grid = grid_pi(10)
+        datum = HistoryDatum.from_template(grid, 0.2, support_T0=0.3)
+        mem = MemoryState(datum, POLY15, ds=0.1, s_depth=0.5, horizon=1.05)
+        for j in range(1, 8):
+            mem.push(grid.zeros(), j * 0.1)
+        with pytest.raises(ValueError, match="horizon"):
+            mem.push(grid.zeros(), 0.8)
+        # without a horizon the modes hold at every lag
+        mem = MemoryState(datum, POLY15, ds=0.1, s_depth=0.5)
+        mem.push(grid.zeros(), 1e9)
+
     @pytest.mark.parametrize("kernel", [EXP11, POLY15], ids=["exp", "poly"])
     def test_quadrature_cache_stays_bounded(self, kernel):
         """Each dt halving doubles the lags a run visits between pushes; the

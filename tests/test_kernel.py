@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viscowave.kernel import KernelError, RelaxationKernel
+from viscowave.config import ScenarioConfig
+from viscowave.kernel import MODES_RTOL, KernelError, RelaxationKernel
+
+MODE_RATES = np.linspace(1.01, 1.999, 12)
+
+
+def mode_horizons(kernel):
+    # 5.05 is about the poly_memory benchmark's t_end + T0 + ds
+    return (1.0, 5.05, 50.0, 500.0, 1e4, kernel.memory_horizon)
 
 
 class TestExponential:
@@ -94,12 +102,12 @@ class TestPolynomial:
         assert C == pytest.approx(expected, rel=1e-15)
         assert C == pytest.approx(-k.mu_prime(0.0) / k.mu(0.0) ** r, rel=1e-15)
 
-    @pytest.mark.parametrize("r", np.linspace(1.01, 1.999, 12))
+    @pytest.mark.parametrize("r", MODE_RATES)
     def test_modes_relative_error(self, r):
         # sum_k a_k exp(-lam_k s) against mu and -a_k lam_k against mu', to
         # each horizon, wherever mu is still a normal double
         k = RelaxationKernel.polynomial(1.3, r)
-        for horizon in (1.0, 50.0, 500.0, 1e4, k.memory_horizon):
+        for horizon in mode_horizons(k):
             lam, a = k.modes(horizon)
             s = np.concatenate([[0.0], np.geomspace(1e-6, horizon, 400)])
             s = s[k.mu(s) > 1e-300]
@@ -107,6 +115,36 @@ class TestPolynomial:
             np.testing.assert_allclose(decay @ a, k.mu(s), rtol=1e-12, atol=0)
             np.testing.assert_allclose(-decay @ (a * lam), k.mu_prime(s),
                                        rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("r", MODE_RATES)
+    def test_fitted_modes_never_outnumber_the_trapezoid(self, r):
+        k = RelaxationKernel.polynomial(1.3, r)
+        for horizon in mode_horizons(k):
+            lam, a = k.modes(horizon)
+            assert lam.size <= k._trapezoid(horizon, MODES_RTOL)[0].size
+            assert not (lam.flags.writeable or a.flags.writeable)
+            assert k.modes(horizon)[0] is lam
+
+    def test_subnormal_kernel_keeps_the_trapezoid(self):
+        # mu(0) = 1e-300 leaves the fit no node where mu is a normal double
+        k = RelaxationKernel.polynomial(1e-300, 1.5)
+        lam, a = k.modes(5.0)
+        assert lam.size == k._trapezoid(5.0, MODES_RTOL)[0].size
+
+    def test_poly_memory_horizon_takes_few_modes(self):
+        # the benchmark's poly_memory run: t_end = 5 and one stride ds; the
+        # fit holds between the check grid's lags as well
+        cfg = ScenarioConfig(n=200, kernel_family="polynomial", r=1.5,
+                             extension="frozen", t_end=5.0, stride=8)
+        k = cfg.make_kernel()
+        horizon = 5.0 + cfg.stride * cfg.resolved_dt(cfg.make_grid(), k)
+        lam, a = k.modes(horizon)
+        assert lam.size <= 32
+        s = np.linspace(0.0, horizon, 20001)
+        decay = np.exp(-np.outer(s, lam))
+        np.testing.assert_allclose(decay @ a, k.mu(s), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(-decay @ (a * lam), k.mu_prime(s),
+                                   rtol=1e-12, atol=0)
 
     def test_r_out_of_range_rejected(self):
         with pytest.raises(KernelError):

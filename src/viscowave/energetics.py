@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import SpatialGrid
-from .kernel import RelaxationKernel
 from .history import MemoryState
 
 LEDGER_COLUMNS = [
@@ -145,56 +144,3 @@ def dissipation_monotone_check(ledger: EnergyLedger) -> dict:
         if np.any(np.diff(col) < 0):
             bad.append(name)
     return {"ok": not bad, "violations": bad}
-
-
-# ---------------------------------------------------------------------------
-# weak-form residual
-
-
-def variational_residual(trajectory, grid: SpatialGrid,
-                         kernel: RelaxationKernel, m: float, p: float,
-                         test_field: np.ndarray, test_profile,
-                         test_profile_dt) -> float:
-    """Discrete residual of the weak formulation for phi(x,t) = X(x)g(t).
-
-    ``trajectory`` is what ``run(config, trajectory=True)`` keeps: times, u,
-    v and conv (the mu convolution) per ledger row.  All time integrals use
-    the trapezoid rule on the output grid.
-    """
-    times = trajectory.times
-    X = grid.check(test_field)
-    g = np.array([float(test_profile(t)) for t in times])
-    gdot = np.array([float(test_profile_dt(t)) for t in times])
-
-    u_rows = trajectory.u
-    v_rows = trajectory.v
-    conv_rows = trajectory.conv
-
-    lapX = grid.laplacian(X)
-
-    def series(fn):
-        return np.array([fn(j) for j in range(len(times))])
-
-    # boundary terms
-    t_idx = len(times) - 1
-    term = (grid.inner(v_rows[t_idx], X) * g[t_idx]
-            - grid.inner(v_rows[0], X) * g[0])
-    # - int <u_t, phi_t>
-    integrand = series(lambda j: grid.inner(v_rows[j], X) * gdot[j])
-    term -= np.trapezoid(integrand, times)
-    # + k0 int <grad u, grad phi>   (summation by parts, exact)
-    integrand = series(lambda j: -grid.inner(u_rows[j], lapX) * g[j])
-    term += kernel.k0 * np.trapezoid(integrand, times)
-    # + int int k'(s) <grad u(tau - s), grad phi> ds dtau
-    #   = - int <grad conv(tau), grad phi(tau)> dtau
-    integrand = series(lambda j: -(-grid.inner(conv_rows[j], lapX)) * g[j])
-    term += np.trapezoid(integrand, times)
-    # + int <|u_t|^{m-1} u_t, phi>
-    integrand = series(lambda j: grid.inner(
-        np.abs(v_rows[j]) ** (m - 1.0) * v_rows[j], X) * g[j])
-    term += np.trapezoid(integrand, times)
-    # - int <|u|^{p-1} u, phi>
-    integrand = series(lambda j: grid.inner(
-        np.abs(u_rows[j]) ** (p - 1.0) * u_rows[j], X) * g[j])
-    term -= np.trapezoid(integrand, times)
-    return abs(float(term))

@@ -6,7 +6,8 @@ midpoint quadrature so that summation-by-parts holds exactly:
 
     -inner(laplacian(f), f) == h1_seminorm_sq(f)
 
-which makes the discrete energy identity a pure time-quadrature statement.
+which makes the discrete energy identity a pure time-quadrature statement;
+a step that holds lap u takes ||grad u||^2 from it (``h1_by_parts``).
 
 The Dirichlet Poisson solve needs NumPy alone: it works in the sine basis,
 which diagonalises the stencil exactly, and refines once on the residual.
@@ -108,13 +109,14 @@ class SpatialGrid:
 
     # -- differential operators --------------------------------------------
 
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        """Centered second-difference Laplacian with zero exterior values.
+    def laplacian(self, f: np.ndarray, out=None) -> np.ndarray:
+        """Centered second-difference Laplacian with zero exterior values,
+        into ``out`` (of f's shape) if given, else into a new array.
 
         ``f`` may carry leading stack axes, shape ``(..., *grid.shape)``:
         each field of the stack is differenced on its own, with the same
         elementwise arithmetic as one call per field, so one call takes the
-        Laplacian of u and of the memory's convolution together.
+        Laplacian of all the memory's support rows.
 
         Along the last axis of a 2-D grid both shifted adds run on each
         field's flat C-order row, one contiguous pass each instead of one
@@ -128,7 +130,9 @@ class SpatialGrid:
         if f.shape[f.ndim - self.dim:] != self.n:
             raise GridError(f"field shape {f.shape} does not match grid "
                             f"{self.shape}")
-        out = None
+        if out is not None and out.shape != f.shape:
+            raise GridError(f"out shape {out.shape} does not match {f.shape}")
+        acc = None
         for lo, up, first, last, h2, flat in self._stencils:
             if flat:
                 fv = f.reshape(f.shape[:-2] + (-1,))
@@ -141,15 +145,16 @@ class SpatialGrid:
                 dv[..., :-1] += fv[..., 1:]
                 d[last] = edge
             else:
-                d = -2.0 * f
+                # out is the first axis's array; never the flat one
+                d = np.multiply(f, -2.0, out=out if acc is None else None)
                 d[up] += f[lo]
                 d[lo] += f[up]
             d /= h2
-            if out is None:
-                out = d
+            if acc is None:
+                acc = d
             else:
-                out += d
-        return out
+                acc += d
+        return acc
 
     def h1_seminorm_sq(self, f: np.ndarray) -> float:
         """Sum over edges (incl. boundary edges) of squared differences.
@@ -172,6 +177,12 @@ class SpatialGrid:
             # each edge carries the edge length hi times the transverse measure
             total += float(sq) / h2 * self.cell_volume
         return total
+
+    def h1_by_parts(self, f: np.ndarray, lap_f: np.ndarray) -> float:
+        """||grad f||^2 as -inner(lap_f, f) for lap_f = laplacian(f), one dot
+        product.  The product is never positive but by rounding, so its
+        magnitude is taken: never below 0, and +0.0 for f = 0."""
+        return abs(float(np.vdot(lap_f, f))) * self.cell_volume
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         """Midpoint-quadrature L2 inner product."""

@@ -279,56 +279,38 @@ class MemoryEval(NamedTuple):
     """The memory at one lag, index 0 for mu and 1 for mu' throughout."""
 
     grid: SpatialGrid
-    conv: np.ndarray      # (2, *grid.shape): integral weight(s) u(t - s) ds
+    conv: np.ndarray      # (2, *grid.shape): lap integral weight(s) u(t-s) ds
     scalar: np.ndarray    # (2,): integral weight(s) ||grad u(t - s)||^2 ds
     total: np.ndarray     # (2,): integral weight(s) ds, the quadrature's Q
 
-    def integral(self, k: int, h1: float, lap_u: np.ndarray) -> float:
+    def integral(self, k: int, h1: float, u: np.ndarray) -> float:
         """integral weight_k(s) ||grad w(t, s)||^2 ds from h1 = ||grad u||^2
-        and lap u: the square expanded through bilinearity, so it agrees
-        with the row-by-row trapezoid to round-off, and
-        <grad u, grad conv> = -inner(lap u, conv) by summation by parts."""
-        return (self.total[k] * h1 + 2.0 * self.grid.inner(lap_u, self.conv[k])
-                + self.scalar[k])
+        and u: the square expanded through bilinearity, so it agrees with
+        the row-by-row trapezoid to round-off, and <grad u, grad conv> =
+        -inner(u, lap conv) by summation by parts, one dot product."""
+        inner = float(np.vdot(u, self.conv[k])) * self.grid.cell_volume
+        return self.total[k] * h1 + 2.0 * inner + self.scalar[k]
 
 
 class MemoryState:
     """The past of u as K exponential modes plus the extension field.
 
-    Each past field is the extension field (zero, or u0(-T0)) plus a
-    deviation D, which is zero beyond the history's support.  Logical row j,
-    the past field u(t_push - j*ds), sits on the node s = delta + j*ds at lag
-    delta = t - t_push after the latest push.  The deviations lie at lags up
-    to t + T0, so the memory takes the kernel's modes for its ``horizon``,
-    the last such lag it will be asked for (a push past it raises), or for
-    ``kernel.memory_horizon`` if that is shorter or ``horizon`` is None:
-    those modes hold at every lag.  With the modes
-    w(s) = sum_k b_k exp(-lam_k s) (b = a for mu, -a*lam for mu'), the
-    trapezoid sum of w over the rows' deviations is
-    sum_k b_k exp(-lam_k delta) (P_k + delta/2 D_0), where
-    P_k = sum_j c_j exp(-lam_k j ds) D_j with c_0 = ds/2 and c_j = ds beyond;
-    a push updates P in O(K N).  The extension field takes the whole
-    quadrature weight Q(delta): the trapezoid over the ``s_depth`` nodes, the
-    current field's node and the exact tail.
-
-    The state is one matrix ``M`` (K+5, N+1), which ``s_depth`` does not
-    grow and the horizon grows only through K, each row a field with its
-    ||grad||^2 as the last column, which the scalar convolution sums the same
-    way: the K modes P, D_0, the extension field, the current field u(t)
-    (the row ``field`` views), and the two product rows, the mu and mu'
-    convolutions.  Each lag keeps one entry (G, ev), G the (2, K+3) matrix
-    [b_k exp(-lam_k delta) | delta/2 sum_k | Q - now | now] for mu and mu',
-    now = delta/2 w(0) the current node's weight, and ev the evaluation that
-    views the product rows with Q.  ``evaluate`` takes the one product
-    G @ M[:-2] of a step into the product rows, so the current field and the
-    mu convolution are adjacent rows (``stack``) that one stacked Laplacian
-    takes at once; ``convolution_field``, ``scalar_convolution`` and
-    ``memory_integral`` take the same product into a new array.
+    Each row of the state ``M`` (K+5, 2N+1) is [field | lap field |
+    ||grad field||^2], and the rows are: the K modes
+    P_k = sum_j c_j exp(-lam_k j ds) D_j of the deviations D_j of the past
+    fields u(t_push - j*ds) from the extension field (c_0 = ds/2, c_j = ds
+    beyond), D_0, the extension field, the current field u(t) (``field``,
+    ``lap_field``) and two product rows.  The modes hold on lags up to
+    ``horizon``, which a push may not pass (``kernel.memory_horizon`` if
+    None or shorter).  ``evaluate`` takes G @ M[:-2] over the lap and h1
+    columns into the product rows: lap of the mu and mu' convolutions and
+    their scalars.  The field columns serve the views
+    ``convolution_field``, ``scalar_convolution`` and ``memory_integral``.
     """
 
     def __init__(self, datum: HistoryDatum, kernel: RelaxationKernel,
                  ds: float, s_depth: float, horizon: Optional[float] = None):
-        self.grid = datum.grid
+        self.grid = grid = datum.grid
         self.kernel = kernel
         self.ds = float(ds)
         self.depth = int(np.ceil(s_depth / ds - 1e-12))
@@ -341,34 +323,41 @@ class MemoryState:
         self.w0 = np.array([kernel.mu(0.0), kernel.mu_prime(0.0)])
         self.decay = np.exp(-self.lam * self.ds)[:, None]
         ext = datum.frozen_field()
-        ext = np.append(ext.ravel(), self.grid.h1_seminorm_sq(ext))
+        lap_ext = grid.laplacian(ext).ravel()
+        ext = np.append(ext.ravel(), grid.h1_seminorm_sq(ext))
         # the support's rows, j*ds <= min(T0, s_depth); the rows beyond it
         # are the extension field
         lags = self.ds * np.arange(
             int(min(datum.support_T0, s_depth) / self.ds + 1e-12) + 1)
-        dev = np.column_stack(datum.fields_at(-lags)) - ext
+        fields, h1 = datum.fields_at(-lags)
+        dev = np.column_stack([fields, h1]) - ext
+        lap_dev = grid.laplacian(fields.reshape(lags.shape + grid.shape))
+        lap_dev = lap_dev.reshape(lags.size, -1) - lap_ext
         coef = self.ds * np.exp(-np.outer(self.lam, lags))
         coef[:, 0] *= 0.5
-        self.M = np.vstack([coef @ dev, dev[0], ext,
-                            np.zeros((3, ext.size))])
+        N = grid.size
+        self.M = np.zeros((self.lam.size + 5, 2 * N + 1))
+        rows = np.vstack([coef @ dev, dev[0], ext])
+        self.M[:-3, :N], self.M[:-3, -1] = rows[:, :-1], rows[:, -1]
+        self.M[:-3, N:-1] = np.vstack([coef @ lap_dev, lap_dev[0], lap_ext])
         self.t_push = 0.0
         self._lags = {}
 
     @property
     def field(self) -> np.ndarray:
-        """The current field u(t), a view of the row ``evaluate`` reads; a
-        caller that steps u in place here hands it over without a copy."""
-        return self.M[-3, :-1].reshape(self.grid.shape)
+        """The current field u(t), a view of the current row."""
+        return self.M[-3, :self.grid.size].reshape(self.grid.shape)
 
     @property
-    def stack(self) -> np.ndarray:
-        """The current field and the mu convolution of the last
-        ``evaluate``, as one (2, *grid.shape) view of adjacent rows."""
-        return self.M[-3:-1, :-1].reshape((2,) + self.grid.shape)
+    def lap_field(self) -> np.ndarray:
+        """lap u(t), the view of the current row that ``evaluate`` reads."""
+        return self.M[-3, self.grid.size:-1].reshape(self.grid.shape)
 
-    def push(self, u: np.ndarray, t: float, h1: Optional[float] = None):
+    def push(self, u: np.ndarray, t: float, h1: Optional[float] = None,
+             lap_u: Optional[np.ndarray] = None):
         """Record u(t); t must advance by exactly one stride, and t + T0 stay
-        within the horizon.  Pass ``h1`` = ||grad u||^2 if held."""
+        within the horizon.  Pass ``h1`` = ||grad u||^2 and ``lap_u`` if
+        held."""
         if t + self.T0 > self.horizon:
             raise ValueError(f"push at t = {t} takes the history's lags past "
                              f"the memory's horizon {self.horizon}")
@@ -376,7 +365,10 @@ class MemoryState:
         # the old row 0 moves to node ds, where its weight doubles
         P += 0.5 * self.ds * D0
         P *= self.decay
-        D0[:-1] = self.grid.check(u).ravel()
+        N = self.grid.size
+        u = self.grid.check(u)
+        D0[:N] = u.ravel()
+        D0[N:-1] = (self.grid.laplacian(u) if lap_u is None else lap_u).ravel()
         D0[-1] = self.grid.h1_seminorm_sq(u) if h1 is None else h1
         D0 -= self.M[-4]
         P += 0.5 * self.ds * D0
@@ -384,7 +376,15 @@ class MemoryState:
 
     def _lag(self, delta: float) -> tuple:
         """(G, ev) at lag delta: G takes M to the convolutions, and ev views
-        the product rows with the weight's whole quadrature Q as its total."""
+        the product rows with the weight's whole quadrature Q as its total.
+
+        Row j sits on the node s = delta + j*ds.  With the modes
+        w(s) = sum_k b_k exp(-lam_k s) (b = a for mu, -a*lam for mu'), the
+        trapezoid of w over the deviations is
+        sum_k b_k exp(-lam_k delta) (P_k + delta/2 D_0); the extension field
+        takes Q(delta), the trapezoid over the depth's nodes, the current
+        node and the exact tail, less the current node's now = delta/2 w(0).
+        """
         entry = self._lags.get(delta)
         if entry is None:
             kern = self.kernel
@@ -400,49 +400,53 @@ class MemoryState:
             # row 0's first cell widens by delta
             G = np.column_stack([f, 0.5 * delta * f.sum(axis=1), total - now,
                                  now])
-            entry = self._lags[delta] = (G, self._eval_of(self.M[-2:], total))
+            N = self.grid.size
+            ev = MemoryEval(self.grid, self.M[-2:, N:-1].reshape(
+                (2,) + self.grid.shape), self.M[-2:, -1], total)
+            entry = self._lags[delta] = (G, ev)
         return entry
-
-    def _eval_of(self, product: np.ndarray, total: np.ndarray) -> MemoryEval:
-        return MemoryEval(self.grid,
-                          product[:, :-1].reshape(2, *self.grid.shape),
-                          product[:, -1], total)
 
     def evaluate(self, h1_now: float, delta: float = 0.0) -> MemoryEval:
         """Both weights' convolutions at lag delta, the current node taking
-        u(t) from ``field`` and h1_now = ||grad u(t)||^2.  The result views
-        the product rows, which the next ``evaluate`` overwrites."""
+        ``lap_field`` and h1_now = ||grad u(t)||^2.  The result views the
+        product rows, which the next ``evaluate`` overwrites."""
         G, ev = self._lag(delta)
         M = self.M
         M[-3, -1] = h1_now
-        np.matmul(G, M[:-2], out=M[-2:])
+        N = self.grid.size
+        np.matmul(G, M[:-2, N:], out=M[-2:, N:])
         return ev
 
     def _evaluate_at(self, u_now: np.ndarray, h1_now: float,
-                     delta: float) -> MemoryEval:
-        """``evaluate`` at u(t) = u_now, into a new array."""
+                     delta: float) -> tuple:
+        """The field convolutions (2, *grid.shape), their scalars and Q at
+        u(t) = u_now, into new arrays: G over the field and h1 columns."""
         G, ev = self._lag(delta)
         self.field[...] = self.grid.check(u_now)
         self.M[-3, -1] = h1_now
-        return self._eval_of(G @ self.M[:-2], ev.total)
+        product = G @ np.delete(self.M[:-2], np.s_[self.grid.size:-1], axis=1)
+        return (product[:, :-1].reshape((2,) + self.grid.shape),
+                product[:, -1], ev.total)
 
     # -- views --------------------------------------------------------------
 
     def convolution_field(self, u_now: np.ndarray, delta: float = 0.0,
                           weight: str = "mu") -> np.ndarray:
         """integral weight(s) * u(t - s) ds, including tail extension."""
-        return self._evaluate_at(u_now, 0.0, delta).conv[_WEIGHT_INDEX[weight]]
+        return self._evaluate_at(u_now, 0.0, delta)[0][_WEIGHT_INDEX[weight]]
 
     def scalar_convolution(self, weight: str, delta: float,
                            h1_now: float) -> float:
         """integral weight(s) * ||grad u(t-s)||^2 ds, including the tail."""
-        ev = self._evaluate_at(self.grid.zeros(), h1_now, delta)
-        return float(ev.scalar[_WEIGHT_INDEX[weight]])
+        scalar = self._evaluate_at(self.grid.zeros(), h1_now, delta)[1]
+        return float(scalar[_WEIGHT_INDEX[weight]])
 
     def memory_integral(self, u_now: np.ndarray, weight: str = "mu",
                         delta: float = 0.0) -> float:
         """integral weight(s) * ||grad w(t, s)||^2 ds with exact tail."""
         u_now = self.grid.check(u_now)
         h1 = self.grid.h1_seminorm_sq(u_now)
-        return float(self._evaluate_at(u_now, h1, delta).integral(
-            _WEIGHT_INDEX[weight], h1, self.grid.laplacian(u_now)))
+        k = _WEIGHT_INDEX[weight]
+        conv, scalar, total = self._evaluate_at(u_now, h1, delta)
+        return float(total[k] * h1 + 2.0 * self.grid.inner(
+            self.grid.laplacian(u_now), conv[k]) + scalar[k])

@@ -5,9 +5,10 @@
 
 by an operator-split leapfrog.  A step is a half-kick of v, implicit
 pointwise damping (in closed form for m = 1 and 3, by Newton otherwise)
-split symmetrically around the drift of u, a push of u onto the memory's
-s-grid, the force (one memory product gives the mu and mu' convolutions,
-one stacked Laplacian takes u and the mu convolution), the second
+split symmetrically around the drift of u, one Laplacian of u (into the
+memory's current row, ||grad u||^2 following by summation by parts), a push
+of u and lap u onto the memory's s-grid, the force (one memory product over
+the rows' Laplacians gives lap of the mu and mu' convolutions), the second
 half-kick and the diagnostics.  It costs O(K N) for the K memory modes of
 the run's horizon, t_end + T0 + ds.  The phases write into buffers in
 place, each with the operand order of the plain expression, so every value
@@ -173,13 +174,13 @@ class Trajectory:
     times: list = field(default_factory=list)
     u: list = field(default_factory=list)
     v: list = field(default_factory=list)
-    conv: list = field(default_factory=list)
+    lap_conv: list = field(default_factory=list)
 
-    def append(self, t, u, v, conv):
+    def append(self, t, u, v, lap_conv):
         self.times.append(float(t))
         self.u.append(u.copy())
         self.v.append(v.copy())
-        self.conv.append(conv.copy())
+        self.lap_conv.append(lap_conv.copy())
 
 
 @dataclass
@@ -205,10 +206,10 @@ class RunResult:
 def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     """Advance the scenario to t_end or blow-up.
 
-    With ``trajectory`` the result keeps u, v and the mu convolution at every
-    ledger row; it is an argument, not a config key, so that it leaves the
-    content hash alone.  Deterministic for a fixed config: fixed iteration
-    orders, no time-based seeding.
+    With ``trajectory`` the result keeps u, v and lap of the mu convolution
+    at every ledger row; it is an argument, not a config key, so that it
+    leaves the content hash alone.  Deterministic for a fixed config: fixed
+    iteration orders, no time-based seeding.
     """
     config.validate()
     grid = config.make_grid()
@@ -222,10 +223,11 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     memory = MemoryState(datum, kernel, ds, max(s_cap, ds),
                          horizon=config.t_end + datum.support_T0 + ds)
 
-    # u is stepped in place in the memory's current row
+    # u is stepped in place in the memory's current row, and lap u is
+    # taken into it
     u = memory.field
     u[...] = datum.value_at(0.0)
-    stack = memory.stack
+    lap_u = memory.lap_field
     v = datum.velocity_at_0.copy()
     F = np.empty(grid.shape)
     kick = np.empty(grid.shape)   # (dt/2) F
@@ -253,22 +255,21 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     visc_cum = 0.0
 
     def force(h1, delta):
-        """F = k0 lap u - lap conv (+ |u|^(p-1) u) into F, from
-        h1 = ||grad u||^2 at lag delta; returns the memory's evaluation, lap u
-        and the viscous power -(1/2) integral mu' ||grad w||^2 ds."""
+        """F = k0 lap u - lap conv (+ |u|^(p-1) u) into F, from lap u and
+        h1 = ||grad u||^2 at lag delta; returns the memory's evaluation and
+        the viscous power -(1/2) integral mu' ||grad w||^2 ds."""
         mem = memory.evaluate(h1, delta)
-        lap_u, lap_conv = grid.laplacian(stack)
         f = np.multiply(lap_u, k0, out=F)
-        f -= lap_conv
+        f -= mem.conv[0]
         if source:
             x = np.abs(u, out=work)
             x **= p - 1.0
             x *= u
             f += x
-        return mem, lap_u, -0.5 * mem.integral(1, h1, lap_u)
+        return mem, -0.5 * mem.integral(1, h1, u)
 
-    def record_row(t, v, mem, lap_u, h1):
-        mem_mu = mem.integral(0, h1, lap_u)
+    def record_row(t, v, mem, h1):
+        mem_mu = mem.integral(0, h1, u)
         sE = energetics.quadratic_energy(grid, u, v, memory, h1=h1,
                                          mem_mu=mem_mu)
         lp_pow = grid.lp_norm_pow(u, p + 1.0)
@@ -288,10 +289,10 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
 
     # initial diagnostics
     tick = 0
-    h1 = grid.h1_seminorm_sq(u)
-    mem, lap_u, visc_prev = force(h1, 0.0)
+    h1 = grid.h1_by_parts(u, grid.laplacian(u, out=lap_u))
+    mem, visc_prev = force(h1, 0.0)
     damp_prev = energetics.damping_power(grid, v, m) if damping else 0.0
-    record_row(0.0, v, mem, lap_u, h1)
+    record_row(0.0, v, mem, h1)
 
     # a datum at rest grows inside the well without blowing up: the
     # controller's scale is never below the well's gradient radius
@@ -322,13 +323,13 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
         tick += ticks_per_step
         step_index += 1
         t = tick * tick_dt
-        h1 = grid.h1_seminorm_sq(u)
+        h1 = grid.h1_by_parts(u, grid.laplacian(u, out=lap_u))
         # memory: push on the fixed s-grid
         if tick % ticks_per_push == 0:
-            memory.push(u, t, h1)
+            memory.push(u, t, h1, lap_u)
         delta = (tick % ticks_per_push) * tick_dt
         # force: second half-kick with the recomputed force
-        mem, lap_u, visc_now = force(h1, delta)
+        mem, visc_now = force(h1, delta)
         np.multiply(F, half_dt, out=kick)
         np.add(v, kick, out=v)
         damp_now = energetics.damping_power(grid, v, m) if damping else 0.0
@@ -351,7 +352,7 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
 
         steps_since_output += 1
         if steps_since_output >= config.output_every or tick >= total_ticks:
-            record_row(t, v, mem, lap_u, h1)
+            record_row(t, v, mem, h1)
             steps_since_output = 0
 
         # blow-up step controller
@@ -361,7 +362,7 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
                 flags["dt_exhausted"] = True
                 flags["stop_step"] = step_index
                 if steps_since_output:
-                    record_row(t, v, mem, lap_u, h1)
+                    record_row(t, v, mem, h1)
                 break
             halvings += 1
             flags["dt_halvings"] = halvings

@@ -212,8 +212,12 @@ class RelaxationKernel:
             norms[picked] = -1.0
         if not picked:
             return None     # mu is no normal double on any node
+        # a sweep leaves its picked row zero to rounding, so coef[:, picked]
+        # is upper triangular: back substitution, no LAPACK call
         coef = np.array(coef)
-        x = np.linalg.solve(coef[:, picked], coef[:, -1])
+        U, x = coef[:, picked], coef[:, -1]
+        for i in range(len(picked) - 1, -1, -1):
+            x[i] = (x[i] - U[i, i + 1:] @ x[i + 1:]) / U[i, i]
         order = np.argsort(picked)
         lam = lam[picked][order]
         a = a[picked][order] * x[order]

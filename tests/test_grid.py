@@ -274,6 +274,50 @@ def test_flat_last_axis_matches_pad_oracle_bitwise(case):
         lap.view(np.int64))
 
 
+class TestLaplacianOut:
+    @pytest.mark.parametrize("grid, shape", [
+        (line_grid(n=9, length=1.3), (9,)),
+        (SpatialGrid.rectangle((1.3, 0.7), (6, 7)), (6, 7)),
+        (SpatialGrid.rectangle((1.3, 0.7), (6, 7)), (3, 6, 7)),
+    ], ids=["1d", "2d", "stacked"])
+    def test_out_is_returned_bit_for_bit(self, grid, shape):
+        f = np.random.default_rng(3).standard_normal(shape)
+        out = np.full(shape, np.nan)
+        assert grid.laplacian(f, out=out) is out
+        np.testing.assert_array_equal(out.view(np.int64),
+                                      grid.laplacian(f).view(np.int64))
+
+    def test_out_of_another_shape_is_rejected(self):
+        grid = line_grid(n=9)
+        with pytest.raises(GridError, match="out shape"):
+            grid.laplacian(np.ones(9), out=np.empty((2, 9)))
+
+
+@st.composite
+def grid_and_normal_field(draw):
+    """A 1-D or 2-D grid and a field whose nonzero values, and their
+    products with the stencil's 1/h^2, stay normal doubles."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = tuple(draw(st.integers(3, 16)) for _ in range(dim))
+    extents = tuple(draw(st.floats(0.1, 10.0)) for _ in range(dim))
+    mag = st.floats(1e-3, 1e3)
+    f = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.just(0.0), mag, mag.map(lambda x: -x))))
+    return SpatialGrid.rectangle(extents, n), f
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_and_normal_field())
+def test_h1_by_parts_matches_edge_sum(case):
+    # the step's ||grad u||^2 = -<lap u, u>, one dot product given lap u
+    grid, f = case
+    h1 = grid.h1_by_parts(f, grid.laplacian(f))
+    assert h1 == pytest.approx(grid.h1_seminorm_sq(f), rel=1e-13, abs=0.0)
+    zero = grid.zeros()
+    h1 = grid.h1_by_parts(zero, grid.laplacian(zero))
+    assert h1 == 0.0 and math.copysign(1.0, h1) == 1.0
+
+
 class TestPoisson:
     def test_zero_rhs(self):
         g = line_grid(n=30)

@@ -399,14 +399,17 @@ class TestMemoryIntegral:
             mem.push(f, j * 0.1)
             oracle.push(f)
         u = rng.standard_normal(grid.shape)
-        h1, lap_u = grid.h1_seminorm_sq(u), grid.laplacian(u)
+        h1 = grid.h1_seminorm_sq(u)
         delta = 0.1 * lag
         mem.field[...] = u
+        grid.laplacian(u, out=mem.lap_field)
         ev = mem.evaluate(h1, delta)
         for k, weight in enumerate(("mu", "mu_prime")):
             # the modes match mu' to 1e-12 of its scale, so a node where the
-            # signed rows cancel errs by up to 1e-12 of the field's scale
-            expected = oracle.convolution_field(u, delta, weight)
+            # signed rows cancel errs by up to 1e-12 of the field's scale;
+            # the evaluation holds lap of the convolution
+            expected = grid.laplacian(oracle.convolution_field(u, delta,
+                                                               weight))
             np.testing.assert_allclose(
                 ev.conv[k], expected, rtol=1e-12,
                 atol=1e-12 * np.max(np.abs(expected)))
@@ -415,15 +418,30 @@ class TestMemoryIntegral:
                 abs=1e-300)
             assert ev.total[k] == pytest.approx(
                 oracle._weights(weight, delta)[2], rel=1e-13)
-            assert ev.integral(k, h1, lap_u) == pytest.approx(
-                oracle.memory_integral(u, weight, delta), rel=1e-10,
-                abs=1e-12)
-            # the public calls are views of the same evaluation
-            assert np.array_equal(mem.convolution_field(u, delta, weight),
-                                  ev.conv[k])
+            memory_integral = oracle.memory_integral(u, weight, delta)
+            assert ev.integral(k, h1, u) == pytest.approx(
+                memory_integral, rel=1e-10, abs=1e-12)
+            # the views take the same product over the field columns
+            np.testing.assert_allclose(
+                grid.laplacian(mem.convolution_field(u, delta, weight)),
+                ev.conv[k], rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
             assert mem.scalar_convolution(weight, delta, h1) == ev.scalar[k]
-            assert mem.memory_integral(u, weight, delta) == \
-                ev.integral(k, h1, lap_u)
+            assert mem.memory_integral(u, weight, delta) == pytest.approx(
+                memory_integral, rel=1e-10, abs=1e-12)
+
+    def test_push_takes_the_laplacian_it_is_not_given(self):
+        grid = SpatialGrid.rectangle((math.pi, 2.0), (7, 5))
+        datum = HistoryDatum.from_template(grid, 0.2, modes=(1, 2),
+                                           profile="ramp", support_T0=0.3)
+        given_, taken = (MemoryState(datum, POLY15, ds=0.1, s_depth=0.5)
+                         for _ in range(2))
+        f = np.random.default_rng(5).standard_normal(grid.shape)
+        given_.push(f, 0.1, grid.h1_seminorm_sq(f), grid.laplacian(f))
+        taken.push(f, 0.1)
+        assert np.array_equal(given_.M, taken.M)
+        # D_0 is the deviation from the zero extension: lap f itself
+        assert np.array_equal(given_.M[-5, grid.size:-1],
+                              grid.laplacian(f).ravel())
 
     @settings(max_examples=40, deadline=None)
     @given(kernel=st.sampled_from([EXP11, POLY15]),
@@ -450,10 +468,12 @@ class TestMemoryIntegral:
                 fresh.push(f, t)
             else:
                 mem.field[...] = f
+                grid.laplacian(f, out=mem.lap_field)
                 mem.evaluate(grid.h1_seminorm_sq(f), 0.1 * op)
         u = rng.standard_normal(grid.shape)
         h1 = grid.h1_seminorm_sq(u)
         mem.field[...] = fresh.field[...] = u
+        mem.lap_field[...] = fresh.lap_field[...] = grid.laplacian(u)
         a = mem.evaluate(h1, 0.1 * lag)
         b = fresh.evaluate(h1, 0.1 * lag)
         for field in ("conv", "scalar", "total"):

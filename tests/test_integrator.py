@@ -404,20 +404,23 @@ class TestRun:
     def test_finished_run_memory_size_independent_of_depth(self):
         # the polynomial frozen depth is 100 * t_end, yet the memory's arrays
         # have no axis of that depth, only the K modes of the run's horizon
-        # t_end + T0 + ds; the kept state still gives the last convolution
+        # t_end + T0 + ds, each row a field, its Laplacian and its
+        # ||grad||^2; the kept state still gives the last convolution
         def mode_count(t_end):
             cfg = quick_config(kernel_family="polynomial", r=1.5,
                                extension="frozen", t_end=t_end)
             res = run(cfg, trajectory=True)
             memory, u = res.state.memory, res.state.u
             conv = memory.convolution_field(u, res.state.t - memory.t_push)
-            np.testing.assert_allclose(conv, res.trajectory.conv[-1],
-                                       rtol=1e-12)
+            lap_conv = res.trajectory.lap_conv[-1]
+            np.testing.assert_allclose(
+                res.grid.laplacian(conv), lap_conv, rtol=1e-12,
+                atol=1e-12 * np.max(np.abs(lap_conv)))
             K, N = len(memory.lam), cfg.n
             assert {k: v.shape for k, v in vars(memory).items()
                     if isinstance(v, np.ndarray)} == {
                 "lam": (K,), "weights": (2, K), "w0": (2,), "decay": (K, 1),
-                "M": (K + 5, N + 1)}
+                "M": (K + 5, 2 * N + 1)}
             ds = memory.ds
             assert memory.horizon == t_end + cfg.support_T0 + ds
             assert np.array_equal(
@@ -446,8 +449,9 @@ class TestRun:
         assert result.state.step_index == stop_step
 
     def test_one_laplacian_seminorm_and_evaluation_per_step(self, monkeypatch):
-        # N steps and the initial diagnostics: N + 1 calls each, counted
-        # from the memory's construction on with the well constants cached
+        # N steps and the initial diagnostics: N + 1 Laplacians and
+        # evaluations, counted from the memory's construction on with the
+        # well constants cached; ||grad u||^2 comes from lap u by parts
         cfg = quick_config(t_end=0.5)
         run(cfg)
         counts = dict.fromkeys(["laplacian", "h1_seminorm_sq", "evaluate"], 0)
@@ -473,7 +477,8 @@ class TestRun:
         monkeypatch.setattr(MemoryState, "__init__", init_then_reset)
         steps = run(cfg).state.step_index
         assert steps > 10
-        assert counts == dict.fromkeys(counts, steps + 1)
+        assert counts == {"laplacian": steps + 1, "h1_seminorm_sq": 0,
+                          "evaluate": steps + 1}
 
     def test_datum_at_rest_needs_no_halvings(self, tmp_path):
         # u(0) = 0 with a small past: the memory sets the string moving and
@@ -545,33 +550,37 @@ GOLDEN = {
 
 
 # sha256 of ledger.csv for a 2-D run with m = 3, re-recorded when m = 3 took
-# the cubic's closed form and ||.||_4^4 became a squared square; later
-# changes must reproduce it byte for byte.  Its velocities are small enough
-# that some damping solves end at the certified guess and others take the
-# closed form.  Recorded on x86-64 with AVX-512 and NumPy 2.4.6; NumPy's
-# sinh, arcsinh and power (the source term's |u|^(p-1)) may round
-# differently where NumPy picks another SIMD routine.
+# the cubic's closed form and ||.||_4^4 became a squared square, and again,
+# with the digests below, when the step took ||grad u||^2 by parts from lap u
+# and the memory's rows their Laplacians (every column moved by at most
+# 2e-16 absolute, E by at most 6e-15 relative); later changes must reproduce
+# it byte for byte.  Its velocities are small enough that some damping solves
+# end at the certified guess and others take the closed form.  Recorded on
+# x86-64 with AVX-512 and NumPy 2.4.6; NumPy's sinh, arcsinh and power (the
+# source term's |u|^(p-1)) may round differently where NumPy picks another
+# SIMD routine.
 LEDGER_2D_M3 = (quick_config(dim=2, n=12, n_y=10, extent_y=2.0, t_end=2.0,
                              modes=(1, 2), m=3.0, output_every=1,
                              amplitude=0.003),
-                "2f26a995f28b87f58ef33f95561448d22b81ae012a1a3fc883104dce7eae93f6")
+                "6f883787785d04a3229e201c4eac5ff5e140419d4921ec8a86686326ace2aa25")
 
 # The same for three 1-D runs, a row per step.  With p = 3 every row holds
 # ||u||_4^4, so the m = 1 digests moved with the m = 3 ones.  The polynomial
 # one was re-recorded when the memory took the modes fitted to the run's
 # horizon (19 modes in place of 133; its columns moved by at most 1.5e-12
-# relative, the identity residual by 4e-17 absolute).
+# relative, the identity residual by 4e-17 absolute), and once more when the
+# mode fit's triangular solve became a back substitution.
 LEDGER_BYTES = {
     "exponential_m1_1d": (
         quick_config(output_every=1),
-        "2aeaf6ca71b87cfcf12c1ac492913af98ccf41180f81352b107e99f952fe949c"),
+        "8cec5e8a13b4f6513d4cf435e009e77cc3971bf327863d25a430a545b3084fae"),
     "polynomial_frozen_1d": (
         quick_config(n=60, t_end=2.0, kernel_family="polynomial", r=1.5,
                      extension="frozen", output_every=1),
-        "941fcefef5baec0d7f000a37c3e876c6dd819ccb89d9fd28bf46ad05aa17ca8f"),
+        "bb7f3c56722201b73afd417af10ddc6663702100623704f1bcdaa80fa374b684"),
     "exponential_m3_1d": (
         quick_config(m=3.0, output_every=1),
-        "b6edb60dcb9e3bed7af14046e2f9bde9c0a1e41292fcefd1eb96f2a7f12d909a"),
+        "58bcb03ccfd230e3fd64d68d88e67e07a66bed56cdc3f8c78fe362b8362a85a8"),
     "grid_2d_m3": LEDGER_2D_M3,
 }
 

@@ -337,9 +337,11 @@ def criterion_11(suite: Suite):
     rec = suite.run(w1_scenario())
     report = decay.comparison_check(rec.result.ledger, 1.0, 2.0, t_start=10.0)
     ok = closed_ok and ident_ok and report["ok"]
+    end = report["bracket_end"]
     return ok, (f"closed-form err {closed_err:.2e}; identity err "
                 f"{ident_err:.2e}; comparison ok={report['ok']} "
-                f"(C={report['calibrated_C']:.4g})")
+                f"(C={report['calibrated_C']:.4g}"
+                f"{f', at the bracket {end}' if end else ''})")
 
 
 def criterion_12(suite: Suite):

@@ -216,6 +216,9 @@ def predicted_rate(m: float, kernel_class: str, r: Optional[float] = None,
 # comparison check
 
 
+C_FLOOR, C_CAP = 1e-8, 1e8     # comparison_check's bracket for C
+
+
 def comparison_check(ledger: EnergyLedger, model_m: float, T_reiter: float,
                      t_start: float = 0.0, tol: float = 0.1,
                      use_psi: bool = False, r: Optional[float] = None,
@@ -225,7 +228,9 @@ def comparison_check(ledger: EnergyLedger, model_m: float, T_reiter: float,
     The perturbation constant is calibrated (by bisection on the ODE
     solution) so that S(1) matches the observed E at the first reiteration
     point; the bound is then tested at every further point covered by the
-    ledger.  The calibration is documented in the returned report.
+    ledger.  The calibration is documented in the returned report, with
+    ``bracket_end`` "floor" or "cap" where C sits at the bracket's 1e-8 or
+    1e8 end (the bound then calibrates no constant inside it), else None.
     """
     t = ledger.column("t")
     E = ledger.column("E")
@@ -236,7 +241,8 @@ def comparison_check(ledger: EnergyLedger, model_m: float, T_reiter: float,
                         for n in range(n_max + 1)])
     E0 = samples[0]
     if E0 <= 0:
-        return {"ok": True, "calibrated_C": None, "violations": [],
+        return {"ok": True, "calibrated_C": None, "bracket_end": None,
+                "violations": [],
                 "note": "E at window start is zero; bound holds trivially"}
 
     target = samples[1]
@@ -248,12 +254,12 @@ def comparison_check(ledger: EnergyLedger, model_m: float, T_reiter: float,
         return float(S[-1])
 
     # S(1) is increasing in C (larger perturbation -> slower comparison decay)
-    lo, hi = 1e-8, 1.0
+    lo, hi = C_FLOOR, 1.0
     if S1_for(lo) >= target:
         # the bisection would close on the bracket's lower end, to the bit
         C = lo
     else:
-        while S1_for(hi) < target and hi < 1e8:
+        while S1_for(hi) < target and hi < C_CAP:
             hi *= 10.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -273,7 +279,9 @@ def comparison_check(ledger: EnergyLedger, model_m: float, T_reiter: float,
         for n in range(n_max + 1)
         if samples[n] > S_at_n[n] * (1.0 + tol) + 1e-300
     ]
-    return {"ok": not violations, "calibrated_C": C, "n_points": n_max + 1,
+    bracket_end = {C_FLOOR: "floor", C_CAP: "cap"}.get(C)
+    return {"ok": not violations, "calibrated_C": C,
+            "bracket_end": bracket_end, "n_points": n_max + 1,
             "violations": violations, "t_start": t_start, "T": T_reiter}
 
 

@@ -134,13 +134,3 @@ def sandwich_check(ledger: EnergyLedger, p: float, tol: float = 1e-9) -> dict:
                 and E[j] <= sE[j] + slack[j]):
             violations.append({"row": j, "scriptE": sE[j], "E": E[j]})
     return {"ok": not violations, "violations": violations}
-
-
-def dissipation_monotone_check(ledger: EnergyLedger) -> dict:
-    """damp_cum and visc_cum never decrease (they are sums of nonnegatives)."""
-    bad = []
-    for name in ("damp_cum", "visc_cum"):
-        col = ledger.column(name)
-        if np.any(np.diff(col) < 0):
-            bad.append(name)
-    return {"ok": not bad, "violations": bad}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -118,43 +118,70 @@ class SpatialGrid:
         elementwise arithmetic as one call per field, so one call takes the
         Laplacian of all the memory's support rows.
 
-        Along the last axis of a 2-D grid both shifted adds run on each
-        field's flat C-order row, one contiguous pass each instead of one
-        per grid row; a stack whose fields are each contiguous is not
-        copied.  There the first column picks up the last node of the row
-        before and the last column the first node of the row after, so each
-        is saved before its add and restored after it: bit for bit the slice
-        stencil.
+        The grid keeps its last float ``f`` and ``out`` with their
+        ``_plan`` and reruns it while both are the same objects: a step
+        taking lap u into one buffer builds no view.  The plan reads f's
+        memory, so it sees f change in place; a plan that copies f is not
+        kept.
         """
-        f = np.asarray(f, dtype=float)
-        if f.shape[f.ndim - self.dim:] != self.n:
-            raise GridError(f"field shape {f.shape} does not match grid "
+        bound = self.__dict__.get("_bound")
+        if bound is not None and bound[0] is f and bound[1] is out:
+            for step in bound[2]:
+                step()
+            return out
+        a = np.asarray(f, dtype=float)
+        if a.shape[a.ndim - self.dim:] != self.n:
+            raise GridError(f"field shape {a.shape} does not match grid "
                             f"{self.shape}")
-        if out is not None and out.shape != f.shape:
-            raise GridError(f"out shape {out.shape} does not match {f.shape}")
-        acc = None
+        keep = out is not None and a is f
+        if out is None:
+            out = np.empty(a.shape)
+        elif out.shape != a.shape:
+            raise GridError(f"out shape {out.shape} does not match {a.shape}")
+        steps, views_f = self._plan(a, out)
+        for step in steps:
+            step()
+        if keep and views_f:
+            self.__dict__["_bound"] = (f, out, steps)
+        return out
+
+    def _plan(self, f: np.ndarray, out: np.ndarray) -> tuple:
+        """The ufunc calls, as bound partials, that take lap f into out, and
+        whether they read f's own memory.  The first axis differences into
+        out.  Along the last axis of a 2-D grid both shifted adds run on
+        each field's flat C-order row (a copy unless each field is
+        contiguous), one pass each, into a scratch field added to out; the
+        first column picks up the last node of the row before and the last
+        column the first node of the row after, so each is saved before its
+        add and restored after it: bit for bit the slice stencil.
+        """
+        steps, views_f = [], True
         for lo, up, first, last, h2, flat in self._stencils:
             if flat:
                 fv = f.reshape(f.shape[:-2] + (-1,))
-                dv = -2.0 * fv
+                views_f = np.may_share_memory(fv, f)
+                dv = np.empty(fv.shape)
                 d = dv.reshape(f.shape)
-                edge = d[first].copy()
-                dv[..., 1:] += fv[..., :-1]
-                d[first] = edge
-                edge = d[last].copy()
-                dv[..., :-1] += fv[..., 1:]
-                d[last] = edge
+                edges = np.empty(d[first].shape), np.empty(d[last].shape)
+                steps += [partial(np.multiply, fv, -2.0, dv),
+                          partial(np.copyto, edges[0], d[first]),
+                          partial(np.add, dv[..., 1:], fv[..., :-1],
+                                  dv[..., 1:]),
+                          partial(np.copyto, d[first], edges[0]),
+                          partial(np.copyto, edges[1], d[last]),
+                          partial(np.add, dv[..., :-1], fv[..., 1:],
+                                  dv[..., :-1]),
+                          partial(np.copyto, d[last], edges[1])]
             else:
-                # out is the first axis's array; never the flat one
-                d = np.multiply(f, -2.0, out=out if acc is None else None)
-                d[up] += f[lo]
-                d[lo] += f[up]
-            d /= h2
-            if acc is None:
-                acc = d
-            else:
-                acc += d
-        return acc
+                # the first axis, whose array is out
+                d = out
+                steps += [partial(np.multiply, f, -2.0, d),
+                          partial(np.add, d[up], f[lo], d[up]),
+                          partial(np.add, d[lo], f[up], d[lo])]
+            steps.append(partial(np.divide, d, h2, d))
+            if d is not out:
+                steps.append(partial(np.add, out, d, out))
+        return tuple(steps), views_f
 
     def h1_seminorm_sq(self, f: np.ndarray) -> float:
         """Sum over edges (incl. boundary edges) of squared differences.

@@ -375,8 +375,9 @@ class MemoryState:
         self.t_push = t
 
     def _lag(self, delta: float) -> tuple:
-        """(G, ev) at lag delta: G takes M to the convolutions, and ev views
-        the product rows with the weight's whole quadrature Q as its total.
+        """(G, ev, source, product) at lag delta: G takes M's source columns
+        to the convolutions in its product rows, and ev views the product
+        rows with the weight's whole quadrature Q as its total.
 
         Row j sits on the node s = delta + j*ds.  With the modes
         w(s) = sum_k b_k exp(-lam_k s) (b = a for mu, -a*lam for mu'), the
@@ -403,25 +404,24 @@ class MemoryState:
             N = self.grid.size
             ev = MemoryEval(self.grid, self.M[-2:, N:-1].reshape(
                 (2,) + self.grid.shape), self.M[-2:, -1], total)
-            entry = self._lags[delta] = (G, ev)
+            entry = self._lags[delta] = (G, ev, self.M[:-2, N:],
+                                         self.M[-2:, N:])
         return entry
 
     def evaluate(self, h1_now: float, delta: float = 0.0) -> MemoryEval:
         """Both weights' convolutions at lag delta, the current node taking
         ``lap_field`` and h1_now = ||grad u(t)||^2.  The result views the
         product rows, which the next ``evaluate`` overwrites."""
-        G, ev = self._lag(delta)
-        M = self.M
-        M[-3, -1] = h1_now
-        N = self.grid.size
-        np.matmul(G, M[:-2, N:], out=M[-2:, N:])
+        G, ev, source, product = self._lag(delta)
+        self.M[-3, -1] = h1_now
+        np.matmul(G, source, out=product)
         return ev
 
     def _evaluate_at(self, u_now: np.ndarray, h1_now: float,
                      delta: float) -> tuple:
         """The field convolutions (2, *grid.shape), their scalars and Q at
         u(t) = u_now, into new arrays: G over the field and h1 columns."""
-        G, ev = self._lag(delta)
+        G, ev = self._lag(delta)[:2]
         self.field[...] = self.grid.check(u_now)
         self.M[-3, -1] = h1_now
         product = G @ np.delete(self.M[:-2], np.s_[self.grid.size:-1], axis=1)

@@ -10,9 +10,10 @@ memory's current row, ||grad u||^2 following by summation by parts), a push
 of u and lap u onto the memory's s-grid, the force (one memory product over
 the rows' Laplacians gives lap of the mu and mu' convolutions), the second
 half-kick and the diagnostics.  It costs O(K N) for the K memory modes of
-the run's horizon, t_end + T0 + ds.  The phases write into buffers in
-place, each with the operand order of the plain expression, so every value
-is the same to the bit.
+the run's horizon, t_end + T0 + ds.  The phases write into buffers bound
+once a run (the grid keeps the Laplacian's views of u and lap u, the memory
+its product's), each with the operand order of the plain expression, so
+every value is the same to the bit; m = 1 damps in place.
 
 Near blow-up the step controller halves dt each time ||grad u|| doubles,
 down to dt0 / 2^10, then stops and flags.  Time is tracked in integer ticks
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -70,8 +72,9 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
         return a / (1.0 + dt)
     # as Python floats the scalar bounds overflow to inf or raise, never warn
     dt, m = float(dt), float(m)
+    absa = np.abs(a)
+    amax = float(absa.max()) if a.size else math.inf
     if m == 3.0 and a.size:
-        amax = max(float(a.max()), -float(a.min()))
         root3dt = math.sqrt(3.0 * dt)       # 1 / k
         scale = 1.5 * root3dt               # 3 / (2k)
         if scale * amax <= CUBIC_ARG_MAX:   # false for NaN and inf
@@ -81,7 +84,6 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
                 x *= dt
                 x += 1.0
                 return np.divide(a, x, out=x)
-            absa = np.abs(a)
             v = np.multiply(absa, scale)
             np.arcsinh(v, out=v)
             v /= 3.0
@@ -90,10 +92,8 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
             # where dt a^2 is tiny the rounding may land 1 ulp above |a|
             np.minimum(v, absa, out=v)
             return np.copysign(v, a, out=v)
-    absa = np.abs(a)
-    amax = y_max = math.inf
-    if absa.size:
-        amax = float(absa.max())
+    y_max = math.inf
+    if a.size:
         try:
             y_max = dt * amax ** (m - 1.0)
         except OverflowError:
@@ -153,6 +153,25 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float) -> np.ndarray:
     """
     w = damping_solve_field(v, 0.5 * tau, m)
     return np.subtract(np.multiply(w, 2.0, out=w), v, out=w)
+
+
+def _damp_linear_midpoint(v: np.ndarray, tau: float,
+                          work: np.ndarray) -> np.ndarray:
+    """_damp_midpoint(v, tau, 1.0) into v, by way of work: the same three
+    roundings, v / (1 + tau/2), doubled, less v."""
+    np.divide(v, 1.0 + 0.5 * tau, out=work)
+    work *= 2.0
+    return np.subtract(work, v, out=v)
+
+
+def _damping_power(v: np.ndarray, e: float, work: np.ndarray,
+                   cell_volume: float) -> float:
+    """energetics.damping_power of v for m = 2e - 1, by way of work: the
+    operations of grid.lp_norm_pow, without its checks."""
+    x = np.multiply(v, v, out=work)
+    if e != 1.0:
+        x **= e
+    return float(np.add.reduce(x, axis=None)) * cell_volume
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +256,11 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     damping = config.damping_enabled
     source = config.source_enabled
     k0 = kernel.k0
+    cell = grid.cell_volume
+    # m = 1 damps v in place
+    damp = (partial(_damp_linear_midpoint, work=work) if m == 1.0
+            else partial(_damp_midpoint, m=m))
+    power_e = 0.5 * (m + 1.0)
 
     # integer time ticks: 1 tick = dt0 / 2^MAX_DT_HALVINGS
     tick_dt = dt0 / 2 ** MAX_DT_HALVINGS
@@ -251,22 +275,21 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     flags = {"completed": False, "nonfinite": False, "dt_exhausted": False,
              "dt_halvings": 0}
 
-    damp_cum = 0.0
-    visc_cum = 0.0
+    damp_cum = visc_cum = 0.0
 
-    def force(h1, delta):
+    def force(mem, h1):
         """F = k0 lap u - lap conv (+ |u|^(p-1) u) into F, from lap u and
-        h1 = ||grad u||^2 at lag delta; returns the memory's evaluation and
-        the viscous power -(1/2) integral mu' ||grad w||^2 ds."""
-        mem = memory.evaluate(h1, delta)
+        mem at h1 = ||grad u||^2; returns the viscous power -(1/2) integral
+        mu' ||grad w||^2 ds, mem.integral(1, h1, u) on the bound row."""
         f = np.multiply(lap_u, k0, out=F)
-        f -= mem.conv[0]
+        f -= lap_conv_mu
         if source:
             x = np.abs(u, out=work)
             x **= p - 1.0
             x *= u
             f += x
-        return mem, -0.5 * mem.integral(1, h1, u)
+        inner = float(np.vdot(u, lap_conv_mup)) * cell
+        return -0.5 * (mem.total[1] * h1 + 2.0 * inner + mem.scalar[1])
 
     def record_row(t, v, mem, h1):
         mem_mu = mem.integral(0, h1, u)
@@ -290,8 +313,11 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     # initial diagnostics
     tick = 0
     h1 = grid.h1_by_parts(u, grid.laplacian(u, out=lap_u))
-    mem, visc_prev = force(h1, 0.0)
-    damp_prev = energetics.damping_power(grid, v, m) if damping else 0.0
+    mem = memory.evaluate(h1, 0.0)
+    # every evaluation writes the same product rows
+    lap_conv_mu, lap_conv_mup = mem.conv
+    visc_prev = force(mem, h1)
+    damp_prev = _damping_power(v, power_e, work, cell) if damping else 0.0
     record_row(0.0, v, mem, h1)
 
     # a datum at rest grows inside the well without blowing up: the
@@ -315,11 +341,11 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
         np.add(v, kick, out=v)
         # damp and drift: damping split symmetrically around the drift
         if damping:
-            v = _damp_midpoint(v, half_dt, m)
+            v = damp(v, half_dt)
         np.multiply(v, dt, out=work)
         np.add(u, work, out=u)
         if damping:
-            v = _damp_midpoint(v, half_dt, m)
+            v = damp(v, half_dt)
         tick += ticks_per_step
         step_index += 1
         t = tick * tick_dt
@@ -329,10 +355,11 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
             memory.push(u, t, h1, lap_u)
         delta = (tick % ticks_per_push) * tick_dt
         # force: second half-kick with the recomputed force
-        mem, visc_now = force(h1, delta)
+        mem = memory.evaluate(h1, delta)
+        visc_now = force(mem, h1)
         np.multiply(F, half_dt, out=kick)
         np.add(v, kick, out=v)
-        damp_now = energetics.damping_power(grid, v, m) if damping else 0.0
+        damp_now = _damping_power(v, power_e, work, cell) if damping else 0.0
 
         # ||grad u||^2 is non-finite wherever u is, and the damping power
         # wherever v is: the exact tests run only when a scalar says so

@@ -13,7 +13,7 @@ stiffness of the wave operator, and is a sum of decaying exponentials
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +33,6 @@ _MODES_CACHE: dict = {}
 
 class KernelError(ValueError):
     """Raised for ill-formed kernel parameters or out-of-domain arguments."""
-
-
-@dataclass(frozen=True)
-class DecayClassReport:
-    """Result of checking the admissibility conditions on a kernel."""
-
-    decay_class: str          # "exponential" or "polynomial"
-    r: float | None           # polynomial rate parameter, None for exponential
-    C: float                  # largest admissible decay constant
-    k0: float
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -238,10 +223,6 @@ class RelaxationKernel:
             return -math.log(MODES_RTOL) / self.c
         return MODES_RTOL ** (1.0 - self.r) - 1.0
 
-    def k_at(self, s):
-        """k(s) = 1 + tail_mass(s); strictly decreasing to k(inf) = 1."""
-        return 1.0 + self.tail_mass(s)
-
     @property
     def k0(self) -> float:
         """k(0) = 1 + total mass of mu."""
@@ -258,38 +239,3 @@ class RelaxationKernel:
         if self.family == EXPONENTIAL:
             return self.c
         return self.mu0 ** (1.0 - self.r) / (self.r - 1.0)
-
-    def validate_assumptions(self, n_samples: int = 200) -> DecayClassReport:
-        """Check positivity, monotonicity, and the decay-class inequality.
-
-        Samples a geometric grid in s; reports the first violating s for each
-        failed condition.
-        """
-        s_top = 6.0
-        if self.family == EXPONENTIAL:
-            # keep exp(-c*s) above the double-precision underflow threshold
-            s_top = min(s_top, math.log10(700.0 / self.c))
-        s = np.concatenate([[0.0], np.logspace(-6, s_top, n_samples)])
-        mu = self.mu(s)
-        mup = self.mu_prime(s)
-        C = self.decay_constant()
-        violations = []
-        if np.any(mu <= 0):
-            violations.append(("mu > 0", float(s[np.argmax(mu <= 0)])))
-        if np.any(mup > 0):
-            violations.append(("mu' <= 0", float(s[np.argmax(mup > 0)])))
-        if self.family == EXPONENTIAL:
-            bad = mup + C * mu > 1e-12 * np.maximum(1.0, mu)
-        else:
-            bad = mup + C * mu ** self.r > 1e-12 * np.maximum(1.0, mu)
-        if np.any(bad):
-            violations.append(("decay-class inequality", float(s[np.argmax(bad)])))
-        if not math.isfinite(self.tail_mass(0.0)):
-            violations.append(("mu in L1", 0.0))
-        return DecayClassReport(
-            decay_class=self.family,
-            r=self.r if self.family == POLYNOMIAL else None,
-            C=C,
-            k0=self.k0,
-            violations=violations,
-        )

@@ -218,6 +218,24 @@ class TestComparisonCheck:
         report = decay.comparison_check(led, 1.0, 1.0, tol=0.05)
         assert not report["ok"]
 
+    def test_bracket_end_reported(self):
+        # the w1 samples calibrate to the 1e-8 floor, a flat energy needs
+        # more than the 1e8 cap, and a model's own energy lies between
+        E = [float.fromhex(x) for x in W1_SAMPLES]
+        led = ledger_from_series(10.0 + 2.0 * np.arange(len(E)), E)
+        report = decay.comparison_check(led, 1.0, 2.0, t_start=10.0)
+        assert (report["calibrated_C"], report["bracket_end"]) == (1e-8,
+                                                                   "floor")
+        t = np.linspace(0.0, 10.0, 400)
+        for E, C, end in ((np.ones_like(t), 1e8, "cap"),
+                          (2.0 * np.exp(-t / 2.0), None, None)):
+            report = decay.comparison_check(ledger_from_series(t, E), 1.0,
+                                            1.0, tol=0.05)
+            assert report["bracket_end"] == end
+            assert C is None or report["calibrated_C"] == C
+        zero = ledger_from_series(t, np.zeros_like(t))
+        assert decay.comparison_check(zero, 1.0, 2.0)["bracket_end"] is None
+
     def test_needs_two_intervals(self):
         t = np.linspace(0.0, 1.0, 40)
         led = ledger_from_series(t, np.exp(-t))

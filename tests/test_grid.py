@@ -293,6 +293,91 @@ class TestLaplacianOut:
             grid.laplacian(np.ones(9), out=np.empty((2, 9)))
 
 
+BOUND_CASES = [
+    (line_grid(n=9, length=1.3), (9,)),
+    (SpatialGrid.rectangle((1.3, 0.7), (6, 7)), (6, 7)),
+    (SpatialGrid.rectangle((1.3, 0.7), (6, 7)), (3, 6, 7)),
+]
+
+
+def bits(a):
+    return a.view(np.int64)
+
+
+@pytest.mark.parametrize("grid, shape", BOUND_CASES,
+                         ids=["1d", "2d", "stacked"])
+class TestBoundLaplacian:
+    """The plan the grid keeps for its last (f, out) pair."""
+
+    def test_f_changed_in_place_gives_a_fresh_result(self, grid, shape):
+        rng = np.random.default_rng(5)
+        f, out = rng.standard_normal(shape), np.empty(shape)
+        grid.laplacian(f, out=out)
+        for _ in range(3):
+            f[...] = rng.standard_normal(shape)
+            out[...] = np.nan
+            assert grid.laplacian(f, out=out) is out
+            np.testing.assert_array_equal(bits(out),
+                                          bits(grid.laplacian(f.copy())))
+
+    def test_second_pair_replaces_the_first(self, grid, shape):
+        rng = np.random.default_rng(6)
+        f, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        out, out2 = np.empty(shape), np.empty(shape)
+        grid.laplacian(f, out=out)
+        lap_f = out.copy()
+        grid.laplacian(g, out=out2)
+        assert grid._bound[0] is g and grid._bound[1] is out2
+        np.testing.assert_array_equal(bits(out), bits(lap_f))
+        # the same f into another out, and another f into the same out
+        grid.laplacian(f, out=out2)
+        np.testing.assert_array_equal(bits(out2), bits(lap_f))
+        grid.laplacian(g, out=out)
+        np.testing.assert_array_equal(bits(out), bits(grid.laplacian(g)))
+
+    def test_no_plan_kept_without_out_or_for_a_converted_f(self, grid, shape):
+        # an integer field is converted on every call, so no plan reads a
+        # stale copy of it; a list likewise, and out=None keeps none
+        rng = np.random.default_rng(7)
+        f, out = rng.standard_normal(shape), np.empty(shape)
+        grid.laplacian(f, out=out)
+        bound = grid._bound
+        ints = rng.integers(-9, 9, shape)
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                bits(grid.laplacian(ints, out=out)),
+                bits(grid.laplacian(ints.astype(float))))
+            ints[...] = rng.integers(-9, 9, shape)
+        grid.laplacian(f.tolist(), out=out)
+        assert grid.laplacian(f) is not out
+        assert grid._bound is bound
+        f *= 2.0
+        np.testing.assert_array_equal(bits(grid.laplacian(f, out=out)),
+                                      bits(grid.laplacian(f.copy())))
+
+    def test_shape_checks_still_raise(self, grid, shape):
+        f, out = np.ones(shape), np.empty(shape)
+        grid.laplacian(f, out=out)
+        with pytest.raises(GridError, match="out shape"):
+            grid.laplacian(f, out=np.empty((2,) + shape))
+        with pytest.raises(GridError, match="does not match grid"):
+            grid.laplacian(np.ones(shape[:-1] + (shape[-1] + 1,)),
+                           out=out)
+        np.testing.assert_array_equal(grid.laplacian(f, out=out),
+                                      grid.laplacian(f))
+
+
+def test_plan_of_a_fortran_order_field_is_not_kept():
+    # its flat rows are a copy, which would not see f change
+    grid = SpatialGrid.rectangle((1.3, 0.7), (6, 7))
+    f = np.asfortranarray(np.random.default_rng(8).standard_normal((6, 7)))
+    out = np.empty((6, 7))
+    grid.laplacian(f, out=out)
+    f[2, 3] += 1.0
+    np.testing.assert_array_equal(bits(grid.laplacian(f, out=out)),
+                                  bits(grid.laplacian(np.ascontiguousarray(f))))
+
+
 @st.composite
 def grid_and_normal_field(draw):
     """A 1-D or 2-D grid and a field whose nonzero values, and their

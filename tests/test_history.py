@@ -378,7 +378,7 @@ class TestMemoryIntegral:
                              if isinstance(v, np.ndarray)}
         assert len(mem._lags) == len(lags)
         assert all(G.shape == (2, len(mem.lam) + 3) and ev.total.size == 2
-                   for G, ev in mem._lags.values())
+                   for G, ev, _, _ in mem._lags.values())
 
     @settings(max_examples=40, deadline=None)
     @given(kernel=st.sampled_from([EXP11, POLY15]),

@@ -104,8 +104,8 @@ class TestPolynomial:
         assert k_at(k, 1.0) == pytest.approx(1.5, rel=1e-14)
 
     def test_decay_constant(self):
-        # -mu'/mu^r is the constant 2 for this kernel, so the grid infimum
-        # must land on 2 up to round-off
+        # -mu'/mu^r is the constant 2 for this kernel, so no sampled lag
+        # may violate the inequality at C = 2
         k = RelaxationKernel.polynomial(1.0, 1.5)
         assert assumption_violations(k) == []
         assert k.decay_constant() == pytest.approx(2.0, rel=1e-9)

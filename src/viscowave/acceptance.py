@@ -18,7 +18,8 @@ from . import decay, energetics, wellconst
 from .config import ScenarioConfig
 from .decay import DecayModel
 from .grid import SpatialGrid
-from .history import Classification, HistoryDatum, classify, quadratic_part
+from .history import Classification, HistoryDatum, classify
+from .integrator import initial_terms
 from .runner import RunRecord, run_scenario
 
 RNG_SEED = 1234
@@ -137,15 +138,23 @@ def gamma_shooting_oracle(grid: SpatialGrid, p: float) -> float:
 # W2 datum construction for criterion 9
 
 
-def w2_datum(grid: SpatialGrid, kernel, p: float, d: float,
-             ds: float = 1e-2):
-    """Amplitude-sweep a ground-state-shaped datum into the unstable well."""
+def w2_datum(cfg: ScenarioConfig, grid: SpatialGrid, kernel, d: float):
+    """Amplitude-sweep a ground-state-shaped datum at rest into the unstable
+    well with cfg's memory, scaling the unit shape's row-0 terms (scriptE and
+    the quadratic part as A^2, lp_pow as A^(p+1)); returns it and scriptE."""
+    p = cfg.p
     shape = wellconst.ground_state(grid, p)
+    datum = HistoryDatum.from_template(grid, 1.0, modes=(1,))
+    datum.shape_field = shape
+    unit = initial_terms(cfg, datum, kernel)
+    quad1 = unit["nehari_gap"] + unit["lp_pow"]
     for A in np.geomspace(0.1, 100.0, 200):
-        datum = HistoryDatum.from_template(grid, 1.0, modes=(1,))
-        datum.shape_field = A * shape
-        if classify(datum, d, p, kernel, ds) is Classification.W2:
-            return datum
+        quad, lp_pow = A * A * quad1, A ** (p + 1.0) * unit["lp_pow"]
+        terms = {"nehari_gap": quad - lp_pow, "lp_pow": lp_pow,
+                 "I": 0.5 * quad - lp_pow / (p + 1.0)}
+        if classify(terms, d) is Classification.W2:
+            datum.shape_field = A * shape
+            return datum, float(A * A * unit["scriptE"])
     raise RuntimeError("no W2 amplitude found in the sweep range")
 
 
@@ -262,10 +271,9 @@ def criterion_9(suite: Suite):
     grid = cfg.make_grid()
     kernel = cfg.make_kernel()
     consts = wellconst.cached_constants(grid, cfg.p, kernel.k0)
-    datum = w2_datum(grid, kernel, cfg.p, consts.d)
+    datum, sE0 = w2_datum(cfg, grid, kernel, consts.d)
     grad0 = math.sqrt(grid.h1_seminorm_sq(datum.value_at(0.0)))
     radius = consts.gamma ** (-(cfg.p + 1.0) / (cfg.p - 1.0))
-    sE0 = 0.5 * quadratic_part(datum, kernel)
     ok = grad0 > radius and sE0 > consts.y0
     return ok, (f"grad0 {grad0:.4f} > radius {radius:.4f}: {grad0 > radius}; "
                 f"scriptE(0) {sE0:.4f} > y0 {consts.y0:.4f}: {sE0 > consts.y0}")

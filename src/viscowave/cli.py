@@ -22,7 +22,8 @@ from .config import ConfigError, ScenarioConfig, load, _parse_length, \
     _parse_modes
 from .energetics import EnergyLedger
 from .grid import SpatialGrid
-from .history import HistoryDatum, classify
+from .history import classify
+from .integrator import initial_terms
 from .kernel import RelaxationKernel
 from .runner import OutputExists, run_scenario
 
@@ -62,6 +63,12 @@ def parse_kernel_spec(spec: str) -> RelaxationKernel:
     raise SpecError(f"kernel spec must be exp:MU0:C or poly:C:R, got {spec!r}")
 
 
+def _kernel_fields(kernel: RelaxationKernel) -> dict:
+    """The ScenarioConfig fields of a parsed kernel spec."""
+    return dict(kernel_family=kernel.family, mu0=kernel.mu0,
+                c=kernel.c or 1.0, r=kernel.r or 1.5)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -91,17 +98,20 @@ def cmd_constants(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    """The class that ledger row 0 of a run of the datum records, with the
+    default [time] and [memory] settings."""
     grid = parse_grid_spec(args.grid)
     kernel = parse_kernel_spec(args.kernel)
-    if len(args.modes) != grid.dim:
-        raise SpecError(f"--modes needs one mode number per grid axis, got "
-                        f"{len(args.modes)} for a {grid.dim}-D grid")
-    datum = HistoryDatum.from_template(
-        grid, args.amplitude, modes=args.modes, profile=args.profile,
-        support_T0=args.support_t0, mode=args.extension,
-        ramp_rate=args.ramp_rate)
+    cfg = ScenarioConfig(
+        dim=grid.dim, **dict(zip(("extent", "extent_y"), grid.extents)),
+        **dict(zip(("n", "n_y"), grid.n)), **_kernel_fields(kernel),
+        p=args.p, amplitude=args.amplitude, modes=args.modes,
+        profile=args.profile, ramp_rate=args.ramp_rate,
+        support_T0=args.support_t0, extension=args.extension)
+    cfg.validate()
+    datum = cfg.make_history(grid)
     consts = wellconst.compute_constants(grid, args.p, kernel.k0)
-    verdict = classify(datum, consts.d, args.p, kernel)
+    verdict = classify(initial_terms(cfg, datum, kernel), consts.d)
     print(json.dumps({"classification": verdict.value, "d": consts.d,
                       "gamma": consts.gamma, "p": args.p, "k0": kernel.k0},
                      indent=2))
@@ -152,8 +162,7 @@ def cmd_sweep(args) -> int:
         for m in ms:
             for A in amplitudes:
                 cfg = replace(base, amplitude=A, m=m,
-                              kernel_family=kernel.family, mu0=kernel.mu0,
-                              c=kernel.c or 1.0, r=kernel.r or 1.5)
+                              **_kernel_fields(kernel))
                 record = run_scenario(cfg, persist=args.persist,
                                       force=args.force)
                 print(f"{A:g}\t{m:g}\t{kspec}\t{record.classification}\t"

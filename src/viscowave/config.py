@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import GridError, SpatialGrid
 from .kernel import KernelError, RelaxationKernel, EXPONENTIAL, POLYNOMIAL
-from .history import HistoryDatum, ZERO, FROZEN
+from .history import HistoryDatum, MemoryState, ZERO, FROZEN
 
 
 class ConfigError(ValueError):
@@ -103,6 +103,16 @@ class ScenarioConfig:
             support_T0=self.support_T0, mode=self.extension,
             ramp_rate=self.ramp_rate)
 
+    def make_memory(self, datum: HistoryDatum,
+                    kernel: RelaxationKernel) -> MemoryState:
+        """The memory a run of datum and its classification use: ds =
+        stride * dt, depth max(s_cap, ds), horizon t_end + T0 + ds (the last
+        step may pass t_end by under ds)."""
+        ds = self.stride * self.resolved_dt(datum.grid, kernel)
+        return MemoryState(datum, kernel, ds,
+                           max(self.resolved_s_cap(kernel), ds),
+                           horizon=self.t_end + datum.support_T0 + ds)
+
     def _cfl_bound(self, grid: SpatialGrid, kernel: RelaxationKernel) -> float:
         return self.cfl_safety * min(grid.h) / math.sqrt(kernel.k0)
 
@@ -110,14 +120,10 @@ class ScenarioConfig:
         return self.dt if self.dt > 0 else self._cfl_bound(grid, kernel)
 
     def resolved_s_cap(self, kernel: RelaxationKernel) -> float:
-        """Depth of the memory's s-grid quadrature; the exact tail covers
-        the lags beyond it.
-
-        Exponential: 50/c.  Compactly supported history: t_end + T0 suffices
-        since the zero-extension tail is exact beyond that depth.  Polynomial
-        frozen mode: depth with tail_mass <= 1e-10 * (k0 - 1), capped at
-        100 * t_end.
-        """
+        """Depth of the memory's s-grid quadrature, the exact tail beyond:
+        exponential 50/c, polynomial where tail_mass <= 1e-10 (k0 - 1) up to
+        100 t_end, and t_end + T0 at most for a zero extension, whose tail
+        is exact past it."""
         if self.extension == ZERO:
             compact = self.t_end + self.support_T0
         else:

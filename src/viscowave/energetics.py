@@ -25,15 +25,9 @@ LEDGER_COLUMNS = [
 # pointwise functionals
 
 
-def quadratic_energy(grid: SpatialGrid, u, v, memory: MemoryState,
-                     delta: float = 0.0, h1: float | None = None,
-                     mem_mu: float | None = None) -> float:
-    """scriptE = (||u_t||^2 + ||grad u||^2 + integral mu ||grad w||^2) / 2;
-    pass ``h1`` = ||grad u||^2 and ``mem_mu`` = the memory integral if held."""
-    if h1 is None:
-        h1 = grid.h1_seminorm_sq(u)
-    if mem_mu is None:
-        mem_mu = memory.memory_integral(u, "mu", delta)
+def quadratic_energy(grid: SpatialGrid, v, h1: float, mem_mu: float) -> float:
+    """scriptE = (||u_t||^2 + ||grad u||^2 + integral mu ||grad w||^2) / 2
+    from v = u_t, h1 = ||grad u||^2 and the memory term mem_mu."""
     return 0.5 * (grid.l2_norm_sq(v) + h1 + mem_mu)
 
 

@@ -1,5 +1,8 @@
 """History data on t <= 0, the fading memory, and well classification.
 
+``MemoryState`` is the one representation of the memory energy: ledger rows
+take their memory terms from it, and ``classify`` reads row 0's terms.
+
 The memory realizes ``w(t, s) = u(t) - u(t - s)`` on a uniform s-grid with
 spacing ``ds`` (a fixed multiple of the time step), with an exact closed-form
 tail beyond the covered depth, and keeps the past as a few exponential modes
@@ -35,6 +38,26 @@ class Classification(enum.Enum):
     W2 = "W2"
     ON_MANIFOLD = "OnM"
     OUTSIDE_WELL = "OutsideWell"
+
+
+def classify(terms, d: float) -> Classification:
+    """Classify a datum against the potential well at level d from the
+    ``nehari_gap``, ``lp_pow`` and ``I`` of its run's ledger row 0 (or of
+    ``integrator.initial_terms``, which equal them without the run).
+
+    The zero datum (gap and lp_pow 0) is W1 by convention.  On-manifold
+    (|gap| within ON_MANIFOLD_RTOL of the quadratic part gap + lp_pow) is
+    checked before the well level, so near-manifold data at the
+    mountain-pass level are not reported outside the well.
+    """
+    gap, lp_pow = terms["nehari_gap"], terms["lp_pow"]
+    if gap == 0.0 and lp_pow == 0.0:
+        return Classification.W1
+    if abs(gap) <= ON_MANIFOLD_RTOL * (gap + lp_pow):
+        return Classification.ON_MANIFOLD
+    if terms["I"] >= d:
+        return Classification.OUTSIDE_WELL
+    return Classification.W1 if gap > 0 else Classification.W2
 
 
 # ---------------------------------------------------------------------------
@@ -193,79 +216,6 @@ class HistoryDatum:
         if self.mode == ZERO:
             return self.grid.zeros()
         return self.value_at(-self.support_T0)
-
-
-# ---------------------------------------------------------------------------
-# datum-level functionals
-
-
-def _datum_memory_quadratic(datum: HistoryDatum, kernel: RelaxationKernel,
-                            ds: float) -> float:
-    """integral_0^inf ||grad(v(0) - v(-s))||^2 mu(s) ds for a history datum.
-
-    Trapezoid over the tabulated support plus the exact closed-form tail for
-    the extension mode.
-    """
-    grid = datum.grid
-    v0 = datum.value_at(0.0)
-    T0 = datum.support_T0
-    total = 0.0
-    s_edge = 0.0
-    if T0 > 0:
-        n = max(2, int(np.ceil(T0 / ds)) + 1)
-        s = np.linspace(0.0, T0, n)
-        vals = np.array([grid.h1_seminorm_sq(v0 - datum.value_at(-si))
-                         for si in s])
-        total += float(np.trapezoid(vals * kernel.mu(s), s))
-        s_edge = T0
-    tail_field = v0 - datum.frozen_field()
-    total += grid.h1_seminorm_sq(tail_field) * kernel.tail_mass(s_edge)
-    return total
-
-
-def quadratic_part(datum: HistoryDatum, kernel: RelaxationKernel,
-                   ds: float = 1e-2) -> float:
-    """||grad v(0)||^2 + integral ||grad(v(0)-v(-s))||^2 mu ds."""
-    v0 = datum.value_at(0.0)
-    return (datum.grid.h1_seminorm_sq(v0)
-            + _datum_memory_quadratic(datum, kernel, ds))
-
-
-def functional_I(datum: HistoryDatum, p: float, kernel: RelaxationKernel,
-                 ds: float = 1e-2) -> float:
-    """Potential functional: half the quadratic part minus the source term."""
-    v0 = datum.value_at(0.0)
-    return (0.5 * quadratic_part(datum, kernel, ds)
-            - datum.grid.lp_norm_pow(v0, p + 1.0) / (p + 1.0))
-
-
-def nehari_gap(datum: HistoryDatum, p: float, kernel: RelaxationKernel,
-               ds: float = 1e-2) -> float:
-    """Quadratic part minus ||v(0)||_{p+1}^{p+1}; sign splits W1 from W2."""
-    v0 = datum.value_at(0.0)
-    return (quadratic_part(datum, kernel, ds)
-            - datum.grid.lp_norm_pow(v0, p + 1.0))
-
-
-def classify(datum: HistoryDatum, d: float, p: float,
-             kernel: RelaxationKernel, ds: float = 1e-2) -> Classification:
-    """Classify a history datum against the potential well at level d.
-
-    The zero datum is W1 by convention.  On-manifold is declared when the gap
-    is below ON_MANIFOLD_RTOL relative to the quadratic part (checked before
-    the well-level test so that near-manifold data at the mountain-pass level
-    are reported as on-manifold rather than outside the well).
-    """
-    quad = quadratic_part(datum, kernel, ds)
-    if quad == 0.0:
-        return Classification.W1
-    lp_pow = datum.grid.lp_norm_pow(datum.value_at(0.0), p + 1.0)
-    gap = quad - lp_pow
-    if abs(gap) <= ON_MANIFOLD_RTOL * quad:
-        return Classification.ON_MANIFOLD
-    if 0.5 * quad - lp_pow / (p + 1.0) >= d:  # functional_I
-        return Classification.OUTSIDE_WELL
-    return Classification.W1 if gap > 0 else Classification.W2
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ memory's current row, ||grad u||^2 following by summation by parts), a push
 of u and lap u onto the memory's s-grid, the force (one memory product over
 the rows' Laplacians gives lap of the mu and mu' convolutions), the second
 half-kick and the diagnostics.  It costs O(K N) for the K memory modes of
-the run's horizon, t_end + T0 + ds.  The phases write into buffers bound
-once a run (the grid keeps the Laplacian's views of u and lap u, the memory
-its product's), each with the operand order of the plain expression, so
-every value is the same to the bit; m = 1 damps in place.
+the run's horizon, t_end + T0 + ds, which ``ScenarioConfig.make_memory``
+builds; ``initial_terms`` gives ledger row 0's terms without the run.  The
+phases write into buffers bound once a run (the grid keeps the Laplacian's
+views of u and lap u, the memory its product's), each with the operand
+order of the plain expression, so every value is the same to the bit; m = 1
+damps in place.
 
 Near blow-up the step controller halves dt each time ||grad u|| doubles,
 down to dt0 / 2^10, then stops and flags.  Time is tracked in integer ticks
@@ -222,6 +224,39 @@ class RunResult:
 # the run loop
 
 
+def _start(config: ScenarioConfig, datum: HistoryDatum,
+           kernel: RelaxationKernel) -> tuple:
+    """The run's memory, u0 and lap u0 in its current row (views a run steps
+    in place), h1 = ||grad u0||^2 by parts and the memory at lag 0."""
+    memory = config.make_memory(datum, kernel)
+    grid, u, lap_u = memory.grid, memory.field, memory.lap_field
+    u[...] = datum.value_at(0.0)
+    h1 = grid.h1_by_parts(u, grid.laplacian(u, out=lap_u))
+    return memory, u, lap_u, h1, memory.evaluate(h1, 0.0)
+
+
+def _row_terms(grid: SpatialGrid, u: np.ndarray, v: np.ndarray, mem,
+               h1: float, p: float, source: bool) -> dict:
+    """scriptE, E, I, lp_pow and nehari_gap of a ledger row, from
+    h1 = ||grad u||^2 and the memory evaluated at the row's lag."""
+    mem_mu = mem.integral(0, h1, u)
+    sE = energetics.quadratic_energy(grid, v, h1, mem_mu)
+    lp_pow = grid.lp_norm_pow(u, p + 1.0)
+    source_part = lp_pow / (p + 1.0) if source else 0.0
+    return {"scriptE": sE, "E": sE - source_part,
+            "I": 0.5 * (h1 + mem_mu) - source_part, "lp_pow": lp_pow,
+            "nehari_gap": h1 + mem_mu - lp_pow}
+
+
+def initial_terms(config: ScenarioConfig, datum: HistoryDatum,
+                  kernel: RelaxationKernel) -> dict:
+    """``_row_terms`` of ledger row 0 of a run of config from datum without
+    the run: the same memory and arithmetic, so equal to the bit."""
+    _, u, _, h1, mem = _start(config, datum, kernel)
+    return _row_terms(datum.grid, u, datum.velocity_at_0, mem, h1, config.p,
+                      config.source_enabled)
+
+
 def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     """Advance the scenario to t_end or blow-up.
 
@@ -236,17 +271,8 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     datum = config.make_history(grid)
 
     dt0 = config.resolved_dt(grid, kernel)
-    ds = config.stride * dt0
-    s_cap = config.resolved_s_cap(kernel)
-    # the last lag a run reaches: the last step may pass t_end by under ds
-    memory = MemoryState(datum, kernel, ds, max(s_cap, ds),
-                         horizon=config.t_end + datum.support_T0 + ds)
-
-    # u is stepped in place in the memory's current row, and lap u is
-    # taken into it
-    u = memory.field
-    u[...] = datum.value_at(0.0)
-    lap_u = memory.lap_field
+    # u and lap u are views of the memory's current row, stepped in place
+    memory, u, lap_u, h1, mem = _start(config, datum, kernel)
     v = datum.velocity_at_0.copy()
     F = np.empty(grid.shape)
     kick = np.empty(grid.shape)   # (dt/2) F
@@ -292,28 +318,17 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
         return -0.5 * (mem.total[1] * h1 + 2.0 * inner + mem.scalar[1])
 
     def record_row(t, v, mem, h1):
-        mem_mu = mem.integral(0, h1, u)
-        sE = energetics.quadratic_energy(grid, u, v, memory, h1=h1,
-                                         mem_mu=mem_mu)
-        lp_pow = grid.lp_norm_pow(u, p + 1.0)
-        source_part = lp_pow / (p + 1.0) if source else 0.0
-        E = sE - source_part
-        I = 0.5 * (h1 + mem_mu) - source_part
-        gap = h1 + mem_mu - lp_pow
-        E0 = ledger.E0 if len(ledger) else E
-        resid = abs(E + damp_cum + visc_cum - E0)
-        ledger.append(t=t, scriptE=sE, E=E, I=I,
-                      D_cum=damp_cum + visc_cum, damp_cum=damp_cum,
+        row = _row_terms(grid, u, v, mem, h1, p, source)
+        E0 = ledger.E0 if len(ledger) else row["E"]
+        resid = abs(row["E"] + damp_cum + visc_cum - E0)
+        ledger.append(t=t, D_cum=damp_cum + visc_cum, damp_cum=damp_cum,
                       visc_cum=visc_cum, grad_norm=math.sqrt(h1),
-                      lp_pow=lp_pow, nehari_gap=gap,
-                      identity_residual=resid)
+                      identity_residual=resid, **row)
         if kept is not None:
             kept.append(t, u, v, mem.conv[0])
 
     # initial diagnostics
     tick = 0
-    h1 = grid.h1_by_parts(u, grid.laplacian(u, out=lap_u))
-    mem = memory.evaluate(h1, 0.0)
     # every evaluation writes the same product rows
     lap_conv_mu, lap_conv_mup = mem.conv
     visc_prev = force(mem, h1)

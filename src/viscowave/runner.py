@@ -85,9 +85,8 @@ def run_scenario(config: ScenarioConfig,
                  force: bool = False,
                  out_root: Optional[Path] = None,
                  trajectory: bool = False) -> RunRecord:
-    """Run a scenario, classify its datum, and (optionally) persist artifacts;
-    ``trajectory`` is passed to ``integrator.run``."""
-    config.validate()
+    """Run a scenario, classify its datum from ledger row 0, and (optionally)
+    persist artifacts; ``trajectory`` is passed to ``integrator.run``."""
     t_start = time.monotonic()
     result = run(config, trajectory=trajectory)
     wall = time.monotonic() - t_start
@@ -95,8 +94,7 @@ def run_scenario(config: ScenarioConfig,
     constants = wellconst.cached_constants(result.grid, config.p,
                                            result.kernel.k0)
     if config.source_enabled:
-        cls = classify(result.datum, constants.d, config.p, result.kernel,
-                       ds=result.state.memory.ds).value
+        cls = classify(result.ledger.rows[0], constants.d).value
     else:
         cls = "W1"  # without the source the well is all of the phase space
 

@@ -6,6 +6,7 @@ the captured output on failure) and asserts the criterion passed.
 import pytest
 
 from viscowave import acceptance
+from viscowave.integrator import initial_terms
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +22,19 @@ def test_criterion(suite, number, title, fn):
     ok, detail = fn(suite)
     print(f"[{'PASS' if ok else 'FAIL'}] {number:2d} {title}: {detail}")
     assert ok, f"criterion {number} ({title}): {detail}"
+
+
+def test_row_zero_terms_need_no_run(suite):
+    # every acceptance scenario's run (those of the criteria above, cached
+    # in the suite): the datum's terms without a run, which classify its
+    # datum, are ledger row 0's to the bit
+    suite.suite_records()
+    for rec in suite._runs.values():
+        res = rec.result
+        terms = initial_terms(res.config, res.datum, res.kernel)
+        row = res.ledger.rows[0]
+        assert {k: float(v).hex() for k, v in terms.items()} == {
+            k: row[k].hex() for k in terms}
 
 
 def test_quick_suite_keeps_trajectories_of_criterion_13_runs_only(monkeypatch):

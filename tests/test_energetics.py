@@ -19,31 +19,38 @@ def memory_for(datum, ds=0.02, depth=30.0):
     return MemoryState(datum, EXP11, ds=ds, s_depth=depth)
 
 
+def scriptE_at_rest(datum, **memory_kwargs):
+    """scriptE of u = u0(0) at rest, the memory term from the datum's
+    memory at lag 0."""
+    grid = datum.grid
+    U = datum.value_at(0.0)
+    mem_mu = memory_for(datum, **memory_kwargs).memory_integral(U)
+    return energetics.quadratic_energy(grid, grid.zeros(),
+                                       grid.h1_seminorm_sq(U), mem_mu)
+
+
 class TestPointwiseFunctionals:
     def test_zero_state(self):
         grid = SpatialGrid.line(math.pi, 40)
         datum = HistoryDatum.from_template(grid, 0.0)
-        mem = memory_for(datum)
         z = grid.zeros()
-        assert energetics.quadratic_energy(grid, z, z, mem) == 0.0
-        assert (energetics.quadratic_energy(grid, z, z, mem)
+        assert scriptE_at_rest(datum) == 0.0
+        assert (scriptE_at_rest(datum)
                 - grid.lp_norm_pow(z, 4.0) / 4.0) == 0.0
 
     def test_constant_frozen_history(self):
         # w vanishes, so only the gradient term survives
         grid = SpatialGrid.line(math.pi, 120)
         datum = HistoryDatum.from_template(grid, 0.7, mode="frozen")
-        mem = memory_for(datum)
         U = datum.value_at(0.0)
-        sE = energetics.quadratic_energy(grid, U, grid.zeros(), mem)
+        sE = scriptE_at_rest(datum)
         assert sE == pytest.approx(0.5 * grid.h1_seminorm_sq(U), rel=1e-12)
 
     def test_step_history_doubles_gradient_part(self):
         grid = SpatialGrid.line(math.pi, 120)
         datum = HistoryDatum.from_template(grid, 0.7)
-        mem = memory_for(datum, ds=0.005, depth=40.0)
         U = datum.value_at(0.0)
-        sE = energetics.quadratic_energy(grid, U, grid.zeros(), mem)
+        sE = scriptE_at_rest(datum, ds=0.005, depth=40.0)
         # w jumps at s = 0+, so the first quadrature cell carries O(ds) error
         assert sE == pytest.approx(grid.h1_seminorm_sq(U), rel=5e-3)
 
@@ -52,10 +59,8 @@ class TestPointwiseFunctionals:
         small = HistoryDatum.from_template(grid, 0.05)
         big = HistoryDatum.from_template(grid, 5.0)
         for datum, sign in ((small, 1.0), (big, -1.0)):
-            mem = memory_for(datum)
             U = datum.value_at(0.0)
-            E = (energetics.quadratic_energy(grid, U, grid.zeros(), mem)
-                 - grid.lp_norm_pow(U, 4.0) / 4.0)
+            E = scriptE_at_rest(datum) - grid.lp_norm_pow(U, 4.0) / 4.0
             assert sign * E > 0
 
     def test_dissipation_increment_values(self):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from viscowave import wellconst
+from viscowave.config import ScenarioConfig
 from viscowave.grid import SpatialGrid
 from viscowave.history import (Classification, HistoryDatum, MemoryState,
-                               classify, functional_I, make_profile,
-                               nehari_gap, quadratic_part)
+                               classify, make_profile)
+from viscowave.integrator import initial_terms
 from viscowave.kernel import RelaxationKernel
 
 
@@ -534,10 +535,17 @@ class TestMemoryForce:
         assert oracle == pytest.approx(t - 1.0, rel=1e-6)
 
 
+def row0(datum, p=3.0):
+    """Ledger row 0's terms of datum on [0, pi] with EXP11, under the
+    default time and memory settings."""
+    cfg = ScenarioConfig(n=datum.grid.n[0], p=p)
+    return initial_terms(cfg, datum, EXP11)
+
+
 class TestDatumFunctionals:
     def test_functional_I_zero(self):
         datum = HistoryDatum.from_template(grid_pi(30), 0.0)
-        assert functional_I(datum, 3.0, EXP11) == 0.0
+        assert row0(datum)["I"] == 0.0
 
     def test_functional_I_constant_in_time(self):
         grid = grid_pi(120)
@@ -545,25 +553,14 @@ class TestDatumFunctionals:
         U = datum.value_at(0.0)
         expected = (0.5 * grid.h1_seminorm_sq(U)
                     - grid.lp_norm_pow(U, 4.0) / 4.0)
-        assert functional_I(datum, 3.0, EXP11) == pytest.approx(expected,
-                                                                rel=1e-12)
-
-    def test_functional_I_step_datum(self):
-        # v(0) = U with zero past: the memory term doubles the gradient part
-        grid = grid_pi(120)
-        datum = HistoryDatum.from_template(grid, 0.5)
-        U = datum.value_at(0.0)
-        expected = (grid.h1_seminorm_sq(U)
-                    - grid.lp_norm_pow(U, 4.0) / 4.0)
-        assert functional_I(datum, 3.0, EXP11) == pytest.approx(expected,
-                                                                rel=1e-12)
+        assert row0(datum)["I"] == pytest.approx(expected, rel=1e-12)
 
     def test_gap_sign_small_vs_large_amplitude(self):
         grid = grid_pi(100)
         small = HistoryDatum.from_template(grid, 1e-3)
         large = HistoryDatum.from_template(grid, 50.0)
-        assert nehari_gap(small, 3.0, EXP11) > 0
-        assert nehari_gap(large, 3.0, EXP11) < 0
+        assert row0(small)["nehari_gap"] > 0
+        assert row0(large)["nehari_gap"] < 0
 
 
 @pytest.fixture(scope="module")
@@ -577,16 +574,17 @@ class TestClassify:
     def test_zero_datum_is_w1(self, setup):
         grid, consts = setup
         datum = HistoryDatum.from_template(grid, 0.0)
-        assert classify(datum, consts.d, 3.0, EXP11) is Classification.W1
+        assert classify(row0(datum), consts.d) is Classification.W1
 
     def test_small_ground_state_is_w1(self, setup):
         grid, consts = setup
         shape = wellconst.ground_state(grid, 3.0)
         datum = HistoryDatum.from_template(grid, 1.0, mode="frozen")
         datum.shape_field = 0.05 * shape
-        assert nehari_gap(datum, 3.0, EXP11) > 0
-        assert functional_I(datum, 3.0, EXP11) < consts.d
-        assert classify(datum, consts.d, 3.0, EXP11) is Classification.W1
+        terms = row0(datum)
+        assert terms["nehari_gap"] > 0
+        assert terms["I"] < consts.d
+        assert classify(terms, consts.d) is Classification.W1
 
     def test_mountain_pass_datum_on_manifold(self, setup):
         # tilde v = ||u||_4^{-2} u with ||grad u|| = 1, constant in time:
@@ -596,9 +594,9 @@ class TestClassify:
         l4 = grid.lp_norm_pow(u, 4.0) ** 0.25
         datum = HistoryDatum.from_template(grid, 1.0, mode="frozen")
         datum.shape_field = u / l4 ** 2
-        assert classify(datum, consts.d, 3.0, EXP11) is Classification.ON_MANIFOLD
-        assert functional_I(datum, 3.0, EXP11) == pytest.approx(consts.d,
-                                                                rel=1e-6)
+        terms = row0(datum)
+        assert classify(terms, consts.d) is Classification.ON_MANIFOLD
+        assert terms["I"] == pytest.approx(consts.d, rel=1e-6)
 
     def test_w2_construction(self, setup):
         grid, consts = setup
@@ -607,22 +605,24 @@ class TestClassify:
         for A in np.geomspace(0.1, 100.0, 200):
             datum = HistoryDatum.from_template(grid, 1.0, mode="frozen")
             datum.shape_field = A * shape
-            if classify(datum, consts.d, 3.0, EXP11) is Classification.W2:
-                found = datum
+            terms = row0(datum)
+            if classify(terms, consts.d) is Classification.W2:
+                found = terms
                 break
         assert found is not None
-        assert nehari_gap(found, 3.0, EXP11) < 0
-        assert functional_I(found, 3.0, EXP11) < consts.d
+        assert found["nehari_gap"] < 0
+        assert found["I"] < consts.d
 
     def test_scale_covariance_unique_root(self, setup):
         grid, consts = setup
         datum = HistoryDatum.from_template(grid, 1.0, mode="frozen")
-        quad = quadratic_part(datum, EXP11)
+        terms = row0(datum)
+        quad = terms["nehari_gap"] + terms["lp_pow"]
         power = grid.lp_norm_pow(datum.value_at(0.0), 4.0)
 
         def gap_of(alpha):
             scaled = HistoryDatum.from_template(grid, alpha, mode="frozen")
-            return nehari_gap(scaled, 3.0, EXP11)
+            return row0(scaled)["nehari_gap"]
 
         # predicted root of alpha^2 quad - alpha^4 power
         alpha_star = math.sqrt(quad / power)
@@ -637,9 +637,16 @@ class TestClassify:
                 hi = mid
         assert 0.5 * (lo + hi) == pytest.approx(alpha_star, rel=1e-9)
 
+    def test_huge_datum_is_w2(self, setup):
+        # the quadratic part is below the rounding of lp_pow - gap: the zero
+        # test must not read it from them
+        grid, consts = setup
+        datum = HistoryDatum.from_template(grid, 1e9)
+        assert classify(row0(datum), consts.d) is Classification.W2
+
     def test_partition_is_total(self, setup):
         grid, consts = setup
         for A in (0.0, 0.01, 0.3, 1.0, 3.0, 30.0):
             datum = HistoryDatum.from_template(grid, A, mode="frozen")
-            verdict = classify(datum, consts.d, 3.0, EXP11)
+            verdict = classify(row0(datum), consts.d)
             assert verdict in Classification

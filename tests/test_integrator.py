@@ -13,7 +13,7 @@ from viscowave.config import ScenarioConfig, loads
 from viscowave.grid import SpatialGrid
 from viscowave.history import MemoryState
 from viscowave.integrator import (_damp_midpoint, damping_solve_field,
-                                  pointwise_damping_solve, run)
+                                  initial_terms, pointwise_damping_solve, run)
 from viscowave.runner import run_scenario
 
 
@@ -565,6 +565,10 @@ def test_random_scenarios_are_benign_and_reproducible(cfg):
     assert record.result.flags["completed"]
     assert record.result.flags["dt_halvings"] == 0
     assert record.classification == "W1"
+    # the terms that classify the datum are ledger row 0's, bit for bit
+    terms = initial_terms(cfg, record.result.datum, record.result.kernel)
+    assert {k: float(v).hex() for k, v in terms.items()} == {
+        k: ledger.rows[0][k].hex() for k in terms}
     assert run(loads(cfg.to_ini())).ledger.to_csv() == ledger.to_csv()
 
 

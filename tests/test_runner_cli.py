@@ -142,6 +142,34 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["classification"] == "W1"
 
+    # a step in time at the exponential kernel, at amplitudes whose class
+    # the first memory cell decides (a quadrature integrating the jump
+    # exactly reads OutsideWell at both); a past on the support and a
+    # fitted polynomial memory
+    STEP = ("exp:1:1", [], {})
+    RAMP = ("poly:1:1.5", ["--profile", "ramp", "--support-t0", "0.5",
+                           "--extension", "frozen"],
+            dict(kernel_family="polynomial", r=1.5, profile="ramp",
+                 support_T0=0.5, extension="frozen"))
+
+    @pytest.mark.parametrize("datum, amplitude, expected", [
+        (STEP, 0.59, "W1"), (STEP, 2.23, "W2"), (RAMP, 0.1, "W1"),
+        (RAMP, 1.0, "OutsideWell"), (RAMP, 3.0, "W2")],
+        ids=["step-0.59", "step-2.23", "ramp-0.1", "ramp-1", "ramp-3"])
+    def test_classify_reports_the_class_a_run_records(self, capsys, datum,
+                                                      amplitude, expected):
+        # with the default [time] and [memory] settings
+        kernel, flags, fields = datum
+        rc = cli.main(["classify", "--p", "3", "--grid", "1d:pi:40",
+                       "--kernel", kernel, "--amplitude", str(amplitude),
+                       *flags])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        cfg = ScenarioConfig(n=40, amplitude=amplitude, **fields)
+        with np.errstate(all="ignore"):
+            record = run_scenario(cfg)
+        assert out["classification"] == record.classification == expected
+
     def test_classify_mode_count_exits_usage(self, capsys):
         assert cli.main(["classify", "--p", "3", "--grid", "2d:pi:pi:8:8",
                          "--kernel", "exp:1:1", "--amplitude", "0.1"]) == 1

@@ -616,14 +616,36 @@ LEDGER_BYTES = {
         quick_config(m=3.0, output_every=1),
         "58bcb03ccfd230e3fd64d68d88e67e07a66bed56cdc3f8c78fe362b8362a85a8"),
     "grid_2d_m3": LEDGER_2D_M3,
+    # Branches of the step the runs above leave out, recorded before the
+    # step loop was rewritten with fewer calls per step: p = 2 (the source's
+    # power 1), the Newton damping (m = 1.5), no damping, no source, and a
+    # run whose controller halves dt to exhaustion, which recomputes the
+    # kick on each halving and records the stop row.
+    "source_p2_1d": (
+        quick_config(p=2.0, output_every=1),
+        "33362e6b64274cff63880a8afd1c97fcd28ac1c3673b5e9d1d8b5b2d105c80ad"),
+    "newton_m1.5_1d": (
+        quick_config(m=1.5, output_every=1),
+        "c6101dc3cd12869ec495dc09b5a6ea2a81604af0408a7463012818aee21ce60a"),
+    "undamped_1d": (
+        quick_config(damping_enabled=False, output_every=1),
+        "9b8192cc0cc44fc40019ebaeb1cea7e077d8b925e0ae3609bc4d677813ed7bf1"),
+    "sourceless_1d": (
+        quick_config(source_enabled=False, output_every=1),
+        "084ea9a49f991bacbe1e1e4485f3ef000b489e0b48cb2e9998ddbdc2418155b9"),
+    "halving_1d": (
+        quick_config(amplitude=2.0, output_every=1),
+        "e0b7c2d23cdf2ddbcd73c8eeaaab830e61ce55b804d7ff3b21dfc4fe8051093c"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LEDGER_BYTES))
 def test_golden_ledger_bytes(name):
     cfg, digest = LEDGER_BYTES[name]
-    csv_text = run(cfg).ledger.to_csv()
+    result = run(cfg)
+    csv_text = result.ledger.to_csv()
     assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
+    assert (result.flags["dt_halvings"] > 0) == (name == "halving_1d")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

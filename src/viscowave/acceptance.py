@@ -53,14 +53,14 @@ def global_scenario(t_end: float = 100.0) -> ScenarioConfig:
 
 
 def blowup_scenario(t_end: float = 50.0) -> ScenarioConfig:
-    """Amplitude swept upward until the total energy starts negative."""
+    """Amplitude swept upward until E of the run's ledger row 0 is < 0."""
     base = replace(w1_scenario(t_end=t_end), output_every=20)
+    grid, kernel = base.make_grid(), base.make_kernel()
     A = 1.0
     for _ in range(30):
-        probe = replace(base, amplitude=A, t_end=0.0)
-        rec = run_scenario(probe)
-        if rec.result.ledger.E0 < 0.0:
-            return replace(base, amplitude=A)
+        cfg = replace(base, amplitude=A)
+        if initial_terms(cfg, cfg.make_history(grid), kernel)["E"] < 0.0:
+            return cfg
         A *= 1.5
     raise RuntimeError("amplitude sweep failed to reach negative energy")
 

@@ -19,6 +19,7 @@ LEDGER_COLUMNS = [
     "t", "scriptE", "E", "I", "D_cum", "damp_cum", "visc_cum",
     "grad_norm", "lp_pow", "nehari_gap", "identity_residual",
 ]
+_COLUMN_SET = frozenset(LEDGER_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +59,9 @@ class EnergyLedger:
     rows: list = field(default_factory=list)
 
     def append(self, **kwargs):
-        if set(kwargs) != set(LEDGER_COLUMNS):
-            missing = set(LEDGER_COLUMNS) - set(kwargs)
-            extra = set(kwargs) - set(LEDGER_COLUMNS)
+        if kwargs.keys() != _COLUMN_SET:
+            missing = _COLUMN_SET - kwargs.keys()
+            extra = kwargs.keys() - _COLUMN_SET
             raise ValueError(f"ledger row mismatch: missing={missing}, extra={extra}")
         self.rows.append({k: float(kwargs[k]) for k in LEDGER_COLUMNS})
 

@@ -217,7 +217,9 @@ class SpatialGrid:
                 * self.cell_volume)
 
     def l2_norm_sq(self, f: np.ndarray) -> float:
-        return self.inner(f, f)
+        """inner(f, f), with f checked once."""
+        f = self.check(f)
+        return float(np.add.reduce(f * f, axis=None)) * self.cell_volume
 
     def lp_norm_pow(self, f: np.ndarray, q: float) -> float:
         """||f||_q^q by midpoint quadrature; requires q >= 1."""

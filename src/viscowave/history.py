@@ -362,9 +362,9 @@ class MemoryState:
         """Both weights' convolutions at lag delta, the current node taking
         ``lap_field`` and h1_now = ||grad u(t)||^2.  The result views the
         product rows, which the next ``evaluate`` overwrites."""
-        G, ev, source, product = self._lag(delta)
+        G, ev, source, product = self._lags.get(delta) or self._lag(delta)
         self.M[-3, -1] = h1_now
-        np.matmul(G, source, out=product)
+        np.matmul(G, source, product)
         return ev
 
     def _evaluate_at(self, u_now: np.ndarray, h1_now: float,

@@ -11,11 +11,15 @@ of u and lap u onto the memory's s-grid, the force (one memory product over
 the rows' Laplacians gives lap of the mu and mu' convolutions), the second
 half-kick and the diagnostics.  It costs O(K N) for the K memory modes of
 the run's horizon, t_end + T0 + ds, which ``ScenarioConfig.make_memory``
-builds; ``initial_terms`` gives ledger row 0's terms without the run.  The
-phases write into buffers bound once a run (the grid keeps the Laplacian's
-views of u and lap u, the memory its product's), each with the operand
-order of the plain expression, so every value is the same to the bit; m = 1
-damps in place.
+builds; ``initial_terms`` gives ledger row 0's terms without the run.
+
+On small grids a step costs its calls, not its arithmetic.  So the kicks,
+the drift, the m = 1 damping (in place), the force and both powers run
+inline on ufuncs bound once a run, into buffers bound once a run, each with
+the operand order of the plain expression: every value is the same to the
+bit.  dt, dt/2, the m = 1 divisor 1 + dt/4 and the first half-kick's
+(dt/2) F are computed once per dt.  A step still calls ``grid.laplacian``
+and ``memory.evaluate`` once each, which keep their bound views.
 
 Near blow-up the step controller halves dt each time ||grad u|| doubles,
 down to dt0 / 2^10, then stops and flags.  Time is tracked in integer ticks
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -157,25 +160,6 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float) -> np.ndarray:
     return np.subtract(np.multiply(w, 2.0, out=w), v, out=w)
 
 
-def _damp_linear_midpoint(v: np.ndarray, tau: float,
-                          work: np.ndarray) -> np.ndarray:
-    """_damp_midpoint(v, tau, 1.0) into v, by way of work: the same three
-    roundings, v / (1 + tau/2), doubled, less v."""
-    np.divide(v, 1.0 + 0.5 * tau, out=work)
-    work *= 2.0
-    return np.subtract(work, v, out=v)
-
-
-def _damping_power(v: np.ndarray, e: float, work: np.ndarray,
-                   cell_volume: float) -> float:
-    """energetics.damping_power of v for m = 2e - 1, by way of work: the
-    operations of grid.lp_norm_pow, without its checks."""
-    x = np.multiply(v, v, out=work)
-    if e != 1.0:
-        x **= e
-    return float(np.add.reduce(x, axis=None)) * cell_volume
-
-
 # ---------------------------------------------------------------------------
 # state and results
 
@@ -280,21 +264,23 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
 
     m, p = config.m, config.p
     damping = config.damping_enabled
+    linear = damping and m == 1.0
     source = config.source_enabled
     k0 = kernel.k0
     cell = grid.cell_volume
-    # m = 1 damps v in place
-    damp = (partial(_damp_linear_midpoint, work=work) if m == 1.0
-            else partial(_damp_midpoint, m=m))
-    power_e = 0.5 * (m + 1.0)
+    power_e, source_e = 0.5 * (m + 1.0), p - 1.0
+    # every evaluation writes the same product rows
+    lap_conv_mu, lap_conv_mup = mem.conv
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    absolute, vdot, reduce = np.abs, np.vdot, np.add.reduce
+    laplacian, h1_by_parts = grid.laplacian, grid.h1_by_parts
+    evaluate = memory.evaluate
 
     # integer time ticks: 1 tick = dt0 / 2^MAX_DT_HALVINGS
     tick_dt = dt0 / 2 ** MAX_DT_HALVINGS
     ticks_per_push = config.stride * 2 ** MAX_DT_HALVINGS
-    halvings = 0
-    dt = dt0
-
     total_ticks = int(round(config.t_end / tick_dt))
+    output_every = config.output_every
 
     ledger = EnergyLedger()
     kept = Trajectory() if trajectory else None
@@ -302,20 +288,6 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
              "dt_halvings": 0}
 
     damp_cum = visc_cum = 0.0
-
-    def force(mem, h1):
-        """F = k0 lap u - lap conv (+ |u|^(p-1) u) into F, from lap u and
-        mem at h1 = ||grad u||^2; returns the viscous power -(1/2) integral
-        mu' ||grad w||^2 ds, mem.integral(1, h1, u) on the bound row."""
-        f = np.multiply(lap_u, k0, out=F)
-        f -= lap_conv_mu
-        if source:
-            x = np.abs(u, out=work)
-            x **= p - 1.0
-            x *= u
-            f += x
-        inner = float(np.vdot(u, lap_conv_mup)) * cell
-        return -0.5 * (mem.total[1] * h1 + 2.0 * inner + mem.scalar[1])
 
     def record_row(t, v, mem, h1):
         row = _row_terms(grid, u, v, mem, h1, p, source)
@@ -327,90 +299,115 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
         if kept is not None:
             kept.append(t, u, v, mem.conv[0])
 
-    # initial diagnostics
-    tick = 0
-    # every evaluation writes the same product rows
-    lap_conv_mu, lap_conv_mup = mem.conv
-    visc_prev = force(mem, h1)
-    damp_prev = _damping_power(v, power_e, work, cell) if damping else 0.0
     record_row(0.0, v, mem, h1)
-
     # a datum at rest grows inside the well without blowing up: the
     # controller's scale is never below the well's gradient radius
     gamma = wellconst.cached_constants(grid, p, k0).gamma
     grad_ref = max(math.sqrt(h1), gamma ** (-(p + 1.0) / (p - 1.0)))
-    step_index = 0
-    steps_since_output = 0
-    kick_dt = None
+    tick = step_index = steps_since_output = halvings = 0
+    scaled, dt = None, dt0   # the halvings dt's scalars below hold for
 
-    while tick < total_ticks:
-        ticks_per_step = 2 ** (MAX_DT_HALVINGS - halvings)
-        dt = ticks_per_step * tick_dt
-        half_dt = 0.5 * dt
+    # A pass of the loop ends one step and begins the next: the force and
+    # the diagnostics of the state reached (of the datum on the first pass),
+    # then the first half of the next step.
+    while True:
+        # force: F = k0 lap u - lap conv (+ |u|^(p-1) u) and the viscous
+        # power -(1/2) integral mu' ||grad w||^2 ds, mem.integral(1, h1, u)
+        multiply(lap_u, k0, F)
+        subtract(F, lap_conv_mu, F)
+        if source:
+            absolute(u, work)
+            if source_e != 1.0:
+                work **= source_e
+            multiply(work, u, work)
+            add(F, work, F)
+        inner = float(vdot(u, lap_conv_mup)) * cell
+        visc_now = -0.5 * (mem.total[1] * h1 + 2.0 * inner + mem.scalar[1])
+        if step_index:
+            # the second half-kick, with the recomputed force
+            multiply(F, half_dt, kick)
+            add(v, kick, v)
+        # the damping power ||v||_{m+1}^{m+1}: lp_norm_pow's operations
+        if damping:
+            multiply(v, v, work)
+            if power_e != 1.0:
+                work **= power_e
+            damp_now = float(reduce(work, None)) * cell
+        else:
+            damp_now = 0.0
 
-        # kick: first half-kick, v + (dt/2) F; the last step's second
-        # half-kick added the same increment unless dt has been halved since
-        if half_dt != kick_dt:
-            np.multiply(F, half_dt, out=kick)
-            kick_dt = half_dt
-        np.add(v, kick, out=v)
-        # damp and drift: damping split symmetrically around the drift
-        if damping:
-            v = damp(v, half_dt)
-        np.multiply(v, dt, out=work)
-        np.add(u, work, out=u)
-        if damping:
-            v = damp(v, half_dt)
+        if step_index:
+            # ||grad u||^2 is non-finite wherever u is, and the damping
+            # power wherever v is: the exact tests run only when a scalar
+            # says so
+            if not (math.isfinite(h1) and math.isfinite(damp_now)
+                    and (damping or np.isfinite(v).all())):
+                if not (np.isfinite(u).all() and np.isfinite(v).all()):
+                    flags["nonfinite"] = True
+                    flags["stop_step"] = step_index
+                    break
+            # dissipation by the trapezoid rule in time, every step
+            d_inc, v_inc = energetics.dissipation_increment(
+                dt, damp_prev, damp_now, visc_prev, visc_now)
+            damp_cum += d_inc
+            visc_cum += v_inc
+            steps_since_output += 1
+            if steps_since_output >= output_every or tick >= total_ticks:
+                record_row(t, v, mem, h1)
+                steps_since_output = 0
+            # blow-up step controller
+            grad = math.sqrt(h1)
+            if grad >= GRAD_DOUBLING_FACTOR * grad_ref:
+                if halvings >= MAX_DT_HALVINGS:
+                    flags["dt_exhausted"] = True
+                    flags["stop_step"] = step_index
+                    if steps_since_output:
+                        record_row(t, v, mem, h1)
+                    break
+                halvings += 1
+                flags["dt_halvings"] = halvings
+                grad_ref = grad
+        damp_prev, visc_prev = damp_now, visc_now
+        if tick >= total_ticks:
+            flags["completed"] = True
+            break
+
+        if halvings != scaled:
+            # the scalars of dt, and the first half-kick's increment, which
+            # otherwise the last second half-kick left in kick
+            ticks_per_step = 2 ** (MAX_DT_HALVINGS - halvings)
+            dt = ticks_per_step * tick_dt
+            half_dt = 0.5 * dt
+            linear_div = 1.0 + 0.5 * half_dt
+            multiply(F, half_dt, kick)
+            scaled = halvings
+        # kick, then the damping split symmetrically around the drift; m = 1
+        # in place, _damp_midpoint's v / (1 + tau/2), doubled, less v
+        add(v, kick, v)
+        if linear:
+            divide(v, linear_div, work)
+            multiply(work, 2.0, work)
+            subtract(work, v, v)
+        elif damping:
+            v = _damp_midpoint(v, half_dt, m)
+        multiply(v, dt, work)
+        add(u, work, u)
+        if linear:
+            divide(v, linear_div, work)
+            multiply(work, 2.0, work)
+            subtract(work, v, v)
+        elif damping:
+            v = _damp_midpoint(v, half_dt, m)
         tick += ticks_per_step
         step_index += 1
         t = tick * tick_dt
-        h1 = grid.h1_by_parts(u, grid.laplacian(u, out=lap_u))
-        # memory: push on the fixed s-grid
-        if tick % ticks_per_push == 0:
+        h1 = h1_by_parts(u, laplacian(u, lap_u))
+        # memory: push on the fixed s-grid, evaluate at the lag since the
+        # last push
+        rem = tick % ticks_per_push
+        if not rem:
             memory.push(u, t, h1, lap_u)
-        delta = (tick % ticks_per_push) * tick_dt
-        # force: second half-kick with the recomputed force
-        mem = memory.evaluate(h1, delta)
-        visc_now = force(mem, h1)
-        np.multiply(F, half_dt, out=kick)
-        np.add(v, kick, out=v)
-        damp_now = _damping_power(v, power_e, work, cell) if damping else 0.0
-
-        # ||grad u||^2 is non-finite wherever u is, and the damping power
-        # wherever v is: the exact tests run only when a scalar says so
-        if not (math.isfinite(h1) and math.isfinite(damp_now)
-                and (damping or np.isfinite(v).all())):
-            if not (np.isfinite(u).all() and np.isfinite(v).all()):
-                flags["nonfinite"] = True
-                flags["stop_step"] = step_index
-                break
-
-        # diagnostics: dissipation by the trapezoid rule in time, every step
-        d_inc, v_inc = energetics.dissipation_increment(
-            dt, damp_prev, damp_now, visc_prev, visc_now)
-        damp_cum += d_inc
-        visc_cum += v_inc
-        damp_prev, visc_prev = damp_now, visc_now
-
-        steps_since_output += 1
-        if steps_since_output >= config.output_every or tick >= total_ticks:
-            record_row(t, v, mem, h1)
-            steps_since_output = 0
-
-        # blow-up step controller
-        grad = math.sqrt(h1)
-        if grad >= GRAD_DOUBLING_FACTOR * grad_ref:
-            if halvings >= MAX_DT_HALVINGS:
-                flags["dt_exhausted"] = True
-                flags["stop_step"] = step_index
-                if steps_since_output:
-                    record_row(t, v, mem, h1)
-                break
-            halvings += 1
-            flags["dt_halvings"] = halvings
-            grad_ref = grad
-    else:
-        flags["completed"] = True
+        mem = evaluate(h1, rem * tick_dt)
 
     # the memory's later evaluations rewrite its current row
     state = SimState(t=tick * tick_dt, u=u.copy(), v=v, memory=memory, dt=dt,

@@ -3,6 +3,8 @@
 Each test prints one ``[PASS|FAIL]`` line (run pytest with ``-s`` or check
 the captured output on failure) and asserts the criterion passed.
 """
+from dataclasses import replace
+
 import pytest
 
 from viscowave import acceptance
@@ -38,8 +40,9 @@ def test_row_zero_terms_need_no_run(suite):
 
 
 def test_quick_suite_keeps_trajectories_of_criterion_13_runs_only(monkeypatch):
-    # twenty runs, no reruns: w1 and its three amplitude perturbations keep
-    # their fields, and only those
+    # twelve runs, no reruns (the blow-up amplitude comes from row 0's
+    # terms without probe runs): w1 and its three amplitude perturbations
+    # keep their fields, and only those
     kept = []
     run_scenario = acceptance.run_scenario
 
@@ -49,5 +52,16 @@ def test_quick_suite_keeps_trajectories_of_criterion_13_runs_only(monkeypatch):
 
     monkeypatch.setattr(acceptance, "run_scenario", counting)
     assert acceptance.run_all(quick=True, printer=lambda line: None)
-    assert len(kept) == 20
+    assert len(kept) == 12
     assert sum(kept) == 4
+
+
+def test_blowup_amplitude_is_the_first_with_negative_row_zero_energy(suite):
+    # the sweep multiplies the amplitude by 1.5: the selected run's own
+    # ledger row 0 has E0 < 0, and the amplitude before it starts at E >= 0
+    cfg = acceptance.blowup_scenario()
+    assert cfg.amplitude == 3.375
+    assert suite.run(cfg).result.ledger.E0 < 0.0
+    prev = replace(cfg, amplitude=cfg.amplitude / 1.5)
+    datum = prev.make_history(prev.make_grid())
+    assert initial_terms(prev, datum, prev.make_kernel())["E"] >= 0.0

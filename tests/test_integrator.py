@@ -638,7 +638,9 @@ LEDGER_BYTES = {
     # step loop was rewritten with fewer calls per step: p = 2 (the source's
     # power 1), the Newton damping (m = 1.5), no damping, no source, and a
     # run whose controller halves dt to exhaustion, which recomputes the
-    # kick on each halving and records the stop row.
+    # kick on each halving and records the stop row.  Recorded on x86-64
+    # with NumPy 2.4.6; the m = 1.5 solve and p = 2's ||u||_3^3 call
+    # NumPy's power, which may round differently on another SIMD routine.
     "source_p2_1d": (
         quick_config(p=2.0, output_every=1),
         "33362e6b64274cff63880a8afd1c97fcd28ac1c3673b5e9d1d8b5b2d105c80ad"),

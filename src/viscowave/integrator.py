@@ -3,28 +3,24 @@
     u_tt = k(0) lap(u) - integral mu(s) lap(u(t-s)) ds
            - |u_t|^(m-1) u_t + |u|^(p-1) u
 
-by an operator-split leapfrog.  A step is a half-kick of v, implicit
-pointwise damping (in closed form for m = 1 and 3, by Newton otherwise)
-split symmetrically around the drift of u, one Laplacian of u (into the
-memory's current row, ||grad u||^2 following by summation by parts), a push
-of u and lap u onto the memory's s-grid, the force (one memory product over
-the rows' Laplacians gives lap of the mu and mu' convolutions), the second
-half-kick and the diagnostics.  It costs O(K N) for the K memory modes of
-the run's horizon, t_end + T0 + ds, which ``ScenarioConfig.make_memory``
-builds; ``initial_terms`` gives ledger row 0's terms without the run.
+by an operator-split leapfrog.  A ``Stepper`` owns a run's state and its
+step: a half-kick of v, implicit pointwise damping (in closed form for m = 1
+and 3, by Newton otherwise) split symmetrically around the drift of u, one
+Laplacian of u (into the memory's current row, ||grad u||^2 following by
+summation by parts), a push of u and lap u onto the memory's s-grid when one
+is due, the force (one memory product over the rows' Laplacians gives lap of
+the mu and mu' convolutions), the second half-kick and the damping and
+viscous powers.  A step costs O(K N) for the K memory modes of the run's
+horizon.  On small grids it costs its calls, not its arithmetic: the phases
+run inline in one method, on ufuncs into buffers bound once a run, each with
+the operand order of the plain expression, so every value is the same to
+the bit.  ``initial_terms`` gives ledger row 0's terms without the run.
 
-On small grids a step costs its calls, not its arithmetic.  So the kicks,
-the drift, the m = 1 damping (in place), the force and both powers run
-inline on ufuncs bound once a run, into buffers bound once a run, each with
-the operand order of the plain expression: every value is the same to the
-bit.  dt, dt/2, the m = 1 divisor 1 + dt/4 and the first half-kick's
-(dt/2) F are computed once per dt.  A step still calls ``grid.laplacian``
-and ``memory.evaluate`` once each, which keep their bound views.
-
-Near blow-up the step controller halves dt each time ||grad u|| doubles,
-down to dt0 / 2^10, then stops and flags.  Time is tracked in integer ticks
-of dt0 / 2^10 so that memory pushes land exactly on the s-grid after
-halvings.
+``run`` drives the stepper.  It keeps time in integer ticks of dt0 / 2^10,
+so that memory pushes land exactly on the s-grid after halvings, sums the
+powers by the trapezoid rule, stops on a nonfinite state and records the
+ledger rows.  Its step controller halves dt each time ||grad u|| doubles,
+down to dt0 / 2^10, then stops and flags.
 """
 from __future__ import annotations
 
@@ -33,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy import absolute, add, divide, multiply, subtract, vdot
 
 from . import energetics, wellconst
 from .config import ScenarioConfig
@@ -205,18 +202,7 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# the run loop
-
-
-def _start(config: ScenarioConfig, datum: HistoryDatum,
-           kernel: RelaxationKernel) -> tuple:
-    """The run's memory, u0 and lap u0 in its current row (views a run steps
-    in place), h1 = ||grad u0||^2 by parts and the memory at lag 0."""
-    memory = config.make_memory(datum, kernel)
-    grid, u, lap_u = memory.grid, memory.field, memory.lap_field
-    u[...] = datum.value_at(0.0)
-    h1 = grid.h1_by_parts(u, grid.laplacian(u, out=lap_u))
-    return memory, u, lap_u, h1, memory.evaluate(h1, 0.0)
+# the stepper and the run
 
 
 def _row_terms(grid: SpatialGrid, u: np.ndarray, v: np.ndarray, mem,
@@ -232,186 +218,196 @@ def _row_terms(grid: SpatialGrid, u: np.ndarray, v: np.ndarray, mem,
             "nehari_gap": h1 + mem_mu - lp_pow}
 
 
+class Stepper:
+    """The state of a run of config from datum, and its leapfrog step.
+
+    u and lap u are views of the memory's current row, the same arrays for
+    the whole run, so that ``grid.laplacian`` reruns the plan it bound to
+    them.  v, h1 = ||grad u||^2 and the memory at the state's lag (``mem``)
+    follow the state, and F is its force.  The grid's and the memory's
+    methods are bound once, from their classes' attributes, when the
+    stepper is built.
+    """
+
+    def __init__(self, config: ScenarioConfig, datum: HistoryDatum,
+                 kernel: RelaxationKernel):
+        self.memory = memory = config.make_memory(datum, kernel)
+        self.grid = grid = memory.grid
+        self.u = u = memory.field
+        lap_u = memory.lap_field
+        u[...] = datum.value_at(0.0)
+        self.h1 = grid.h1_by_parts(u, grid.laplacian(u, lap_u))
+        self.mem = memory.evaluate(self.h1, 0.0)
+        self.v = datum.velocity_at_0.copy()
+        self.F, self.kick = np.empty(grid.shape), np.empty(grid.shape)
+        m, self.p, self.source = config.m, config.p, config.source_enabled
+        self.damping = config.damping_enabled
+        # what a step reads, as one tuple that it unpacks into locals (the
+        # cheapest names); every evaluation writes the same product rows
+        self._operands = (
+            u, lap_u, self.F, self.kick, np.empty(grid.shape), *self.mem.conv,
+            grid.laplacian, grid.h1_by_parts, memory.evaluate, memory.push,
+            kernel.k0, grid.cell_volume, self.damping,
+            self.damping and m == 1.0, m, self.source, self.p - 1.0,
+            0.5 * (m + 1.0))
+
+    def terms(self) -> dict:
+        """``_row_terms`` of the state."""
+        return _row_terms(self.grid, self.u, self.v, self.mem, self.h1,
+                          self.p, self.source)
+
+    def set_dt(self, dt: float):
+        """Step by dt from now on: dt/2, the m = 1 divisor 1 + dt/4, and the
+        first half-kick (dt/2) F, which a step otherwise leaves in kick."""
+        half_dt = 0.5 * dt
+        self._scalars = dt, half_dt, 1.0 + 0.5 * half_dt
+        multiply(self.F, half_dt, self.kick)
+
+    def step(self, t: float = 0.0, lag: float = 0.0, push: bool = False,
+             move: bool = True) -> tuple:
+        """Advance by dt to time t, pushing u onto the memory if ``push`` and
+        evaluating the memory at ``lag`` since the last push; with ``move``
+        false, stay at the current state.  Returns h1 and the damping and
+        viscous powers of the state reached."""
+        (u, lap_u, F, kick, work, conv_mu, conv_mup, laplacian, h1_by_parts,
+         evaluate, push_u, k0, cell, damping, linear, m, source, source_e,
+         power_e) = self._operands
+        v = self.v
+        if move:
+            # kick, then the damping split symmetrically around the drift;
+            # m = 1 in place: _damp_midpoint's v / (1 + tau/2), doubled,
+            # less v
+            dt, half_dt, linear_div = self._scalars
+            add(v, kick, v)
+            if linear:
+                divide(v, linear_div, work)
+                multiply(work, 2.0, work)
+                subtract(work, v, v)
+            elif damping:
+                v = self.v = _damp_midpoint(v, half_dt, m)
+            multiply(v, dt, work)
+            add(u, work, u)
+            if linear:
+                divide(v, linear_div, work)
+                multiply(work, 2.0, work)
+                subtract(work, v, v)
+            elif damping:
+                v = self.v = _damp_midpoint(v, half_dt, m)
+            h1 = self.h1 = h1_by_parts(u, laplacian(u, lap_u))
+            if push:
+                push_u(u, t, h1, lap_u)
+            mem = self.mem = evaluate(h1, lag)
+        else:
+            h1, mem = self.h1, self.mem
+        # the force F = k0 lap u - lap conv (+ |u|^(p-1) u) and the viscous
+        # power -(1/2) integral mu' ||grad w||^2 ds, mem.integral(1, h1, u),
+        # in Python floats; a square is a product, which rounds as pow does
+        multiply(lap_u, k0, F)
+        subtract(F, conv_mu, F)
+        if source:
+            if source_e == 2.0:
+                multiply(u, u, work)
+            else:
+                absolute(u, work)
+                if source_e != 1.0:
+                    work **= source_e
+            multiply(work, u, work)
+            add(F, work, F)
+        inner = float(vdot(u, conv_mup)) * cell
+        visc = -0.5 * (mem.total.item(1) * h1 + 2.0 * inner
+                       + mem.scalar.item(1))
+        if move:
+            # the second half-kick, with the new force
+            multiply(F, half_dt, kick)
+            add(v, kick, v)
+        if not damping:
+            return h1, 0.0, visc
+        # the damping power ||v||_{m+1}^{m+1}: lp_norm_pow's operations
+        multiply(v, v, work)
+        if power_e == 2.0:
+            multiply(work, work, work)
+        elif power_e != 1.0:
+            work **= power_e
+        return h1, float(add.reduce(work, None)) * cell, visc
+
+
 def initial_terms(config: ScenarioConfig, datum: HistoryDatum,
                   kernel: RelaxationKernel) -> dict:
     """``_row_terms`` of ledger row 0 of a run of config from datum without
     the run: the same memory and arithmetic, so equal to the bit."""
-    _, u, _, h1, mem = _start(config, datum, kernel)
-    return _row_terms(datum.grid, u, datum.velocity_at_0, mem, h1, config.p,
-                      config.source_enabled)
+    return Stepper(config, datum, kernel).terms()
+
+
+def _record_row(ledger: EnergyLedger, kept: Optional[Trajectory],
+                stepper: Stepper, t: float, damp_cum: float, visc_cum: float):
+    """Append the stepper's state at time t to the ledger, and to kept."""
+    row = stepper.terms()
+    E0 = ledger.E0 if len(ledger) else row["E"]
+    resid = abs(row["E"] + damp_cum + visc_cum - E0)
+    ledger.append(t=t, D_cum=damp_cum + visc_cum, damp_cum=damp_cum,
+                  visc_cum=visc_cum, grad_norm=math.sqrt(stepper.h1),
+                  identity_residual=resid, **row)
+    if kept is not None:
+        kept.append(t, stepper.u, stepper.v, stepper.mem.conv[0])
 
 
 def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
-    """Advance the scenario to t_end or blow-up.
-
-    With ``trajectory`` the result keeps u, v and lap of the mu convolution
-    at every ledger row; it is an argument, not a config key, so that it
-    leaves the content hash alone.  Deterministic for a fixed config: fixed
-    iteration orders, no time-based seeding.
-    """
+    """Advance the scenario to t_end or blow-up, deterministically, keeping
+    u, v and lap of the mu convolution at every row if ``trajectory``."""
     config.validate()
-    grid = config.make_grid()
-    kernel = config.make_kernel()
-    datum = config.make_history(grid)
-
-    dt0 = config.resolved_dt(grid, kernel)
-    # u and lap u are views of the memory's current row, stepped in place
-    memory, u, lap_u, h1, mem = _start(config, datum, kernel)
-    v = datum.velocity_at_0.copy()
-    F = np.empty(grid.shape)
-    kick = np.empty(grid.shape)   # (dt/2) F
-    work = np.empty(grid.shape)
-
-    m, p = config.m, config.p
-    damping = config.damping_enabled
-    linear = damping and m == 1.0
-    source = config.source_enabled
-    k0 = kernel.k0
-    cell = grid.cell_volume
-    power_e, source_e = 0.5 * (m + 1.0), p - 1.0
-    # every evaluation writes the same product rows
-    lap_conv_mu, lap_conv_mup = mem.conv
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    absolute, vdot, reduce = np.abs, np.vdot, np.add.reduce
-    laplacian, h1_by_parts = grid.laplacian, grid.h1_by_parts
-    evaluate = memory.evaluate
-
-    # integer time ticks: 1 tick = dt0 / 2^MAX_DT_HALVINGS
-    tick_dt = dt0 / 2 ** MAX_DT_HALVINGS
+    grid, kernel = config.make_grid(), config.make_kernel()
+    datum, dt = config.make_history(grid), config.resolved_dt(grid, kernel)
+    stepper = Stepper(config, datum, kernel)
+    step, damping, p = stepper.step, stepper.damping, config.p
+    tick_dt = dt / 2 ** MAX_DT_HALVINGS    # time in integer ticks
     ticks_per_push = config.stride * 2 ** MAX_DT_HALVINGS
     total_ticks = int(round(config.t_end / tick_dt))
     output_every = config.output_every
-
-    ledger = EnergyLedger()
-    kept = Trajectory() if trajectory else None
+    ledger, kept = EnergyLedger(), Trajectory() if trajectory else None
     flags = {"completed": False, "nonfinite": False, "dt_exhausted": False,
              "dt_halvings": 0}
-
+    h1, damp_prev, visc_prev = step(move=False)
     damp_cum = visc_cum = 0.0
-
-    def record_row(t, v, mem, h1):
-        row = _row_terms(grid, u, v, mem, h1, p, source)
-        E0 = ledger.E0 if len(ledger) else row["E"]
-        resid = abs(row["E"] + damp_cum + visc_cum - E0)
-        ledger.append(t=t, D_cum=damp_cum + visc_cum, damp_cum=damp_cum,
-                      visc_cum=visc_cum, grad_norm=math.sqrt(h1),
-                      identity_residual=resid, **row)
-        if kept is not None:
-            kept.append(t, u, v, mem.conv[0])
-
-    record_row(0.0, v, mem, h1)
+    _record_row(ledger, kept, stepper, 0.0, damp_cum, visc_cum)
     # a datum at rest grows inside the well without blowing up: the
     # controller's scale is never below the well's gradient radius
-    gamma = wellconst.cached_constants(grid, p, k0).gamma
+    gamma = wellconst.cached_constants(grid, p, kernel.k0).gamma
     grad_ref = max(math.sqrt(h1), gamma ** (-(p + 1.0) / (p - 1.0)))
-    tick = step_index = steps_since_output = halvings = 0
-    scaled, dt = None, dt0   # the halvings dt's scalars below hold for
-
-    # A pass of the loop ends one step and begins the next: the force and
-    # the diagnostics of the state reached (of the datum on the first pass),
-    # then the first half of the next step.
-    while True:
-        # force: F = k0 lap u - lap conv (+ |u|^(p-1) u) and the viscous
-        # power -(1/2) integral mu' ||grad w||^2 ds, mem.integral(1, h1, u)
-        multiply(lap_u, k0, F)
-        subtract(F, lap_conv_mu, F)
-        if source:
-            absolute(u, work)
-            if source_e != 1.0:
-                work **= source_e
-            multiply(work, u, work)
-            add(F, work, F)
-        inner = float(vdot(u, lap_conv_mup)) * cell
-        visc_now = -0.5 * (mem.total[1] * h1 + 2.0 * inner + mem.scalar[1])
-        if step_index:
-            # the second half-kick, with the recomputed force
-            multiply(F, half_dt, kick)
-            add(v, kick, v)
-        # the damping power ||v||_{m+1}^{m+1}: lp_norm_pow's operations
-        if damping:
-            multiply(v, v, work)
-            if power_e != 1.0:
-                work **= power_e
-            damp_now = float(reduce(work, None)) * cell
-        else:
-            damp_now = 0.0
-
-        if step_index:
-            # ||grad u||^2 is non-finite wherever u is, and the damping
-            # power wherever v is: the exact tests run only when a scalar
-            # says so
-            if not (math.isfinite(h1) and math.isfinite(damp_now)
-                    and (damping or np.isfinite(v).all())):
-                if not (np.isfinite(u).all() and np.isfinite(v).all()):
-                    flags["nonfinite"] = True
-                    flags["stop_step"] = step_index
-                    break
-            # dissipation by the trapezoid rule in time, every step
-            d_inc, v_inc = energetics.dissipation_increment(
-                dt, damp_prev, damp_now, visc_prev, visc_now)
-            damp_cum += d_inc
-            visc_cum += v_inc
-            steps_since_output += 1
-            if steps_since_output >= output_every or tick >= total_ticks:
-                record_row(t, v, mem, h1)
-                steps_since_output = 0
-            # blow-up step controller
-            grad = math.sqrt(h1)
-            if grad >= GRAD_DOUBLING_FACTOR * grad_ref:
-                if halvings >= MAX_DT_HALVINGS:
-                    flags["dt_exhausted"] = True
-                    flags["stop_step"] = step_index
-                    if steps_since_output:
-                        record_row(t, v, mem, h1)
-                    break
-                halvings += 1
-                flags["dt_halvings"] = halvings
-                grad_ref = grad
-        damp_prev, visc_prev = damp_now, visc_now
-        if tick >= total_ticks:
-            flags["completed"] = True
-            break
-
-        if halvings != scaled:
-            # the scalars of dt, and the first half-kick's increment, which
-            # otherwise the last second half-kick left in kick
-            ticks_per_step = 2 ** (MAX_DT_HALVINGS - halvings)
-            dt = ticks_per_step * tick_dt
-            half_dt = 0.5 * dt
-            linear_div = 1.0 + 0.5 * half_dt
-            multiply(F, half_dt, kick)
-            scaled = halvings
-        # kick, then the damping split symmetrically around the drift; m = 1
-        # in place, _damp_midpoint's v / (1 + tau/2), doubled, less v
-        add(v, kick, v)
-        if linear:
-            divide(v, linear_div, work)
-            multiply(work, 2.0, work)
-            subtract(work, v, v)
-        elif damping:
-            v = _damp_midpoint(v, half_dt, m)
-        multiply(v, dt, work)
-        add(u, work, u)
-        if linear:
-            divide(v, linear_div, work)
-            multiply(work, 2.0, work)
-            subtract(work, v, v)
-        elif damping:
-            v = _damp_midpoint(v, half_dt, m)
+    tick = step_index = halvings = 0
+    ticks_per_step = 2 ** MAX_DT_HALVINGS
+    stepper.set_dt(dt)
+    while tick < total_ticks:
         tick += ticks_per_step
         step_index += 1
-        t = tick * tick_dt
-        h1 = h1_by_parts(u, laplacian(u, lap_u))
-        # memory: push on the fixed s-grid, evaluate at the lag since the
-        # last push
-        rem = tick % ticks_per_push
-        if not rem:
-            memory.push(u, t, h1, lap_u)
-        mem = evaluate(h1, rem * tick_dt)
-
+        t, rem = tick * tick_dt, tick % ticks_per_push
+        h1, damp_now, visc_now = step(t, rem * tick_dt, not rem)
+        # h1 is nonfinite where u is, the damping power where v is
+        if not (math.isfinite(h1) and math.isfinite(damp_now) and (
+                damping or np.isfinite(stepper.v).all())) and not (
+                np.isfinite(stepper.u).all() and np.isfinite(stepper.v).all()):
+            flags.update(nonfinite=True, stop_step=step_index)
+            break
+        d_inc, v_inc = energetics.dissipation_increment(
+            dt, damp_prev, damp_now, visc_prev, visc_now)
+        damp_cum, visc_cum = damp_cum + d_inc, visc_cum + v_inc
+        damp_prev, visc_prev = damp_now, visc_now
+        grad = math.sqrt(h1)    # the blow-up step controller
+        doubled = grad >= GRAD_DOUBLING_FACTOR * grad_ref
+        stop = doubled and halvings >= MAX_DT_HALVINGS
+        if stop or tick >= total_ticks or not step_index % output_every:
+            _record_row(ledger, kept, stepper, t, damp_cum, visc_cum)
+        if stop:
+            flags.update(dt_exhausted=True, stop_step=step_index)
+            break
+        if doubled:
+            halvings = flags["dt_halvings"] = halvings + 1
+            ticks_per_step //= 2
+            dt, grad_ref = ticks_per_step * tick_dt, grad
+            stepper.set_dt(dt)
+    else:
+        flags["completed"] = True
     # the memory's later evaluations rewrite its current row
-    state = SimState(t=tick * tick_dt, u=u.copy(), v=v, memory=memory, dt=dt,
-                     step_index=step_index)
+    state = SimState(t=tick * tick_dt, u=stepper.u.copy(), v=stepper.v,
+                     memory=stepper.memory, dt=dt, step_index=step_index)
     return RunResult(config=config, grid=grid, kernel=kernel, datum=datum,
-                     ledger=ledger, trajectory=kept, flags=flags,
-                     state=state)
+                     ledger=ledger, trajectory=kept, flags=flags, state=state)

@@ -187,17 +187,21 @@ def linear_midpoint_in_place(v, tau, work):
 
 def step_damping_power(v, e, work, cell_volume):
     """The damping power as a step takes it for m = 2e - 1, by way of work:
-    the operations of grid.lp_norm_pow, without its checks."""
+    the operations of grid.lp_norm_pow, without its checks, and a square as
+    a product."""
     np.multiply(v, v, work)
-    if e != 1.0:
+    if e == 2.0:
+        np.multiply(work, work, work)
+    elif e != 1.0:
         work **= e
     return float(np.add.reduce(work, None)) * cell_volume
 
 
 class TestStepDamping:
-    """The operations a step runs in place of _damp_midpoint at m = 1 and of
-    energetics.damping_power give the same values, bit for bit, on inputs
-    (0, the smallest subnormal, 1e100) that the ledger digests leave out."""
+    """The operations a step runs in place of _damp_midpoint at m = 1, of
+    energetics.damping_power and of the source's |u|^2 give the same values,
+    bit for bit, on inputs (0, the smallest subnormal, 1e100) that the
+    ledger digests leave out."""
 
     def test_linear_midpoint_in_place(self):
         for dt in DAMP_DTS:
@@ -222,6 +226,14 @@ class TestStepDamping:
                                          grid.cell_volume)
                 want = energetics.damping_power(grid, v, m)
             assert got.hex() == want.hex()
+
+    def test_square_as_product(self):
+        u = np.r_[_WIDE, 1e100, -1e100, 1e200, -1e200, np.inf, -np.inf]
+        want = np.abs(u)
+        with np.errstate(over="ignore"):
+            want **= 2.0
+            got = np.multiply(u, u)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def uncertified_solve(a, dt, m):
@@ -526,6 +538,31 @@ class TestRun:
         assert steps > 10
         assert counts == {"laplacian": steps + 1, "h1_seminorm_sq": 0,
                           "evaluate": steps + 1}
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dim": 2, "n": 12, "n_y": 10, "modes": (1, 2)},
+    ], ids=["1d", "2d"])
+    def test_laplacian_plans_do_not_grow_with_the_run(self, monkeypatch,
+                                                      overrides):
+        # u and lap u are the same arrays for a whole run, so grid.laplacian
+        # reruns the plan it bound at the start: four times the steps build
+        # no more plans, counted with the well constants cached
+        builds, steps = [], []
+        plan = SpatialGrid._plan
+
+        def counting(self, *args):
+            builds[-1] += 1
+            return plan(self, *args)
+
+        for t_end in (2.0, 8.0):
+            cfg = quick_config(t_end=t_end, **overrides)
+            run(cfg)
+            builds.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(SpatialGrid, "_plan", counting)
+                steps.append(run(cfg).state.step_index)
+        assert steps[1] > 3 * steps[0] > 0
+        assert builds[0] == builds[1] > 0
 
     def test_datum_at_rest_needs_no_halvings(self, tmp_path):
         # u(0) = 0 with a small past: the memory sets the string moving and

@@ -11,10 +11,11 @@ summation by parts), a push of u and lap u onto the memory's s-grid when one
 is due, the force (one memory product over the rows' Laplacians gives lap of
 the mu and mu' convolutions), the second half-kick and the damping and
 viscous powers.  A step costs O(K N) for the K memory modes of the run's
-horizon.  On small grids it costs its calls, not its arithmetic: the phases
-run inline in one method, on ufuncs into buffers bound once a run, each with
-the operand order of the plain expression, so every value is the same to
-the bit.  ``initial_terms`` gives ledger row 0's terms without the run.
+horizon, t_end + T0 + ds, which ``ScenarioConfig.make_memory`` builds.  On
+small grids it costs its calls, not its arithmetic: the phases run inline in
+one method, on ufuncs into buffers bound once a run, each with the operand
+order of the plain expression, so every value is the same to the bit.
+``initial_terms`` gives ledger row 0's terms without the run.
 
 ``run`` drives the stepper.  It keeps time in integer ticks of dt0 / 2^10,
 so that memory pushes land exactly on the s-grid after halvings, sums the

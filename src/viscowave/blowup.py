@@ -37,11 +37,6 @@ class BlowupVerdict:
     t_estimate: Optional[float]      # fitted blow-up time, when detected
     details: dict
 
-    @property
-    def consistent(self) -> bool:
-        """Hypothesis predicted blow-up and the run delivered it (or neither)."""
-        return (self.hypothesis is not None) == self.detected
-
 
 def check_hypotheses(E0: float, scriptE0: float, m: float, p: float,
                      k0: float, y0: float, M: Optional[float],

@@ -6,11 +6,10 @@ energy E(nT) is dominated by the solution of the scalar ODE
 
     S'(t) + (I + Phi)^{-1} S(t) = 0,    S(0) = E(0),
 
-where Phi (exponential-class kernels) or Psi (polynomial-class kernels) is a
-monotone increasing perturbation function vanishing at the origin.  The
-theory asserts only the existence of the constants in Phi/Psi, so the
-comparison check calibrates them from the first two reiteration points and
-tests the shape on the rest.
+where Phi is a monotone increasing perturbation function vanishing at the
+origin.  The theory asserts only the existence of the constant in Phi, so
+the comparison check calibrates it from the first two reiteration points
+and tests the shape on the rest.
 """
 from __future__ import annotations
 
@@ -33,23 +32,15 @@ class DecayError(ValueError):
 
 @dataclass
 class DecayModel:
-    """Perturbation functions Phi / Psi and the reiteration time T."""
+    """Perturbation function Phi and the reiteration time T."""
 
     phi_C: float
     m: float
     T_reiter: float
-    psi_C1: float = 0.0
-    psi_C2: float = 0.0
-    r: Optional[float] = None
-    sigma: Optional[float] = None
 
     def __post_init__(self):
         if self.phi_C <= 0 or self.T_reiter <= 0 or self.m < 1:
             raise DecayError("need phi_C > 0, T_reiter > 0, m >= 1")
-        if self.sigma is not None:
-            if self.r is None or not (0.0 < self.sigma < 2.0 - self.r):
-                raise DecayError(
-                    f"sigma must lie in (0, 2-r), got sigma={self.sigma}, r={self.r}")
 
     def phi(self, s):
         """Phi(s) = C * (s^(2/(m+1)) + s); increasing, Phi(0) = 0.  A float
@@ -57,17 +48,6 @@ class DecayModel:
         if not isinstance(s, float):
             s = np.asarray(s, dtype=float)
         return self.phi_C * (_power(s, 2.0 / (self.m + 1.0)) + s)
-
-    def psi(self, s):
-        """Psi(s) = C1 * s^(sigma/(sigma+r-1)) + C2 * (s^(2/(m+1)) + s),
-        of a float or an array as ``phi``."""
-        if self.r is None or self.sigma is None:
-            raise DecayError("psi needs r and sigma")
-        if not isinstance(s, float):
-            s = np.asarray(s, dtype=float)
-        e = self.sigma / (self.sigma + self.r - 1.0)
-        return (self.psi_C1 * _power(s, e)
-                + self.psi_C2 * (_power(s, 2.0 / (self.m + 1.0)) + s))
 
 
 def _power(s, e):
@@ -117,7 +97,7 @@ def resolvent(fn, S: float, rtol: float = 1e-13, max_iter: int = 200) -> float:
 
 
 def lt_ode_solve(model: DecayModel, E0: float, t_end: float,
-                 use_psi: bool = False, n_steps: int | None = None):
+                 n_steps: int | None = None):
     """Integrate S' = -(I + Phi)^{-1} S by classical RK4.
 
     Step defaults to 1e-3 * t_end.  Returns (times, S) arrays; S is strictly
@@ -125,7 +105,7 @@ def lt_ode_solve(model: DecayModel, E0: float, t_end: float,
     """
     if E0 < 0:
         raise DecayError("E0 must be nonnegative")
-    fn = model.psi if use_psi else model.phi
+    phi = model.phi
     if n_steps is None:
         n_steps = 1000
     times = np.linspace(0.0, t_end, n_steps + 1)
@@ -135,7 +115,7 @@ def lt_ode_solve(model: DecayModel, E0: float, t_end: float,
     S = [s]
 
     def rhs(s):
-        return -resolvent(fn, max(s, 0.0))
+        return -resolvent(phi, max(s, 0.0))
 
     for _ in range(n_steps):
         k1 = rhs(s)
@@ -220,9 +200,7 @@ C_FLOOR, C_CAP = 1e-8, 1e8     # comparison_check's bracket for C
 
 
 def comparison_check(ledger: EnergyLedger, model_m: float, T_reiter: float,
-                     t_start: float = 0.0, tol: float = 0.1,
-                     use_psi: bool = False, r: Optional[float] = None,
-                     sigma: Optional[float] = None) -> dict:
+                     t_start: float = 0.0, tol: float = 0.1) -> dict:
     """Verify E(t_start + n T) <= S(n) * (1 + tol) after 2-point calibration.
 
     The perturbation constant is calibrated (by bisection on the ODE
@@ -248,9 +226,8 @@ def comparison_check(ledger: EnergyLedger, model_m: float, T_reiter: float,
     target = samples[1]
 
     def S1_for(C: float) -> float:
-        model = DecayModel(phi_C=C, m=model_m, T_reiter=T_reiter,
-                           psi_C1=C, psi_C2=C, r=r, sigma=sigma)
-        ts, S = lt_ode_solve(model, E0, 1.0, use_psi=use_psi, n_steps=200)
+        model = DecayModel(phi_C=C, m=model_m, T_reiter=T_reiter)
+        ts, S = lt_ode_solve(model, E0, 1.0, n_steps=200)
         return float(S[-1])
 
     # S(1) is increasing in C (larger perturbation -> slower comparison decay)
@@ -269,9 +246,8 @@ def comparison_check(ledger: EnergyLedger, model_m: float, T_reiter: float,
                 hi = mid
         C = hi  # smallest constant with S(1) >= E at the first point
 
-    model = DecayModel(phi_C=C, m=model_m, T_reiter=T_reiter,
-                       psi_C1=C, psi_C2=C, r=r, sigma=sigma)
-    times, S = lt_ode_solve(model, E0, float(n_max), use_psi=use_psi,
+    model = DecayModel(phi_C=C, m=model_m, T_reiter=T_reiter)
+    times, S = lt_ode_solve(model, E0, float(n_max),
                             n_steps=max(200, 50 * n_max))
     S_at_n = np.array([float(np.interp(n, times, S)) for n in range(n_max + 1)])
     violations = [

@@ -211,13 +211,8 @@ class SpatialGrid:
         magnitude is taken: never below 0, and +0.0 for f = 0."""
         return abs(float(np.vdot(lap_f, f))) * self.cell_volume
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Midpoint-quadrature L2 inner product."""
-        return (float(np.add.reduce(self.check(f) * self.check(g), axis=None))
-                * self.cell_volume)
-
     def l2_norm_sq(self, f: np.ndarray) -> float:
-        """inner(f, f), with f checked once."""
+        """||f||^2 by midpoint quadrature."""
         f = self.check(f)
         return float(np.add.reduce(f * f, axis=None)) * self.cell_volume
 
@@ -226,10 +221,12 @@ class SpatialGrid:
         if q < 1:
             raise GridError(f"lp_norm_pow needs q >= 1, got {q}")
         f = self.check(f)
-        # from q = 2 on the square goes first, and NumPy squares in place at
-        # q = 4 instead of calling pow; below 2 f*f could overflow alone
+        # from q = 2 on the square goes first, and at q = 4 it is squared
+        # again as a product, as pow rounds it; below 2 f*f could overflow
         x, e = (np.multiply(f, f), 0.5 * q) if q >= 2.0 else (np.abs(f), q)
-        if e != 1.0:
+        if e == 2.0:
+            np.multiply(x, x, out=x)
+        elif e != 1.0:
             x **= e
         return float(np.add.reduce(x, axis=None)) * self.cell_volume
 

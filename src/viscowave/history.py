@@ -245,17 +245,16 @@ class MemoryEval(NamedTuple):
 class MemoryState:
     """The past of u as K exponential modes plus the extension field.
 
-    Each row of the state ``M`` (K+5, 2N+1) is [field | lap field |
-    ||grad field||^2], and the rows are: the K modes
-    P_k = sum_j c_j exp(-lam_k j ds) D_j of the deviations D_j of the past
-    fields u(t_push - j*ds) from the extension field (c_0 = ds/2, c_j = ds
-    beyond), D_0, the extension field, the current field u(t) (``field``,
-    ``lap_field``) and two product rows.  The modes hold on lags up to
-    ``horizon``, which a push may not pass (``kernel.memory_horizon`` if
-    None or shorter).  ``evaluate`` takes G @ M[:-2] over the lap and h1
-    columns into the product rows: lap of the mu and mu' convolutions and
-    their scalars.  The field columns serve the views
-    ``convolution_field``, ``scalar_convolution`` and ``memory_integral``.
+    Each past field is kept once, as its Laplacian: each row of the state
+    ``M`` (K+5, N+1) is [lap field | ||grad field||^2], and the rows are:
+    the K modes P_k = sum_j c_j exp(-lam_k j ds) D_j of the deviations D_j
+    of the past fields u(t_push - j*ds) from the extension field
+    (c_0 = ds/2, c_j = ds beyond), D_0, the extension field, the current
+    field u(t) (``lap_field``) and two product rows.  The modes hold on
+    lags up to ``horizon``, which a push may not pass
+    (``kernel.memory_horizon`` if None or shorter).  ``evaluate`` takes
+    G @ M[:-2] into the product rows: lap of the mu and mu' convolutions
+    and their scalars.
     """
 
     def __init__(self, datum: HistoryDatum, kernel: RelaxationKernel,
@@ -273,41 +272,30 @@ class MemoryState:
         self.w0 = np.array([kernel.mu(0.0), kernel.mu_prime(0.0)])
         self.decay = np.exp(-self.lam * self.ds)[:, None]
         ext = datum.frozen_field()
-        lap_ext = grid.laplacian(ext).ravel()
-        ext = np.append(ext.ravel(), grid.h1_seminorm_sq(ext))
+        ext = np.append(grid.laplacian(ext).ravel(), grid.h1_seminorm_sq(ext))
         # the support's rows, j*ds <= min(T0, s_depth); the rows beyond it
         # are the extension field
         lags = self.ds * np.arange(
             int(min(datum.support_T0, s_depth) / self.ds + 1e-12) + 1)
         fields, h1 = datum.fields_at(-lags)
-        dev = np.column_stack([fields, h1]) - ext
-        lap_dev = grid.laplacian(fields.reshape(lags.shape + grid.shape))
-        lap_dev = lap_dev.reshape(lags.size, -1) - lap_ext
+        lap = grid.laplacian(fields.reshape(lags.shape + grid.shape))
+        dev = np.column_stack([lap.reshape(lags.size, -1) - ext[:-1],
+                               h1 - ext[-1]])
         coef = self.ds * np.exp(-np.outer(self.lam, lags))
         coef[:, 0] *= 0.5
-        N = grid.size
-        self.M = np.zeros((self.lam.size + 5, 2 * N + 1))
-        rows = np.vstack([coef @ dev, dev[0], ext])
-        self.M[:-3, :N], self.M[:-3, -1] = rows[:, :-1], rows[:, -1]
-        self.M[:-3, N:-1] = np.vstack([coef @ lap_dev, lap_dev[0], lap_ext])
+        self.M = np.zeros((self.lam.size + 5, grid.size + 1))
+        self.M[:-3] = np.vstack([coef @ dev, dev[0], ext])
         self.t_push = 0.0
         self._lags = {}
 
     @property
-    def field(self) -> np.ndarray:
-        """The current field u(t), a view of the current row."""
-        return self.M[-3, :self.grid.size].reshape(self.grid.shape)
-
-    @property
     def lap_field(self) -> np.ndarray:
         """lap u(t), the view of the current row that ``evaluate`` reads."""
-        return self.M[-3, self.grid.size:-1].reshape(self.grid.shape)
+        return self.M[-3, :-1].reshape(self.grid.shape)
 
-    def push(self, u: np.ndarray, t: float, h1: Optional[float] = None,
-             lap_u: Optional[np.ndarray] = None):
-        """Record u(t); t must advance by exactly one stride, and t + T0 stay
-        within the horizon.  Pass ``h1`` = ||grad u||^2 and ``lap_u`` if
-        held."""
+    def push(self, t: float, h1: float, lap_u: np.ndarray):
+        """Record u(t) by h1 = ||grad u(t)||^2 and lap_u = lap u(t); t must
+        advance by exactly one stride, and t + T0 stay within the horizon."""
         if t + self.T0 > self.horizon:
             raise ValueError(f"push at t = {t} takes the history's lags past "
                              f"the memory's horizon {self.horizon}")
@@ -315,11 +303,8 @@ class MemoryState:
         # the old row 0 moves to node ds, where its weight doubles
         P += 0.5 * self.ds * D0
         P *= self.decay
-        N = self.grid.size
-        u = self.grid.check(u)
-        D0[:N] = u.ravel()
-        D0[N:-1] = (self.grid.laplacian(u) if lap_u is None else lap_u).ravel()
-        D0[-1] = self.grid.h1_seminorm_sq(u) if h1 is None else h1
+        D0[:-1] = lap_u.ravel()
+        D0[-1] = h1
         D0 -= self.M[-4]
         P += 0.5 * self.ds * D0
         self.t_push = t
@@ -351,11 +336,9 @@ class MemoryState:
             # row 0's first cell widens by delta
             G = np.column_stack([f, 0.5 * delta * f.sum(axis=1), total - now,
                                  now])
-            N = self.grid.size
-            ev = MemoryEval(self.grid, self.M[-2:, N:-1].reshape(
+            ev = MemoryEval(self.grid, self.M[-2:, :-1].reshape(
                 (2,) + self.grid.shape), self.M[-2:, -1], total)
-            entry = self._lags[delta] = (G, ev, self.M[:-2, N:],
-                                         self.M[-2:, N:])
+            entry = self._lags[delta] = (G, ev, self.M[:-2], self.M[-2:])
         return entry
 
     def evaluate(self, h1_now: float, delta: float = 0.0) -> MemoryEval:
@@ -367,36 +350,33 @@ class MemoryState:
         np.matmul(G, source, product)
         return ev
 
-    def _evaluate_at(self, u_now: np.ndarray, h1_now: float,
-                     delta: float) -> tuple:
-        """The field convolutions (2, *grid.shape), their scalars and Q at
-        u(t) = u_now, into new arrays: G over the field and h1 columns."""
-        G, ev = self._lag(delta)[:2]
-        self.field[...] = self.grid.check(u_now)
-        self.M[-3, -1] = h1_now
-        product = G @ np.delete(self.M[:-2], np.s_[self.grid.size:-1], axis=1)
-        return (product[:, :-1].reshape((2,) + self.grid.shape),
-                product[:, -1], ev.total)
-
-    # -- views --------------------------------------------------------------
+    # -- views, kept while bench/tracing.TARGETS names them ------------------
 
     def convolution_field(self, u_now: np.ndarray, delta: float = 0.0,
                           weight: str = "mu") -> np.ndarray:
-        """integral weight(s) * u(t - s) ds, including tail extension."""
-        return self._evaluate_at(u_now, 0.0, delta)[0][_WEIGHT_INDEX[weight]]
+        """integral weight(s) * u(t - s) ds, including the tail extension:
+        the Dirichlet inverse of ``evaluate``'s lap of it at u(t) = u_now.
+        Kept only until the benchmark's upkeep drops it from
+        bench/tracing.TARGETS."""
+        self.grid.laplacian(u_now, self.lap_field)
+        conv = self.evaluate(0.0, delta).conv[_WEIGHT_INDEX[weight]]
+        return self.grid.poisson_solve(-conv)
 
     def scalar_convolution(self, weight: str, delta: float,
                            h1_now: float) -> float:
-        """integral weight(s) * ||grad u(t-s)||^2 ds, including the tail."""
-        scalar = self._evaluate_at(self.grid.zeros(), h1_now, delta)[1]
-        return float(scalar[_WEIGHT_INDEX[weight]])
+        """integral weight(s) * ||grad u(t-s)||^2 ds, including the tail:
+        ``evaluate``'s scalar.  Kept only until the benchmark's upkeep drops
+        it from bench/tracing.TARGETS."""
+        ev = self.evaluate(h1_now, delta)
+        return float(ev.scalar[_WEIGHT_INDEX[weight]])
 
     def memory_integral(self, u_now: np.ndarray, weight: str = "mu",
                         delta: float = 0.0) -> float:
-        """integral weight(s) * ||grad w(t, s)||^2 ds with exact tail."""
+        """integral weight(s) * ||grad w(t, s)||^2 ds with exact tail, by
+        ``evaluate`` at u(t) = u_now.  Kept only until the benchmark's
+        upkeep drops it from bench/tracing.TARGETS."""
         u_now = self.grid.check(u_now)
         h1 = self.grid.h1_seminorm_sq(u_now)
-        k = _WEIGHT_INDEX[weight]
-        conv, scalar, total = self._evaluate_at(u_now, h1, delta)
-        return float(total[k] * h1 + 2.0 * self.grid.inner(
-            self.grid.laplacian(u_now), conv[k]) + scalar[k])
+        self.grid.laplacian(u_now, self.lap_field)
+        return float(self.evaluate(h1, delta).integral(
+            _WEIGHT_INDEX[weight], h1, u_now))

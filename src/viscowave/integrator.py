@@ -7,14 +7,15 @@ by an operator-split leapfrog.  A ``Stepper`` owns a run's state and its
 step: a half-kick of v, implicit pointwise damping (in closed form for m = 1
 and 3, by Newton otherwise) split symmetrically around the drift of u, one
 Laplacian of u (into the memory's current row, ||grad u||^2 following by
-summation by parts), a push of u and lap u onto the memory's s-grid when one
-is due, the force (one memory product over the rows' Laplacians gives lap of
-the mu and mu' convolutions), the second half-kick and the damping and
-viscous powers.  A step costs O(K N) for the K memory modes of the run's
-horizon, t_end + T0 + ds, which ``ScenarioConfig.make_memory`` builds.  On
-small grids it costs its calls, not its arithmetic: the phases run inline in
-one method, on ufuncs into buffers bound once a run, each with the operand
-order of the plain expression, so every value is the same to the bit.
+summation by parts), a push of lap u and ||grad u||^2 onto the memory's
+s-grid when one is due, the force (one memory product over the rows'
+Laplacians gives lap of the mu and mu' convolutions), the second half-kick
+and the damping and viscous powers.  A step costs O(K N) for the K memory
+modes of the run's horizon, t_end + T0 + ds, which
+``ScenarioConfig.make_memory`` builds.  On small grids it costs its calls,
+not its arithmetic: the phases run inline in one method, on ufuncs into
+buffers bound once a run, each with the operand order of the plain
+expression, so every value is the same to the bit.
 ``initial_terms`` gives ledger row 0's terms without the run.
 
 ``run`` drives the stepper.  It keeps time in integer ticks of dt0 / 2^10,
@@ -68,8 +69,10 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
     2k sinh(asinh(3|a|/(2k))/3), k = (3 dt)^(-1/2), clamped to |a|.  The rest
     take Newton on |v| from the guess, its first step clipped to
     U = min(|a|, (|a|/dt)^(1/m)) >= root, down to |residual| <=
-    1e-14 max(1, m/45) max(1, |a|), the factor m/45 clearing rounding.  NaN,
-    inf and empty input take Newton, capped at 100 steps.
+    0.9e-14 max(1, m/45) max(1, |a|), the factor m/45 clearing rounding and
+    the tenth below 1e-14 a residual taken with another pow, which may land
+    a ulp of |a| higher.  NaN, inf and empty input take Newton, capped at
+    100 steps.
     """
     if m == 1.0:
         return a / (1.0 + dt)
@@ -110,7 +113,7 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
     if (m - 1.0) * y_max * y_max * min(amax, 1.0) <= 0.5e-14:
         return np.multiply(np.sign(a), x, out=x)
     tol = np.maximum(absa, 1.0)
-    tol *= 1e-14 * max(1.0, m / 45.0)
+    tol *= 0.9e-14 * max(1.0, m / 45.0)
     for i in range(100):
         xm1 = x ** (m - 1.0)
         res = xm1 * dt
@@ -135,15 +138,6 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
                 np.minimum(bound, absa, out=bound)
             np.minimum(x, bound, out=x)
     return np.multiply(np.sign(a), x, out=x)
-
-
-def pointwise_damping_solve(a: float, dt: float, m: float) -> float:
-    """damping_solve_field for one value, with its arguments checked."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return float(damping_solve_field(np.array([a]), dt, m)[0])
 
 
 def _damp_midpoint(v: np.ndarray, tau: float, m: float) -> np.ndarray:
@@ -222,21 +216,20 @@ def _row_terms(grid: SpatialGrid, u: np.ndarray, v: np.ndarray, mem,
 class Stepper:
     """The state of a run of config from datum, and its leapfrog step.
 
-    u and lap u are views of the memory's current row, the same arrays for
-    the whole run, so that ``grid.laplacian`` reruns the plan it bound to
-    them.  v, h1 = ||grad u||^2 and the memory at the state's lag (``mem``)
-    follow the state, and F is its force.  The grid's and the memory's
-    methods are bound once, from their classes' attributes, when the
-    stepper is built.
+    u is the stepper's own array and lap u the view of the memory's current
+    row that ``evaluate`` reads, the same arrays for the whole run, so that
+    ``grid.laplacian`` reruns the plan it bound to them.  v, h1 =
+    ||grad u||^2 and the memory at the state's lag (``mem``) follow the
+    state, and F is its force.  The grid's and the memory's methods are
+    bound once, from their classes' attributes, when the stepper is built.
     """
 
     def __init__(self, config: ScenarioConfig, datum: HistoryDatum,
                  kernel: RelaxationKernel):
         self.memory = memory = config.make_memory(datum, kernel)
         self.grid = grid = memory.grid
-        self.u = u = memory.field
+        self.u = u = datum.value_at(0.0).copy()
         lap_u = memory.lap_field
-        u[...] = datum.value_at(0.0)
         self.h1 = grid.h1_by_parts(u, grid.laplacian(u, lap_u))
         self.mem = memory.evaluate(self.h1, 0.0)
         self.v = datum.velocity_at_0.copy()
@@ -296,7 +289,7 @@ class Stepper:
                 v = self.v = _damp_midpoint(v, half_dt, m)
             h1 = self.h1 = h1_by_parts(u, laplacian(u, lap_u))
             if push:
-                push_u(u, t, h1, lap_u)
+                push_u(t, h1, lap_u)
             mem = self.mem = evaluate(h1, lag)
         else:
             h1, mem = self.h1, self.mem
@@ -407,8 +400,7 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
             stepper.set_dt(dt)
     else:
         flags["completed"] = True
-    # the memory's later evaluations rewrite its current row
-    state = SimState(t=tick * tick_dt, u=stepper.u.copy(), v=stepper.v,
+    state = SimState(t=tick * tick_dt, u=stepper.u, v=stepper.v,
                      memory=stepper.memory, dt=dt, step_index=step_index)
     return RunResult(config=config, grid=grid, kernel=kernel, datum=datum,
                      ledger=ledger, trajectory=kept, flags=flags, state=state)

@@ -114,7 +114,8 @@ class TestVerdictOnRealRun:
         v = blowup.verdict(led, result.flags, m=1.0, p=3.0, k0=2.0,
                            y0=1.0, M=0.5)
         assert v.hypothesis == blowup.NEGATIVE_ENERGY
-        assert v.detected and v.consistent
+        assert v.detected
+        assert (v.hypothesis is not None) == v.detected
         assert v.t_estimate is not None
         # energy never rises above its initial value along the way
         E = led.column("E")
@@ -128,4 +129,4 @@ class TestVerdictOnRealRun:
                            k0=2.0, y0=1.0, M=0.5)
         assert v.hypothesis is None
         assert not v.detected
-        assert v.consistent
+        assert (v.hypothesis is not None) == v.detected

@@ -143,19 +143,14 @@ class TestResolventAndOde:
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
-# Outputs recorded before Phi and Psi got their Python-float path, which must
+# Outputs recorded before Phi got its Python-float path, which must
 # reproduce them bit for bit: S as the first 16 hex digits of the sha256 of
-# its bytes, and S(t_end).  Recorded on x86-64 with AVX-512 and NumPy 2.4.6;
-# NumPy's power, which Psi's 0.375 exponent uses, may round differently
-# where NumPy picks another SIMD routine.
+# its bytes, and S(t_end).  Recorded on x86-64 with AVX-512 and NumPy 2.4.6.
 ODE_GOLDEN = {
-    "phi_m1": (DecayModel(phi_C=0.7, m=1.0, T_reiter=1.0), False,
+    "phi_m1": (DecayModel(phi_C=0.7, m=1.0, T_reiter=1.0),
                "1fb05b8f436dd61d", "0x1.fc07c015d0326p-6"),
-    "phi_m3": (DecayModel(phi_C=0.7, m=3.0, T_reiter=1.0), False,
+    "phi_m3": (DecayModel(phi_C=0.7, m=3.0, T_reiter=1.0),
                "c4f6ff33eb64598f", "0x1.2419925d9d464p-3"),
-    "psi": (DecayModel(phi_C=1.0, m=3.0, T_reiter=1.0, psi_C1=0.4,
-                       psi_C2=0.3, r=1.5, sigma=0.3), True,
-            "2ca8ad4e12f789e6", "0x1.3364351f90efap-3"),
 }
 # E at t = 10, 12, ..., 20 of the acceptance suite's w1_scenario() ledger:
 # all that comparison_check(ledger, 1.0, 2.0, t_start=10.0) reads from it.
@@ -168,8 +163,8 @@ W1_CALIBRATED_C = "0x1.5798ee2308c3ap-27"
 class TestComparisonOdeBitIdentity:
     @pytest.mark.parametrize("name", sorted(ODE_GOLDEN))
     def test_lt_ode_solve(self, name):
-        model, use_psi, digest, last = ODE_GOLDEN[name]
-        _, S = decay.lt_ode_solve(model, 2.0, 10.0, use_psi=use_psi)
+        model, digest, last = ODE_GOLDEN[name]
+        _, S = decay.lt_ode_solve(model, 2.0, 10.0)
         assert hashlib.sha256(S.tobytes()).hexdigest()[:16] == digest
         assert S[-1] == float.fromhex(last)
 

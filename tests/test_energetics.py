@@ -15,6 +15,11 @@ from viscowave.kernel import RelaxationKernel
 EXP11 = RelaxationKernel.exponential(1.0, 1.0)
 
 
+def inner(grid, f, g):
+    """The midpoint-quadrature L2 inner product of f and g."""
+    return float(np.add.reduce(f * g, axis=None)) * grid.cell_volume
+
+
 def memory_for(datum, ds=0.02, depth=30.0):
     return MemoryState(datum, EXP11, ds=ds, s_depth=depth)
 
@@ -181,18 +186,18 @@ def variational_residual(trajectory, grid, kernel, m, p, test_field,
 
     u, v = trajectory.u, trajectory.v
     # <u_t, phi> at the ends, - int <u_t, phi_t>
-    term = grid.inner(v[-1], X) * g[-1] - grid.inner(v[0], X) * g[0]
-    term -= integral(lambda j: grid.inner(v[j], X), gdot)
+    term = inner(grid, v[-1], X) * g[-1] - inner(grid, v[0], X) * g[0]
+    term -= integral(lambda j: inner(grid, v[j], X), gdot)
     # + k0 int <grad u, grad phi> = - k0 int <u, lap phi>
-    term += kernel.k0 * integral(lambda j: -grid.inner(u[j], lapX), g)
+    term += kernel.k0 * integral(lambda j: -inner(grid, u[j], lapX), g)
     # + int int k'(s) <grad u(tau - s), grad phi> ds dtau
     #   = - int <grad conv, grad phi> = int <lap conv, phi>
-    term += integral(lambda j: grid.inner(trajectory.lap_conv[j], X), g)
+    term += integral(lambda j: inner(grid, trajectory.lap_conv[j], X), g)
     # + int <|u_t|^{m-1} u_t, phi> - int <|u|^{p-1} u, phi>
     term += integral(
-        lambda j: grid.inner(np.abs(v[j]) ** (m - 1.0) * v[j], X), g)
+        lambda j: inner(grid, np.abs(v[j]) ** (m - 1.0) * v[j], X), g)
     term -= integral(
-        lambda j: grid.inner(np.abs(u[j]) ** (p - 1.0) * u[j], X), g)
+        lambda j: inner(grid, np.abs(u[j]) ** (p - 1.0) * u[j], X), g)
     return abs(float(term))
 
 

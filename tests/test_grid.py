@@ -9,6 +9,11 @@ from viscowave import wellconst
 from viscowave.grid import GridError, SpatialGrid
 
 
+def inner(grid, f, g):
+    """The midpoint-quadrature L2 inner product of f and g."""
+    return float(np.add.reduce(f * g, axis=None)) * grid.cell_volume
+
+
 def line_grid(n=200, length=math.pi):
     return SpatialGrid.line(length, n)
 
@@ -156,12 +161,12 @@ class TestSummationByParts:
         for _ in range(20):
             f = rng.standard_normal(grid.shape)
             g_ = rng.standard_normal(grid.shape)
-            lhs = grid.inner(grid.laplacian(f), g_)
-            rhs = grid.inner(f, grid.laplacian(g_))
+            lhs = inner(grid, grid.laplacian(f), g_)
+            rhs = inner(grid, f, grid.laplacian(g_))
             scale = max(1.0, abs(lhs))
             assert abs(lhs - rhs) <= 1e-11 * scale
             assert grid.h1_seminorm_sq(f) == pytest.approx(
-                -grid.inner(grid.laplacian(f), f), rel=1e-12)
+                -inner(grid, grid.laplacian(f), f), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(hnp.arrays(np.float64, 17,
@@ -169,7 +174,7 @@ class TestSummationByParts:
     def test_property_1d(self, f):
         grid = line_grid(n=17, length=1.0)
         h1 = grid.h1_seminorm_sq(f)
-        sbp = -grid.inner(grid.laplacian(f), f)
+        sbp = -inner(grid, grid.laplacian(f), f)
         assert h1 >= 0.0
         assert abs(h1 - sbp) <= 1e-10 * max(1.0, h1)
 
@@ -246,7 +251,8 @@ class TestSliceStencils:
         h1 = grid.h1_seminorm_sq(f)
         assert h1 == pytest.approx(pad_h1_seminorm_sq(grid, f), rel=1e-13,
                                    abs=subnormal_slack(grid))
-        assert -grid.inner(lap, f) == pytest.approx(h1, rel=1e-12, abs=1e-300)
+        assert -inner(grid, lap, f) == pytest.approx(h1, rel=1e-12,
+                                                     abs=1e-300)
 
 
 @st.composite

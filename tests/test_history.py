@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -15,6 +16,11 @@ from viscowave.kernel import RelaxationKernel
 
 def grid_pi(n=200):
     return SpatialGrid.line(math.pi, n)
+
+
+def push_field(mem, f, t):
+    """Push the field f at time t: its ||grad f||^2 and lap f."""
+    mem.push(t, mem.grid.h1_seminorm_sq(f), mem.grid.laplacian(f))
 
 
 EXP11 = RelaxationKernel.exponential(1.0, 1.0)
@@ -223,7 +229,7 @@ class TestMemoryIntegral:
         mem = MemoryState(datum, EXP11, ds=ds, s_depth=40.0)
         n_push = 200
         for j in range(1, n_push + 1):
-            mem.push(U, j * ds)
+            push_field(mem, U, j * ds)
         t = n_push * ds
         h1 = grid.h1_seminorm_sq(U)
         expected = h1 * math.exp(-t)
@@ -237,7 +243,7 @@ class TestMemoryIntegral:
         ds = 0.01
         mem = MemoryState(datum, EXP11, ds=ds, s_depth=40.0)
         for j in range(1, 201):
-            mem.push(U, j * ds)
+            push_field(mem, U, j * ds)
         h1 = grid.h1_seminorm_sq(U)
         # dense trapezoid over the covered depth plus the exact tail; w = 0
         # for s < t and w = U beyond
@@ -257,7 +263,7 @@ class TestMemoryIntegral:
         oracle = DenseMemory(datum, EXP11, ds=0.1, s_depth=5.0)
         for j in range(1, 8):
             f = rng.standard_normal(grid.shape)
-            mem.push(f, j * 0.1)
+            push_field(mem, f, j * 0.1)
             oracle.push(f)
         u = rng.standard_normal(grid.shape)
         for weight in ("mu", "mu_prime"):
@@ -273,7 +279,7 @@ class TestMemoryIntegral:
         oracle = DenseMemory(datum, EXP11, ds=0.1, s_depth=3.0)
         for j in range(1, 5):
             f = rng.standard_normal(grid.shape)
-            mem.push(f, j * 0.1)
+            push_field(mem, f, j * 0.1)
             oracle.push(f)
         u = rng.standard_normal(grid.shape)
         delta = 0.04
@@ -295,7 +301,7 @@ class TestMemoryIntegral:
         # three and a half times the depth of six rows
         for j in range(1, 22):
             f = rng.standard_normal(grid.shape)
-            mem.push(f, j * 0.1)
+            push_field(mem, f, j * 0.1)
             oracle.push(f)
         u = rng.standard_normal(grid.shape)
         for weight in ("mu", "mu_prime"):
@@ -320,7 +326,7 @@ class TestMemoryIntegral:
         assert len(mem.lam) < len(POLY15.modes(POLY15.memory_horizon)[0])
         for j in range(1, 21):
             f = rng.standard_normal(grid.shape)
-            mem.push(f, j * 0.1)
+            push_field(mem, f, j * 0.1)
             oracle.push(f)
         u = rng.standard_normal(grid.shape)
         h1 = grid.h1_seminorm_sq(u)
@@ -339,12 +345,12 @@ class TestMemoryIntegral:
         datum = HistoryDatum.from_template(grid, 0.2, support_T0=0.3)
         mem = MemoryState(datum, POLY15, ds=0.1, s_depth=0.5, horizon=1.05)
         for j in range(1, 8):
-            mem.push(grid.zeros(), j * 0.1)
+            push_field(mem, grid.zeros(), j * 0.1)
         with pytest.raises(ValueError, match="horizon"):
-            mem.push(grid.zeros(), 0.8)
+            push_field(mem, grid.zeros(), 0.8)
         # without a horizon the modes hold at every lag
         mem = MemoryState(datum, POLY15, ds=0.1, s_depth=0.5)
-        mem.push(grid.zeros(), 1e9)
+        push_field(mem, grid.zeros(), 1e9)
 
     @pytest.mark.parametrize("kernel", [EXP11, POLY15], ids=["exp", "poly"])
     def test_quadrature_cache_stays_bounded(self, kernel):
@@ -367,7 +373,7 @@ class TestMemoryIntegral:
         lags = set()
         for halvings in range(6):
             f = u * (1.0 + 0.1 * halvings)
-            mem.push(f, 0.1 * (halvings + 1))
+            push_field(mem, f, 0.1 * (halvings + 1))
             oracle.push(f)
             n_lags = stride * 2 ** halvings
             for delta in 0.1 * np.arange(n_lags) / n_lags:
@@ -397,12 +403,11 @@ class TestMemoryIntegral:
         oracle = DenseMemory(datum, kernel, ds=0.1, s_depth=0.5)
         for j in range(1, n_push + 1):
             f = rng.standard_normal(grid.shape)
-            mem.push(f, j * 0.1)
+            push_field(mem, f, j * 0.1)
             oracle.push(f)
         u = rng.standard_normal(grid.shape)
         h1 = grid.h1_seminorm_sq(u)
         delta = 0.1 * lag
-        mem.field[...] = u
         grid.laplacian(u, out=mem.lap_field)
         ev = mem.evaluate(h1, delta)
         for k, weight in enumerate(("mu", "mu_prime")):
@@ -422,7 +427,8 @@ class TestMemoryIntegral:
             memory_integral = oracle.memory_integral(u, weight, delta)
             assert ev.integral(k, h1, u) == pytest.approx(
                 memory_integral, rel=1e-10, abs=1e-12)
-            # the views take the same product over the field columns
+            # each view is one evaluation: the convolution is the
+            # Dirichlet inverse of ev.conv, the scalar ev.scalar itself
             np.testing.assert_allclose(
                 grid.laplacian(mem.convolution_field(u, delta, weight)),
                 ev.conv[k], rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
@@ -430,19 +436,20 @@ class TestMemoryIntegral:
             assert mem.memory_integral(u, weight, delta) == pytest.approx(
                 memory_integral, rel=1e-10, abs=1e-12)
 
-    def test_push_takes_the_laplacian_it_is_not_given(self):
+    def test_push_records_the_laplacian_and_seminorm_it_is_given(self):
+        # a push takes no field, and M keeps lap field and ||grad field||^2
         grid = SpatialGrid.rectangle((math.pi, 2.0), (7, 5))
         datum = HistoryDatum.from_template(grid, 0.2, modes=(1, 2),
                                            profile="ramp", support_T0=0.3)
-        given_, taken = (MemoryState(datum, POLY15, ds=0.1, s_depth=0.5)
-                         for _ in range(2))
+        mem = MemoryState(datum, POLY15, ds=0.1, s_depth=0.5)
+        assert list(inspect.signature(mem.push).parameters) == [
+            "t", "h1", "lap_u"]
+        assert mem.M.shape == (len(mem.lam) + 5, grid.size + 1)
         f = np.random.default_rng(5).standard_normal(grid.shape)
-        given_.push(f, 0.1, grid.h1_seminorm_sq(f), grid.laplacian(f))
-        taken.push(f, 0.1)
-        assert np.array_equal(given_.M, taken.M)
-        # D_0 is the deviation from the zero extension: lap f itself
-        assert np.array_equal(given_.M[-5, grid.size:-1],
-                              grid.laplacian(f).ravel())
+        h1, lap = grid.h1_seminorm_sq(f), grid.laplacian(f)
+        mem.push(0.1, h1, lap)
+        # D_0 is the deviation from the zero extension: lap f and h1 itself
+        assert np.array_equal(mem.M[-5], np.append(lap.ravel(), h1))
 
     @settings(max_examples=40, deadline=None)
     @given(kernel=st.sampled_from([EXP11, POLY15]),
@@ -465,15 +472,13 @@ class TestMemoryIntegral:
             f = rng.standard_normal(grid.shape)
             if op is None:
                 t += 0.1
-                mem.push(f, t)
-                fresh.push(f, t)
+                push_field(mem, f, t)
+                push_field(fresh, f, t)
             else:
-                mem.field[...] = f
                 grid.laplacian(f, out=mem.lap_field)
                 mem.evaluate(grid.h1_seminorm_sq(f), 0.1 * op)
         u = rng.standard_normal(grid.shape)
         h1 = grid.h1_seminorm_sq(u)
-        mem.field[...] = fresh.field[...] = u
         mem.lap_field[...] = fresh.lap_field[...] = grid.laplacian(u)
         a = mem.evaluate(h1, 0.1 * lag)
         b = fresh.evaluate(h1, 0.1 * lag)
@@ -525,7 +530,7 @@ class TestMemoryForce:
         t = 10.0
         # pushes over the whole depth, oldest first
         for j in range(mem.depth, -1, -1):
-            mem.push((t - j * ds) * U, t - j * ds)
+            push_field(mem, (t - j * ds) * U, t - j * ds)
         F = grid.laplacian(mem.convolution_field(t * U))
         expected = (t - 1.0) * grid.laplacian(U)
         assert np.allclose(F, expected, rtol=1e-3, atol=1e-6)

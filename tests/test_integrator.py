@@ -13,32 +13,30 @@ from viscowave.config import ScenarioConfig, loads
 from viscowave.grid import SpatialGrid
 from viscowave.history import MemoryState
 from viscowave.integrator import (_damp_midpoint, damping_solve_field,
-                                  initial_terms, pointwise_damping_solve, run)
+                                  initial_terms, run)
 from viscowave.runner import run_scenario
+
+
+def solve_one(a, dt, m):
+    """damping_solve_field on the one-element array [a], as a float."""
+    return float(damping_solve_field(np.array([a]), dt, m)[0])
 
 
 class TestDampingSolve:
     def test_linear_closed_form(self):
-        assert pointwise_damping_solve(1.0, 1.0, 1.0) == 0.5
+        assert solve_one(1.0, 1.0, 1.0) == 0.5
 
     def test_zero_stays_zero(self):
         for m in (1.0, 2.0, 3.5):
-            assert pointwise_damping_solve(0.0, 0.7, m) == 0.0
+            assert solve_one(0.0, 0.7, m) == 0.0
 
     def test_cubic_example(self):
         # 1 + 1^3 = 2
-        assert pointwise_damping_solve(2.0, 1.0, 3.0) == pytest.approx(1.0,
-                                                                       abs=1e-13)
+        assert solve_one(2.0, 1.0, 3.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_sign_symmetry(self):
-        v = pointwise_damping_solve(-2.0, 1.0, 3.0)
+        v = solve_one(-2.0, 1.0, 3.0)
         assert v == pytest.approx(-1.0, abs=1e-13)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            pointwise_damping_solve(1.0, -0.1, 1.0)
-        with pytest.raises(ValueError):
-            pointwise_damping_solve(1.0, 0.1, 0.5)
 
     @settings(max_examples=120, deadline=None)
     @given(a=st.floats(-1e12, 1e12, allow_nan=False),
@@ -46,8 +44,11 @@ class TestDampingSolve:
            m=st.floats(1.0, 20.0))
     @example(a=-37.5, dt=0.01, m=3.0)
     @example(a=2.0e-4, dt=1e-3, m=3.0)
+    # Newton once stopped a seventh of a ulp of |a| inside 1e-14 |a| by
+    # NumPy's power, where Python's pow puts the residual a ulp higher
+    @example(a=673106885685.1147, dt=5.95571553525607, m=2.16015625)
     def test_contraction_and_residual(self, a, dt, m):
-        v = pointwise_damping_solve(a, dt, m)
+        v = solve_one(a, dt, m)
         assert abs(v) <= abs(a)
         assert v * a >= 0.0
         res = v + dt * abs(v) ** (m - 1.0) * v - a
@@ -100,8 +101,7 @@ class TestDampingSolve:
         v = damping_solve_field(a, 1.0, m)
         res = v + np.abs(v) ** (m - 1.0) * v - a
         assert np.all(np.abs(res) <= 1e-14 * (m / 45.0) * np.abs(a))
-        assert pointwise_damping_solve(mag, 1.0, m) == pytest.approx(
-            v[0], rel=1e-14)
+        assert solve_one(mag, 1.0, m) == pytest.approx(v[0], rel=1e-14)
 
     def test_field_version_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -109,7 +109,7 @@ class TestDampingSolve:
         out = damping_solve_field(a, 0.3, 2.5)
         for ai, oi in zip(a, out):
             assert oi == pytest.approx(
-                pointwise_damping_solve(float(ai), 0.3, 2.5), rel=1e-12)
+                solve_one(float(ai), 0.3, 2.5), rel=1e-12)
 
 
 # Damping-solve outputs recorded when the Newton solve took its clipped first
@@ -172,8 +172,7 @@ class TestDampingSolveBitIdentity:
         for m in sorted(DAMP_GOLDEN["damping_solve_field"]):
             for dt in DAMP_DTS:
                 for a in (1e-3, -0.7, 2.5, -1e4, _TINY, -0.0):
-                    h.update(np.float64(
-                        pointwise_damping_solve(a, dt, m)).tobytes())
+                    h.update(np.float64(solve_one(a, dt, m)).tobytes())
         assert h.hexdigest()[:16] == POINTWISE_GOLDEN
 
 
@@ -463,8 +462,8 @@ class TestRun:
     def test_finished_run_memory_size_independent_of_depth(self):
         # the polynomial frozen depth is 100 * t_end, yet the memory's arrays
         # have no axis of that depth, only the K modes of the run's horizon
-        # t_end + T0 + ds, each row a field, its Laplacian and its
-        # ||grad||^2; the kept state still gives the last convolution
+        # t_end + T0 + ds, each row a field's Laplacian and its ||grad||^2;
+        # the kept state still gives the last convolution
         def mode_count(t_end):
             cfg = quick_config(kernel_family="polynomial", r=1.5,
                                extension="frozen", t_end=t_end)
@@ -479,7 +478,7 @@ class TestRun:
             assert {k: v.shape for k, v in vars(memory).items()
                     if isinstance(v, np.ndarray)} == {
                 "lam": (K,), "weights": (2, K), "w0": (2,), "decay": (K, 1),
-                "M": (K + 5, 2 * N + 1)}
+                "M": (K + 5, N + 1)}
             ds = memory.ds
             assert memory.horizon == t_end + cfg.support_T0 + ds
             assert np.array_equal(

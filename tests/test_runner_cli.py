@@ -273,6 +273,31 @@ def test_no_module_imports_scipy():
                 f"{path.name}:{node.lineno} imports scipy"
 
 
+# functions no package code names, kept because bench/tracing.TARGETS wraps
+# them
+UNREFERENCED_ALLOWED = {"convolution_field", "scalar_convolution",
+                        "viscous_power", "damping_power"}
+
+
+def test_every_function_is_referenced_in_the_package():
+    # a function or method (dunders aside) that no name or attribute in the
+    # package refers to is code no run reaches
+    defined, used = {}, set()
+    for path in Path(viscowave.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unreferenced = {name: where for name, where in defined.items()
+                    if name not in used and name not in UNREFERENCED_ALLOWED}
+    assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
 def test_run_setup_loads_no_scipy():
     # importing the CLI, running a scenario (well constants included) and
     # criterion 10's oracles load no SciPy module

@@ -237,11 +237,12 @@ class TestStepDamping:
 
 def uncertified_solve(a, dt, m):
     """damping_solve_field for 1 < m <= 45 as it was before the guess was
-    certified: every array runs the loop, and the clip bound is always the
-    product of powers."""
+    certified: every array runs the loop, to the solve's stopping bound
+    0.9e-14 max(1, |a|), and the clip bound is always the product of
+    powers."""
     absa = np.abs(a)
     tol = np.maximum(absa, 1.0)
-    tol *= 1e-14
+    tol *= 0.9e-14
     x = absa ** (m - 1.0)
     x *= dt
     x += 1.0

@@ -320,24 +320,24 @@ def criterion_11(suite: Suite):
     x = rng.uniform(1e-3, 10.0, 1000)
     model3 = DecayModel(phi_C=0.7, m=3.0, T_reiter=1.0)
 
-    def phi_inv(z):
-        lo = np.zeros_like(z)
-        hi = z / model3.phi_C          # Phi(s) >= C s, so Phi^{-1}(z) <= z/C
+    def bisect(too_high, hi):
+        # on [0, hi]; an iteration that moves neither lo nor hi (mid is one
+        # of them) repeats in every later one, so the loop stops there
+        lo = np.zeros_like(hi)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            high = model3.phi(mid) > z
+            high = too_high(mid)
+            if (mid == np.where(high, hi, lo)).all():
+                break
             hi = np.where(high, mid, hi)
             lo = np.where(high, lo, mid)
         return 0.5 * (lo + hi)
 
-    lo = np.zeros_like(x)
-    hi = x.copy()
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        high = mid + phi_inv(mid) > x
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    lhs = 0.5 * (lo + hi)
+    def phi_inv(z):
+        # Phi(s) >= C s, so Phi^{-1}(z) <= z/C
+        return bisect(lambda s: model3.phi(s) > z, z / model3.phi_C)
+
+    lhs = bisect(lambda s: s + phi_inv(s) > x, x)
     rhs = x - np.array([decay.resolvent(model3.phi, xi) for xi in x])
     ident_err = float(np.max(np.abs(lhs - rhs)))
     ident_ok = ident_err <= 1e-10

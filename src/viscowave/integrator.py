@@ -4,19 +4,19 @@
            - |u_t|^(m-1) u_t + |u|^(p-1) u
 
 by an operator-split leapfrog.  A ``Stepper`` owns a run's state and its
-step: a half-kick of v, implicit pointwise damping (in closed form for m = 1
-and 3, by Newton otherwise) split symmetrically around the drift of u, one
-Laplacian of u (into the memory's current row, ||grad u||^2 following by
-summation by parts), a push of lap u and ||grad u||^2 onto the memory's
-s-grid when one is due, the force (one memory product over the rows'
-Laplacians gives lap of the mu and mu' convolutions), the second half-kick
-and the damping and viscous powers.  A step costs O(K N) for the K memory
-modes of the run's horizon, t_end + T0 + ds, which
-``ScenarioConfig.make_memory`` builds.  On small grids it costs its calls,
-not its arithmetic: the phases run inline in one method, on ufuncs into
-buffers bound once a run, each with the operand order of the plain
-expression, so every value is the same to the bit.
-``initial_terms`` gives ledger row 0's terms without the run.
+step: a half-kick of v, implicit pointwise damping (at m = 1 a scaling of v,
+in closed form for m = 3, by Newton otherwise) split symmetrically around
+the drift of u, one Laplacian of u (into the memory's current row,
+||grad u||^2 following by summation by parts), a push of lap u and
+||grad u||^2 onto the memory's s-grid when one is due, the force (one
+memory product over the rows' Laplacians gives lap of the mu and mu'
+convolutions), the second half-kick and the damping and viscous powers.  A
+step costs O(K N) for the K memory modes of the run's horizon,
+t_end + T0 + ds, which ``ScenarioConfig.make_memory`` builds.  On small
+grids it costs its calls, not its arithmetic: the phases run inline in one
+method, on ufuncs into buffers bound once a run, each with the operand
+order of the plain expression, so every value is that expression's to the
+bit.  ``initial_terms`` gives ledger row 0's terms without the run.
 
 ``run`` drives the stepper.  It keeps time in integer ticks of dt0 / 2^10,
 so that memory pushes land exactly on the s-grid after halvings, sums the
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy import absolute, add, divide, multiply, subtract, vdot
+from numpy import absolute, add, multiply, subtract, vdot
 
 from . import energetics, wellconst
 from .config import ScenarioConfig
@@ -51,45 +51,63 @@ CUBIC_ARG_MAX = 1e20
 # pointwise damping solve
 
 
-def _guess(absa: np.ndarray, dt: float, m: float) -> np.ndarray:
-    """|a|/(1 + dt|a|^(m-1)), a lower bound on the root, into a new array."""
-    x = absa ** (m - 1.0)
+def _guess(absa: np.ndarray, dt: float, m: float,
+           one: float = 1.0) -> np.ndarray:
+    """|a|/(one + dt|a|^(m-1)), into a new array; at one = 1 a lower bound on
+    the root.  At m = 3 the power is a product, so a signed a gives
+    a/(one + dt a^2), which keeps the sign of -0.0."""
+    x = np.multiply(absa, absa) if m == 3.0 else absa ** (m - 1.0)
     x *= dt
-    x += 1.0
+    x += one
     return np.divide(absa, x, out=x)
 
 
-def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
+def _certificate(amax: float, dt: float, m: float) -> tuple:
+    """y = dt max|a|^(m-1) (inf where it overflows) and whether one scalar
+    certifies a whole array: the guess |a|/(1 + dt|a|^(m-1)) lies below the
+    root within (m-1)|a|(dt|a|^(m-1))^2, so where (m-1) y^2 min(max|a|, 1)
+    <= 0.5e-14 it meets Newton's stopping test.  False for NaN and inf;
+    monotone in max|a|."""
+    try:
+        y = dt * (amax * amax if m == 3.0 else amax ** (m - 1.0))
+    except OverflowError:
+        y = math.inf
+    return y, (m - 1.0) * y * y * min(amax, 1.0) <= 0.5e-14
+
+
+def damping_solve_field(a: np.ndarray, dt: float, m: float,
+                        absa: Optional[np.ndarray] = None,
+                        amax: float = math.nan) -> np.ndarray:
     """The unique real v with v + dt*|v|^(m-1)*v = a, elementwise, into a new
-    array.  m = 1 is a / (1 + dt).  Otherwise the guess |a|/(1 + dt y),
-    y = |a|^(m-1), lies below the root within (m-1)|a|(dt y)^2, so one scalar
-    certifies a whole array whose (m-1)(dt y_max)^2 min(max|a|, 1) <= 0.5e-14:
-    the guess meets Newton's stopping test and is returned.  Other arrays
-    take, for m = 3 and 3 max|a|/(2k) <= CUBIC_ARG_MAX, the cubic's real root
-    2k sinh(asinh(3|a|/(2k))/3), k = (3 dt)^(-1/2), clamped to |a|.  The rest
-    take Newton on |v| from the guess, its first step clipped to
-    U = min(|a|, (|a|/dt)^(1/m)) >= root, down to |residual| <=
-    0.9e-14 max(1, m/45) max(1, |a|), the factor m/45 clearing rounding and
-    the tenth below 1e-14 a residual taken with another pow, which may land
-    a ulp of |a| higher.  NaN, inf and empty input take Newton, capped at
-    100 steps.
+    array; ``absa`` and ``amax``, |a| and max|a|, from a caller that has
+    taken them.  m = 1 is a / (1 + dt).  Otherwise an array that
+    ``_certificate`` certifies gets the guess, signed (at m = 3 as
+    a/(1 + dt a^2)).  Other arrays take, for m = 3 and 3 max|a|/(2k) <=
+    CUBIC_ARG_MAX, the cubic's real root 2k sinh(asinh(3|a|/(2k))/3),
+    k = (3 dt)^(-1/2), clamped to |a|.  The rest take Newton on |v| from the
+    guess, its first step clipped to U = min(|a|, (|a|/dt)^(1/m)) >= root,
+    down to |residual| <= 0.9e-14 max(1, m/45) max(1, |a|), the factor m/45
+    clearing rounding and the tenth below 1e-14 a residual taken with
+    another pow, which may land a ulp of |a| higher.  NaN, inf and empty
+    input take Newton, capped at 100 steps.
     """
     if m == 1.0:
         return a / (1.0 + dt)
     # as Python floats the scalar bounds overflow to inf or raise, never warn
     dt, m = float(dt), float(m)
-    absa = np.abs(a)
-    amax = float(absa.max()) if a.size else math.inf
-    if m == 3.0 and a.size:
+    if absa is None:
+        absa = np.abs(a)
+        amax = float(absa.max()) if a.size else math.inf
+    y_max, certified = _certificate(amax, dt, m)
+    if certified:
+        if m == 3.0:
+            return _guess(a, dt, m)
+        x = _guess(absa, dt, m)
+        return np.multiply(np.sign(a), x, out=x)
+    if m == 3.0:
         root3dt = math.sqrt(3.0 * dt)       # 1 / k
         scale = 1.5 * root3dt               # 3 / (2k)
         if scale * amax <= CUBIC_ARG_MAX:   # false for NaN and inf
-            y = dt * amax * amax
-            if 2.0 * y * y * min(amax, 1.0) <= 0.5e-14:
-                x = np.multiply(a, a)
-                x *= dt
-                x += 1.0
-                return np.divide(a, x, out=x)
             v = np.multiply(absa, scale)
             np.arcsinh(v, out=v)
             v /= 3.0
@@ -98,20 +116,12 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
             # where dt a^2 is tiny the rounding may land 1 ulp above |a|
             np.minimum(v, absa, out=v)
             return np.copysign(v, a, out=v)
-    y_max = math.inf
-    if a.size:
-        try:
-            y_max = dt * amax ** (m - 1.0)
-        except OverflowError:
-            pass
     # entering np.errstate costs microseconds, so only where it can overflow
     if y_max < 1e300:
         x = _guess(absa, dt, m)
     else:
         with np.errstate(over="ignore"):
             x = _guess(absa, dt, m)
-    if (m - 1.0) * y_max * y_max * min(amax, 1.0) <= 0.5e-14:
-        return np.multiply(np.sign(a), x, out=x)
     tol = np.maximum(absa, 1.0)
     tol *= 0.9e-14 * max(1.0, m / 45.0)
     for i in range(100):
@@ -140,16 +150,43 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float) -> np.ndarray:
     return np.multiply(np.sign(a), x, out=x)
 
 
-def _damp_midpoint(v: np.ndarray, tau: float, m: float) -> np.ndarray:
-    """Implicit-midpoint integration of v' = -|v|^(m-1) v over [0, tau].
+def _cayley(tau: float) -> float:
+    """(1 - tau/2)/(1 + tau/2), the factor by which the implicit midpoint
+    over tau scales v in v' = -v."""
+    return (1.0 - 0.5 * tau) / (1.0 + 0.5 * tau)
+
+
+def _damp_midpoint(v: np.ndarray, tau: float, m: float,
+                   certified: bool = False) -> tuple:
+    """Implicit-midpoint integration of v' = -|v|^(m-1) v over [0, tau]: the
+    new v, in a new array, and whether ``_certificate`` held.
 
     The midpoint velocity w solves w + (tau/2)|w|^(m-1) w = v, so the energy
     removed is exactly tau * |w|^(m+1) -- the damping power at the midpoint,
     which keeps the measured dissipation consistent with the trapezoid
-    bookkeeping to second order.
+    bookkeeping to second order.  The new v is 2w - v, at m = 1 v times
+    ``_cayley(tau)``.  A certified 2w costs no pass of its own, exactly: at
+    m = 3 the guess's divisor is halved, otherwise 2 sign(a) scales it (a
+    halved general divisor would round a subnormal quotient once, not
+    twice).  |v| cannot grow here and the certificate is monotone in max|v|,
+    so a certified call's v passes ``certified`` to the next call with the
+    same tau and m, which then skips max|v|.
     """
-    w = damping_solve_field(v, 0.5 * tau, m)
-    return np.subtract(np.multiply(w, 2.0, out=w), v, out=w)
+    if m == 1.0:
+        return np.multiply(v, _cayley(tau)), True
+    dt = 0.5 * float(tau)
+    absa = None if certified and m == 3.0 else np.abs(v)
+    if not certified:
+        amax = float(absa.max()) if v.size else math.inf
+        if not _certificate(amax, dt, m)[1]:
+            w = damping_solve_field(v, dt, m, absa, amax)
+            return np.subtract(np.multiply(w, 2.0, out=w), v, out=w), False
+    if m == 3.0:
+        x = _guess(v, 0.5 * dt, m, 0.5)
+    else:
+        x = _guess(absa, dt, m)
+        x *= np.copysign(2.0, v)
+    return np.subtract(x, v, out=x), True
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +288,13 @@ class Stepper:
                           self.p, self.source)
 
     def set_dt(self, dt: float):
-        """Step by dt from now on: dt/2, the m = 1 divisor 1 + dt/4, and the
-        first half-kick (dt/2) F, which a step otherwise leaves in kick."""
+        """Step by dt from now on: dt/2; for m = 1 the factor alpha by which
+        each midpoint damping over dt/2 scales v (``_cayley``), as alpha dt
+        for the drift between the two and alpha^2 for both; and the first
+        half-kick (dt/2) F, which a step otherwise leaves in kick."""
         half_dt = 0.5 * dt
-        self._scalars = dt, half_dt, 1.0 + 0.5 * half_dt
+        alpha = _cayley(half_dt)
+        self._scalars = dt, half_dt, alpha * dt, alpha * alpha
         multiply(self.F, half_dt, self.kick)
 
     def step(self, t: float = 0.0, lag: float = 0.0, push: bool = False,
@@ -269,24 +309,20 @@ class Stepper:
         v = self.v
         if move:
             # kick, then the damping split symmetrically around the drift;
-            # m = 1 in place: _damp_midpoint's v / (1 + tau/2), doubled,
-            # less v
-            dt, half_dt, linear_div = self._scalars
+            # at m = 1 the dampings scale v by alpha before and after it
+            dt, half_dt, alpha_dt, alpha_sq = self._scalars
             add(v, kick, v)
             if linear:
-                divide(v, linear_div, work)
-                multiply(work, 2.0, work)
-                subtract(work, v, v)
-            elif damping:
-                v = self.v = _damp_midpoint(v, half_dt, m)
-            multiply(v, dt, work)
-            add(u, work, u)
-            if linear:
-                divide(v, linear_div, work)
-                multiply(work, 2.0, work)
-                subtract(work, v, v)
-            elif damping:
-                v = self.v = _damp_midpoint(v, half_dt, m)
+                multiply(v, alpha_dt, work)
+                add(u, work, u)
+                multiply(v, alpha_sq, v)
+            else:
+                if damping:
+                    v, certified = _damp_midpoint(v, half_dt, m)
+                multiply(v, dt, work)
+                add(u, work, u)
+                if damping:
+                    v = self.v = _damp_midpoint(v, half_dt, m, certified)[0]
             h1 = self.h1 = h1_by_parts(u, laplacian(u, lap_u))
             if push:
                 push_u(t, h1, lap_u)

@@ -115,15 +115,17 @@ class TestDampingSolve:
 # Damping-solve outputs recorded when the Newton solve took its clipped first
 # step, which later changes must reproduce bit for bit: per function and m,
 # the first 16 hex digits of the sha256 of the outputs' bytes over DAMP_DTS x
-# DAMP_INPUTS.  The m = 1 entries are the closed form a / (1 + dt) and date
-# from before.  The m = 3 entries were re-recorded when m = 3 took the cubic's
-# closed form, which keeps the sign of -0.0 and maps the smallest subnormal
-# to 0 where its scaled argument underflows.  Every other entry is a
-# converged solve of 0 to 8 Newton iterations, in which 0 and -0.0 map to 0.0
-# and the smallest subnormal to itself.  Recorded on x86-64 with AVX-512 and
-# NumPy 2.4.6; NumPy's power, which m = 1.5, 5 and 9 call with exponents
-# other than 1/2, 1 and 2, and its sinh and arcsinh, which m = 3 calls, may
-# round differently where NumPy picks another SIMD routine.
+# DAMP_INPUTS.  The m = 1 solve is the closed form a / (1 + dt) and dates
+# from before; the m = 1 midpoint was re-recorded when it became v times the
+# Cayley factor (1 - dt/2)/(1 + dt/2), a product that keeps -0.0 where the
+# factor is positive.  The m = 3 entries were re-recorded when m = 3 took
+# the cubic's closed form, which keeps the sign of -0.0 and maps the
+# smallest subnormal to 0 where its scaled argument underflows.  Every other
+# entry is a converged solve of 0 to 8 Newton iterations, in which 0 and
+# -0.0 map to 0.0 and the smallest subnormal to itself.  Recorded on x86-64
+# with AVX-512 and NumPy 2.4.6; NumPy's power, which m = 1.5, 5 and 9 call
+# with exponents other than 1/2, 1 and 2, and its sinh and arcsinh, which
+# m = 3 calls, may round differently where NumPy picks another SIMD routine.
 _MAG = np.logspace(-3, 4, 36)
 _TINY = np.finfo(float).smallest_subnormal
 _WIDE = np.r_[_MAG, -_MAG, 0.0, -0.0, _TINY]
@@ -143,7 +145,7 @@ DAMP_GOLDEN = {
         9.0: "f162af7bea654d60",
     },
     "_damp_midpoint": {
-        1.0: "6488e0d3e1a14d36",
+        1.0: "a82cbaa10dff8d0a",
         1.5: "a2ad7206c8ca1fb4",
         2.0: "a8e7d20012e22b0b",
         3.0: "92ef285875631ec2",
@@ -156,16 +158,18 @@ POINTWISE_GOLDEN = "2efb836e26f7a0db"
 
 class TestDampingSolveBitIdentity:
     @pytest.mark.parametrize("m", sorted(DAMP_GOLDEN["damping_solve_field"]))
-    @pytest.mark.parametrize("fn", [damping_solve_field, _damp_midpoint],
-                             ids=["damping_solve_field", "_damp_midpoint"])
-    def test_field_outputs(self, fn, m):
+    @pytest.mark.parametrize("name", ["damping_solve_field", "_damp_midpoint"])
+    def test_field_outputs(self, name, m):
         h = hashlib.sha256()
         for dt in DAMP_DTS:
             for a in DAMP_INPUTS:
-                out = fn(a, dt, m)
+                if name == "_damp_midpoint":
+                    out = _damp_midpoint(a, dt, m)[0]
+                else:
+                    out = damping_solve_field(a, dt, m)
                 assert out.shape == a.shape
                 h.update(out.tobytes())
-        assert h.hexdigest()[:16] == DAMP_GOLDEN[fn.__name__][m]
+        assert h.hexdigest()[:16] == DAMP_GOLDEN[name][m]
 
     def test_pointwise_outputs(self):
         h = hashlib.sha256()
@@ -174,14 +178,6 @@ class TestDampingSolveBitIdentity:
                 for a in (1e-3, -0.7, 2.5, -1e4, _TINY, -0.0):
                     h.update(np.float64(solve_one(a, dt, m)).tobytes())
         assert h.hexdigest()[:16] == POINTWISE_GOLDEN
-
-
-def linear_midpoint_in_place(v, tau, work):
-    """The m = 1 damping as a step runs it, into v by way of work: the same
-    three roundings as _damp_midpoint, v / (1 + tau/2), doubled, less v."""
-    np.divide(v, 1.0 + 0.5 * tau, work)
-    np.multiply(work, 2.0, work)
-    return np.subtract(work, v, v)
 
 
 def step_damping_power(v, e, work, cell_volume):
@@ -197,18 +193,9 @@ def step_damping_power(v, e, work, cell_volume):
 
 
 class TestStepDamping:
-    """The operations a step runs in place of _damp_midpoint at m = 1, of
-    energetics.damping_power and of the source's |u|^2 give the same values,
-    bit for bit, on inputs (0, the smallest subnormal, 1e100) that the
-    ledger digests leave out."""
-
-    def test_linear_midpoint_in_place(self):
-        for dt in DAMP_DTS:
-            for a in DAMP_INPUTS:
-                v, work = a.copy(), np.empty_like(a)
-                assert linear_midpoint_in_place(v, dt, work) is v
-                np.testing.assert_array_equal(
-                    v.view(np.int64), _damp_midpoint(a, dt, 1.0).view(np.int64))
+    """The operations a step runs in place of energetics.damping_power and
+    of the source's |u|^2 give the same values, bit for bit, on inputs (0,
+    the smallest subnormal, 1e100) that the ledger digests leave out."""
 
     @pytest.mark.parametrize("m", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("grid", [
@@ -367,6 +354,62 @@ def test_certified_guess_matches_uncertified_loop(m, dt, shift, unit, extras):
     assert got.shape == a.shape
     np.testing.assert_array_equal(got.view(np.int64),
                                   expected.view(np.int64))
+
+
+# |cayley - three-rounding| over 3,000 arrays of 500 with |v| log-uniform in
+# [1e-300, 1e300] and tau log-uniform in [1e-8, 1e4], subnormals included,
+# measured at most 2 ulps of |v|; the bound gives twice that
+CAYLEY_ULPS = 4.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau=st.one_of(st.floats(1e-8, 1.0), st.floats(1e-8, 1e4)),
+       v=hnp.arrays(np.float64, st.integers(1, 40),
+                    elements=st.floats(-1e307, 1e307)),
+       zeros=st.lists(st.sampled_from((0.0, -0.0)), max_size=2))
+def test_linear_midpoint_is_the_cayley_factor(tau, v, zeros):
+    # m = 1: the midpoint v <- 2 v/(1 + tau/2) - v is v times
+    # (1 - tau/2)/(1 + tau/2), which keeps the sign of zero where the
+    # factor is not negative.  Below 1e307 the doubling cannot overflow,
+    # which the factor never does
+    v = np.r_[v, zeros]
+    got, certified = _damp_midpoint(v, tau, 1.0)
+    assert certified and got.shape == v.shape
+    three_roundings = np.subtract(np.multiply(v / (1.0 + 0.5 * tau), 2.0), v)
+    assert np.all(np.abs(got - three_roundings)
+                  <= CAYLEY_ULPS * np.spacing(np.abs(v)))
+    zero = v == 0.0
+    np.testing.assert_array_equal(np.signbit(got[zero]),
+                                  np.signbit(v[zero]) ^ (tau > 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.one_of(st.just(3.0), st.floats(1.0, 20.0, exclude_min=True)),
+       tau=st.floats(1e-6, 1e2), shift=st.floats(-40.0, 1.0),
+       unit=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8),
+                       elements=st.floats(-1.0, 1.0)),
+       extras=st.lists(st.sampled_from(
+           (-0.0, _TINY, -3.0 * _TINY, 1e-310, -2.5e-308)), max_size=3))
+@example(m=1.01, tau=100.0, shift=0.0, unit=np.array([1.0]),
+         extras=[-3.0 * _TINY, 1e-310])
+def test_certified_midpoint_is_the_doubled_solve(m, tau, shift, unit, extras):
+    # max|a| around the certificate's threshold for the half-step's solve;
+    # a certified half-step doubles the guess in no pass of its own, and the
+    # next half-step that reuses its certificate skips max|a|, both bit for
+    # bit, also for subnormal a at m near 1
+    scale = certificate_amax(0.5 * tau, m) * 2.0 ** shift
+    a = unit * min(max(scale, 1e-300), 1e300)
+    a = np.r_[a.reshape(-1), extras].reshape(-1, 1) if extras else a
+    got, certified = _damp_midpoint(a, tau, m)
+    w = damping_solve_field(a, 0.5 * tau, m)
+    want = np.subtract(np.multiply(w, 2.0), a)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    if certified:
+        again, still = _damp_midpoint(got, tau, m, True)
+        full, full_certified = _damp_midpoint(got, tau, m)
+        assert still and full_certified
+        np.testing.assert_array_equal(again.view(np.int64),
+                                      full.view(np.int64))
 
 
 def quick_config(**overrides):
@@ -564,6 +607,19 @@ class TestRun:
         assert steps[1] > 3 * steps[0] > 0
         assert builds[0] == builds[1] > 0
 
+    def test_linear_damping_takes_no_solve(self, monkeypatch):
+        # an m = 1 step scales v by the Cayley factor inline
+        def refuse(*args, **kwargs):
+            raise AssertionError("an m = 1 step took a damping solve")
+
+        monkeypatch.setattr(integrator, "damping_solve_field", refuse)
+        monkeypatch.setattr(integrator, "_damp_midpoint", refuse)
+        result = run(quick_config(t_end=0.5))
+        assert result.flags["completed"] and result.state.step_index > 10
+        assert result.ledger.column("damp_cum")[-1] > 0.0
+        with pytest.raises(AssertionError, match="damping solve"):
+            run(quick_config(t_end=0.5, m=3.0))
+
     def test_datum_at_rest_needs_no_halvings(self, tmp_path):
         # u(0) = 0 with a small past: the memory sets the string moving and
         # the energy decays; ||grad u(0)|| = 0 must not make every later
@@ -653,20 +709,27 @@ LEDGER_2D_M3 = (quick_config(dim=2, n=12, n_y=10, extent_y=2.0, t_end=2.0,
                              amplitude=0.003),
                 "6f883787785d04a3229e201c4eac5ff5e140419d4921ec8a86686326ace2aa25")
 
-# The same for three 1-D runs, a row per step.  With p = 3 every row holds
-# ||u||_4^4, so the m = 1 digests moved with the m = 3 ones.  The polynomial
-# one was re-recorded when the memory took the modes fitted to the run's
-# horizon (19 modes in place of 133; its columns moved by at most 1.5e-12
-# relative, the identity residual by 4e-17 absolute), and once more when the
-# mode fit's triangular solve became a back substitution.
+# The same for 1-D runs, a row per step.  The polynomial one was re-recorded
+# when the memory took the modes fitted to the run's horizon (19 modes in
+# place of 133; its columns moved by at most 1.5e-12 relative, the identity
+# residual by 4e-17 absolute), and once more when the mode fit's triangular
+# solve became a back substitution.  The m = 1 digests (exponential_m1_1d,
+# polynomial_frozen_1d, source_p2_1d, sourceless_1d and halving_1d) were
+# re-recorded when a step took its two midpoint dampings as the Cayley
+# factor alpha = (1 - dt/4)/(1 + dt/4), u += (alpha dt) v and v *= alpha^2,
+# in place of three roundings each (every column moved by at most 9e-16
+# absolute, and halving_1d's by at most 7.5e-11 relative).  Their damping
+# is products alone, with no solve and no power: they depend on alpha's
+# rounding and on the order of the step's sums, of which np.vdot and the
+# memory's @ follow the BLAS kernel that NumPy's OpenBLAS picks.
 LEDGER_BYTES = {
     "exponential_m1_1d": (
         quick_config(output_every=1),
-        "8cec5e8a13b4f6513d4cf435e009e77cc3971bf327863d25a430a545b3084fae"),
+        "2a097f8e048cade04287723599a08406fae9f68f34ecab77645e53fe5dd5087b"),
     "polynomial_frozen_1d": (
         quick_config(n=60, t_end=2.0, kernel_family="polynomial", r=1.5,
                      extension="frozen", output_every=1),
-        "bb7f3c56722201b73afd417af10ddc6663702100623704f1bcdaa80fa374b684"),
+        "86540fd32176a6154816ec95d8df7c221d338851468ad7b3fdfabbc2cb61eb9b"),
     "exponential_m3_1d": (
         quick_config(m=3.0, output_every=1),
         "58bcb03ccfd230e3fd64d68d88e67e07a66bed56cdc3f8c78fe362b8362a85a8"),
@@ -680,7 +743,7 @@ LEDGER_BYTES = {
     # NumPy's power, which may round differently on another SIMD routine.
     "source_p2_1d": (
         quick_config(p=2.0, output_every=1),
-        "33362e6b64274cff63880a8afd1c97fcd28ac1c3673b5e9d1d8b5b2d105c80ad"),
+        "0985729289541386fa6c402f392524306d936ee6699cc5723e43cee4a21ece84"),
     "newton_m1.5_1d": (
         quick_config(m=1.5, output_every=1),
         "c6101dc3cd12869ec495dc09b5a6ea2a81604af0408a7463012818aee21ce60a"),
@@ -689,10 +752,10 @@ LEDGER_BYTES = {
         "9b8192cc0cc44fc40019ebaeb1cea7e077d8b925e0ae3609bc4d677813ed7bf1"),
     "sourceless_1d": (
         quick_config(source_enabled=False, output_every=1),
-        "084ea9a49f991bacbe1e1e4485f3ef000b489e0b48cb2e9998ddbdc2418155b9"),
+        "324724e38d299fa3a81c722588de1cf729b41dfd486eb825cbcfaba440e0e58a"),
     "halving_1d": (
         quick_config(amplitude=2.0, output_every=1),
-        "e0b7c2d23cdf2ddbcd73c8eeaaab830e61ce55b804d7ff3b21dfc4fe8051093c"),
+        "375f0f611764dea3c1878e46900e4ce3882a2764243c98f1d52edf7e3b3c766d"),
 }
 
 

@@ -166,11 +166,12 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float,
     which keeps the measured dissipation consistent with the trapezoid
     bookkeeping to second order.  The new v is 2w - v, at m = 1 v times
     ``_cayley(tau)``.  A certified 2w costs no pass of its own, exactly: at
-    m = 3 the guess's divisor is halved, otherwise 2 sign(a) scales it (a
-    halved general divisor would round a subnormal quotient once, not
-    twice).  |v| cannot grow here and the certificate is monotone in max|v|,
-    so a certified call's v passes ``certified`` to the next call with the
-    same tau and m, which then skips max|v|.
+    m = 3 the guess's divisor is halved, otherwise 2 sign(v) scales the
+    guess (a halved general divisor would round a subnormal quotient once
+    where the doubling rounds it twice).  |v| cannot grow here and the
+    certificate is monotone in max|v|, so a certified call's v passes
+    ``certified`` to the next call with the same tau and m, which then
+    skips max|v|.
     """
     if m == 1.0:
         return np.multiply(v, _cayley(tau)), True

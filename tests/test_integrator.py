@@ -389,9 +389,11 @@ def test_linear_midpoint_is_the_cayley_factor(tau, v, zeros):
        unit=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8),
                        elements=st.floats(-1.0, 1.0)),
        extras=st.lists(st.sampled_from(
-           (-0.0, _TINY, -3.0 * _TINY, 1e-310, -2.5e-308)), max_size=3))
-@example(m=1.01, tau=100.0, shift=0.0, unit=np.array([1.0]),
-         extras=[-3.0 * _TINY, 1e-310])
+           (-0.0, _TINY, -9.0 * _TINY, 1e-310, -2.5e-308)), max_size=3))
+# where a halved divisor 1/2 + 25|a|^0.01 would round -9 _TINY's quotient
+# once, not twice, and land a ulp off
+@example(m=1.01, tau=100.0, shift=-1.0, unit=np.array([1.0]),
+         extras=[-9.0 * _TINY, 1e-310])
 def test_certified_midpoint_is_the_doubled_solve(m, tau, shift, unit, extras):
     # max|a| around the certificate's threshold for the half-step's solve;
     # a certified half-step doubles the guess in no pass of its own, and the
@@ -399,7 +401,7 @@ def test_certified_midpoint_is_the_doubled_solve(m, tau, shift, unit, extras):
     # bit, also for subnormal a at m near 1
     scale = certificate_amax(0.5 * tau, m) * 2.0 ** shift
     a = unit * min(max(scale, 1e-300), 1e300)
-    a = np.r_[a.reshape(-1), extras].reshape(-1, 1) if extras else a
+    a = np.r_[a.reshape(-1), extras] if extras else a
     got, certified = _damp_midpoint(a, tau, m)
     w = damping_solve_field(a, 0.5 * tau, m)
     want = np.subtract(np.multiply(w, 2.0), a)

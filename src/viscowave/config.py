@@ -81,10 +81,8 @@ class ScenarioConfig:
     # -- derived objects ----------------------------------------------------
 
     def make_grid(self) -> SpatialGrid:
-        if self.dim == 1:
-            return SpatialGrid.line(self.extent, self.n)
-        return SpatialGrid.rectangle((self.extent, self.extent_y),
-                                     (self.n, self.n_y))
+        return SpatialGrid.rectangle((self.extent, self.extent_y)[:self.dim],
+                                     (self.n, self.n_y)[:self.dim])
 
     def make_kernel(self) -> RelaxationKernel:
         if self.kernel_family == EXPONENTIAL:

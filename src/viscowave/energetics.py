@@ -29,7 +29,7 @@ _COLUMN_SET = frozenset(LEDGER_COLUMNS)
 def quadratic_energy(grid: SpatialGrid, v, h1: float, mem_mu: float) -> float:
     """scriptE = (||u_t||^2 + ||grad u||^2 + integral mu ||grad w||^2) / 2
     from v = u_t, h1 = ||grad u||^2 and the memory term mem_mu."""
-    return 0.5 * (grid.l2_norm_sq(v) + h1 + mem_mu)
+    return 0.5 * (grid.lp_norm_pow(v, 2.0) + h1 + mem_mu)
 
 
 def damping_power(grid: SpatialGrid, v, m: float) -> float:

@@ -1,7 +1,8 @@
 """Discrete rectangular domain with homogeneous Dirichlet boundary.
 
-Fields are plain numpy arrays over the interior nodes: shape ``(n,)`` in 1-D
-and ``(nx, ny)`` in 2-D.  All operators use second-order centered stencils and
+Fields are plain numpy arrays over the interior nodes, of shape ``grid.n``:
+one axis per dimension.  Every operator is a loop over the axes, with no
+branch on the dimension.  All use second-order centered stencils and
 midpoint quadrature so that summation-by-parts holds exactly:
 
     -inner(laplacian(f), f) == h1_seminorm_sq(f)
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -91,12 +92,11 @@ class SpatialGrid:
             out *= k
         return out
 
-    def coords(self):
-        """Interior node coordinates; 1-D: array, 2-D: meshgrid pair (ij)."""
-        axes = [np.arange(1, k + 1) * hi for k, hi in zip(self.n, self.h)]
-        if self.dim == 1:
-            return axes[0]
-        return np.meshgrid(*axes, indexing="ij")
+    def coords(self) -> tuple:
+        """Interior node coordinates, one array of the grid's shape per axis
+        (``np.meshgrid``, ij indexing)."""
+        return np.meshgrid(*(np.arange(1, k + 1) * hi
+                             for k, hi in zip(self.n, self.h)), indexing="ij")
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
@@ -193,14 +193,8 @@ class SpatialGrid:
         for lo, up, first, last, h2, _ in self._stencils:
             # the n - 1 inner edges along the axis, and the two edges to the
             # zero exterior, whose differences are the first and last nodes
-            d = f[up] - f[lo]
-            if self.dim == 1:
-                # single nodes: their products equal the length-1 dot products
-                a, b = f.item(0), f.item(-1)
-                sq = np.vdot(d, d) + a * a + b * b
-            else:
-                a, b = f[first], f[last]
-                sq = np.vdot(d, d) + np.vdot(a, a) + np.vdot(b, b)
+            d, a, b = f[up] - f[lo], f[first], f[last]
+            sq = np.vdot(d, d) + np.vdot(a, a) + np.vdot(b, b)
             # each edge carries the edge length hi times the transverse measure
             total += float(sq) / h2 * self.cell_volume
         return total
@@ -210,11 +204,6 @@ class SpatialGrid:
         product.  The product is never positive but by rounding, so its
         magnitude is taken: never below 0, and +0.0 for f = 0."""
         return abs(float(np.vdot(lap_f, f))) * self.cell_volume
-
-    def l2_norm_sq(self, f: np.ndarray) -> float:
-        """||f||^2 by midpoint quadrature."""
-        f = self.check(f)
-        return float(np.add.reduce(f * f, axis=None)) * self.cell_volume
 
     def lp_norm_pow(self, f: np.ndarray, q: float) -> float:
         """||f||_q^q by midpoint quadrature; requires q >= 1."""
@@ -245,15 +234,14 @@ class SpatialGrid:
             table = math.sqrt(2.0 / (k + 1)) * np.sin(np.pi / (k + 1) * m)
             bases.append(table[np.outer(j, j) % (2 * (k + 1))])
             lams.append((2.0 * np.sin(np.pi * j / (2 * (k + 1))) / hi) ** 2)
-        return bases, lams[0] if self.dim == 1 else np.add.outer(*lams)
+        return bases, reduce(np.add.outer, lams)
 
     def _sine_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """S (S rhs / lam), S being its own inverse: S acts on axis 0 from
-        the left and, being symmetric, on axis 1 from the right."""
+        """S (S rhs / lam), S being its own inverse."""
         bases, lam = self._sine_basis
-        c = bases[0] @ rhs if self.dim == 1 else bases[0] @ rhs @ bases[1]
+        c = _sine_transform(bases, rhs)
         c /= lam
-        return bases[0] @ c if self.dim == 1 else bases[0] @ c @ bases[1]
+        return _sine_transform(bases, c)
 
     def poisson_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve -laplacian(f) = rhs with the Dirichlet stencil above.
@@ -270,11 +258,22 @@ class SpatialGrid:
         f += self._sine_solve(rhs + self.laplacian(f))
         return f
 
-    def first_eigenmode(self) -> np.ndarray:
-        """Product-of-sines lowest Dirichlet mode, normalized in max norm."""
-        if self.dim == 1:
-            x = self.coords()
-            return np.sin(np.pi * x / self.extents[0])
-        X, Y = self.coords()
-        return (np.sin(np.pi * X / self.extents[0])
-                * np.sin(np.pi * Y / self.extents[1]))
+    def sine_mode(self, modes) -> np.ndarray:
+        """The Dirichlet eigenmode prod_i sin(k_i pi x_i / L_i) of mode
+        numbers k, one per axis; k = (1, ..., 1) is the lowest."""
+        if len(modes) != len(self.n):
+            raise GridError("one mode number per grid axis required")
+        mode = np.ones(self.shape)
+        for x, k, L in zip(self.coords(), modes, self.extents):
+            mode = mode * np.sin(k * np.pi * x / L)
+        return mode
+
+
+def _sine_transform(bases, f: np.ndarray) -> np.ndarray:
+    """S f along every axis: S_0 from the left, then each later S_i, being
+    symmetric, from the right on its axis moved last.  In 2-D that is
+    S_0 @ f @ S_1; the order fixes the rounding, and gamma's bits with it."""
+    f = bases[0] @ f
+    for axis, S in enumerate(bases[1:], 1):
+        f = np.moveaxis(np.moveaxis(f, axis, -1) @ S, -1, axis)
+    return f

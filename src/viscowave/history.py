@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import SpatialGrid, GridError
+from .grid import SpatialGrid
 from .kernel import RelaxationKernel
 
 ZERO = "zero"
@@ -125,13 +125,7 @@ class HistoryDatum:
                       support_T0: float = 0.0, mode: str = ZERO,
                       ramp_rate: float = 1.0) -> "HistoryDatum":
         """Product-of-sine-modes spatial shape times a temporal profile."""
-        modes = tuple(int(k) for k in np.atleast_1d(modes))
-        if len(modes) != grid.dim:
-            raise GridError("one mode number per grid axis required")
-        coords = grid.coords() if grid.dim > 1 else (grid.coords(),)
-        shape = np.ones(grid.shape)
-        for x, k, L in zip(coords, modes, grid.extents):
-            shape = shape * np.sin(k * np.pi * x / L)
+        shape = grid.sine_mode([int(k) for k in np.atleast_1d(modes)])
         g, gp = make_profile(profile, support_T0, ramp_rate)
         return cls(grid=grid, shape_field=amplitude * shape, profile=g,
                    profile_dt=gp, support_T0=support_T0, mode=mode)

@@ -80,19 +80,18 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float,
                         amax: float = math.nan) -> np.ndarray:
     """The unique real v with v + dt*|v|^(m-1)*v = a, elementwise, into a new
     array; ``absa`` and ``amax``, |a| and max|a|, from a caller that has
-    taken them.  m = 1 is a / (1 + dt).  Otherwise an array that
-    ``_certificate`` certifies gets the guess, signed (at m = 3 as
-    a/(1 + dt a^2)).  Other arrays take, for m = 3 and 3 max|a|/(2k) <=
+    taken them.  An array that ``_certificate`` certifies gets the guess,
+    signed (at m = 3 as a/(1 + dt a^2)).  At m = 1 that is every array
+    without NaN where dt^2 is finite, and the guess is a/(1 + dt) with -0.0
+    taken to 0.0.  Other arrays take, for m = 3 and 3 max|a|/(2k) <=
     CUBIC_ARG_MAX, the cubic's real root 2k sinh(asinh(3|a|/(2k))/3),
     k = (3 dt)^(-1/2), clamped to |a|.  The rest take Newton on |v| from the
     guess, its first step clipped to U = min(|a|, (|a|/dt)^(1/m)) >= root,
     down to |residual| <= 0.9e-14 max(1, m/45) max(1, |a|), the factor m/45
     clearing rounding and the tenth below 1e-14 a residual taken with
-    another pow, which may land a ulp of |a| higher.  NaN, inf and empty
-    input take Newton, capped at 100 steps.
+    another pow, which may land a ulp of |a| higher.  Uncertified NaN, inf
+    and empty input take Newton, capped at 100 steps.
     """
-    if m == 1.0:
-        return a / (1.0 + dt)
     # as Python floats the scalar bounds overflow to inf or raise, never warn
     dt, m = float(dt), float(m)
     if absa is None:
@@ -208,14 +207,6 @@ class SimState:
 class Trajectory:
     times: list = field(default_factory=list)
     u: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    lap_conv: list = field(default_factory=list)
-
-    def append(self, t, u, v, lap_conv):
-        self.times.append(float(t))
-        self.u.append(u.copy())
-        self.v.append(v.copy())
-        self.lap_conv.append(lap_conv.copy())
 
 
 @dataclass
@@ -379,12 +370,13 @@ def _record_row(ledger: EnergyLedger, kept: Optional[Trajectory],
                   visc_cum=visc_cum, grad_norm=math.sqrt(stepper.h1),
                   identity_residual=resid, **row)
     if kept is not None:
-        kept.append(t, stepper.u, stepper.v, stepper.mem.conv[0])
+        kept.times.append(t)
+        kept.u.append(stepper.u.copy())
 
 
 def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     """Advance the scenario to t_end or blow-up, deterministically, keeping
-    u, v and lap of the mu convolution at every row if ``trajectory``."""
+    u at every row if ``trajectory``."""
     config.validate()
     grid, kernel = config.make_grid(), config.make_kernel()
     datum, dt = config.make_history(grid), config.resolved_dt(grid, kernel)

@@ -60,7 +60,7 @@ def _ground_state_iteration(grid: SpatialGrid, p: float, rtol: float,
     Starts from the first Dirichlet eigenmode; iterates until the Rayleigh
     ratio is stationary to ``rtol`` relative.  Returns (u, ratio).
     """
-    u = grid.first_eigenmode()
+    u = grid.sine_mode((1,) * grid.dim)
     u = u / math.sqrt(grid.h1_seminorm_sq(u))
     ratio = rayleigh_ratio(grid, u, p)
     for _ in range(max_iter):

@@ -1,10 +1,11 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from viscowave import energetics
+from viscowave import energetics, integrator
 from viscowave.config import ScenarioConfig
 from viscowave.energetics import LEDGER_COLUMNS, EnergyLedger
 from viscowave.grid import SpatialGrid
@@ -71,10 +72,11 @@ class TestPointwiseFunctionals:
     def test_dissipation_increment_values(self):
         grid = SpatialGrid.line(math.pi, 50)
         assert energetics.dissipation_increment(0.1, 0, 0, 0, 0) == (0, 0)
-        V = 0.3 * np.sin(grid.coords())
+        V = 0.3 * np.sin(grid.coords()[0])
         d = energetics.damping_power(grid, V, 1.0)
         damp, visc = energetics.dissipation_increment(0.1, d, d, 0.0, 0.0)
-        assert damp == pytest.approx(0.1 * grid.l2_norm_sq(V), rel=1e-14)
+        assert damp == pytest.approx(0.1 * grid.lp_norm_pow(V, 2.0),
+                                     rel=1e-14)
         assert visc == 0.0
 
     def test_viscous_power_nonnegative(self):
@@ -169,8 +171,8 @@ def variational_residual(trajectory, grid, kernel, m, p, test_field,
                          test_profile, test_profile_dt) -> float:
     """Discrete residual of the weak formulation for phi(x,t) = X(x)g(t).
 
-    ``trajectory`` is what ``run(config, trajectory=True)`` keeps: times, u,
-    v and lap_conv (lap of the mu convolution) per ledger row.  Every time
+    ``trajectory`` holds, per ledger row, times, u, v and lap_conv (lap of
+    the mu convolution), as ``run_keeping_rows`` collects them.  Every time
     integral is the trapezoid rule on the rows' times; every gradient pairing
     goes onto X by summation by parts, which is exact on the grid.
     """
@@ -201,6 +203,24 @@ def variational_residual(trajectory, grid, kernel, m, p, test_field,
     return abs(float(term))
 
 
+def run_keeping_rows(monkeypatch, config):
+    """run(config, trajectory=True), and its rows for variational_residual:
+    the kept times and u, and copies of v and of lap of the mu convolution
+    taken by a wrapper around integrator._record_row."""
+    rows, record = SimpleNamespace(v=[], lap_conv=[]), integrator._record_row
+
+    def record_and_keep(ledger, kept, stepper, *args):
+        record(ledger, kept, stepper, *args)
+        rows.v.append(stepper.v.copy())
+        rows.lap_conv.append(stepper.mem.conv[0].copy())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrator, "_record_row", record_and_keep)
+        result = run(config, trajectory=True)
+    rows.times, rows.u = result.trajectory.times, result.trajectory.u
+    return result, rows
+
+
 class TestVariationalResidual:
     def config(self, **overrides):
         # record every step so the output-grid time quadrature refines along
@@ -209,31 +229,33 @@ class TestVariationalResidual:
                               amplitude=0.1)
         return replace(base, **overrides)
 
-    def test_zero_solution(self):
-        result = run(self.config(amplitude=0.0), trajectory=True)
+    def test_zero_solution(self, monkeypatch):
+        result, rows = run_keeping_rows(monkeypatch,
+                                        self.config(amplitude=0.0))
         grid = result.grid
-        X = np.sin(grid.coords())
+        X = np.sin(grid.coords()[0])
         res = variational_residual(
-            result.trajectory, grid, result.kernel, 1.0, 3.0, X,
+            rows, grid, result.kernel, 1.0, 3.0, X,
             lambda t: math.cos(t), lambda t: -math.sin(t))
         assert res == 0.0
 
-    def test_zero_test_function(self):
-        result = run(self.config(), trajectory=True)
+    def test_zero_test_function(self, monkeypatch):
+        result, rows = run_keeping_rows(monkeypatch, self.config())
         grid = result.grid
         res = variational_residual(
-            result.trajectory, grid, result.kernel, 1.0, 3.0, grid.zeros(),
+            rows, grid, result.kernel, 1.0, 3.0, grid.zeros(),
             lambda t: 1.0, lambda t: 0.0)
         assert res == 0.0
 
-    def test_residual_shrinks_with_dt(self):
-        coarse = run(self.config(), trajectory=True)
+    def test_residual_shrinks_with_dt(self, monkeypatch):
+        coarse, coarse_rows = run_keeping_rows(monkeypatch, self.config())
         base_dt = self.config().resolved_dt(coarse.grid, coarse.kernel)
-        fine = run(self.config(dt=base_dt / 2.0), trajectory=True)
-        X = np.sin(coarse.grid.coords())
+        fine, fine_rows = run_keeping_rows(monkeypatch,
+                                           self.config(dt=base_dt / 2.0))
+        X = np.sin(coarse.grid.coords()[0])
         args = (X, lambda t: math.cos(t), lambda t: -math.sin(t))
         r_coarse = variational_residual(
-            coarse.trajectory, coarse.grid, coarse.kernel, 1.0, 3.0, *args)
+            coarse_rows, coarse.grid, coarse.kernel, 1.0, 3.0, *args)
         r_fine = variational_residual(
-            fine.trajectory, fine.grid, fine.kernel, 1.0, 3.0, *args)
+            fine_rows, fine.grid, fine.kernel, 1.0, 3.0, *args)
         assert r_fine <= r_coarse / 2.0

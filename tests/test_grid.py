@@ -56,7 +56,7 @@ class TestLaplacian:
 
     def test_sine_eigenfunction(self):
         g = line_grid(n=400)
-        x = g.coords()
+        (x,) = g.coords()
         f = np.sin(x)
         err = np.max(np.abs(g.laplacian(f) + f))
         assert err <= g.h[0] ** 2 / 12.0 * 1.001
@@ -76,7 +76,7 @@ class TestNorms:
 
     def test_h1_sine(self):
         g = line_grid(n=400)
-        f = np.sin(g.coords())
+        f = np.sin(g.coords()[0])
         assert g.h1_seminorm_sq(f) == pytest.approx(math.pi / 2,
                                                     abs=5 * g.h[0] ** 2)
 
@@ -88,12 +88,13 @@ class TestNorms:
 
     def test_l2_sine(self):
         g = line_grid(n=400)
-        f = np.sin(g.coords())
-        assert g.l2_norm_sq(f) == pytest.approx(math.pi / 2, abs=5 * g.h[0] ** 2)
+        f = np.sin(g.coords()[0])
+        assert g.lp_norm_pow(f, 2.0) == pytest.approx(math.pi / 2,
+                                                      abs=5 * g.h[0] ** 2)
 
     def test_l4_sine(self):
         g = line_grid(n=400)
-        f = np.sin(g.coords())
+        f = np.sin(g.coords()[0])
         assert g.lp_norm_pow(f, 4.0) == pytest.approx(3 * math.pi / 8,
                                                       abs=5 * g.h[0] ** 2)
 
@@ -416,7 +417,7 @@ class TestPoisson:
 
     def test_sine_eigenpair(self):
         g = line_grid(n=400)
-        f = np.sin(g.coords())
+        f = np.sin(g.coords()[0])
         sol = g.poisson_solve(f)
         assert np.max(np.abs(sol - f)) <= 5 * g.h[0] ** 2
 
@@ -431,7 +432,8 @@ class TestPoisson:
         rhs = rng.standard_normal(grid.shape)
         sol = grid.poisson_solve(rhs)
         res = -grid.laplacian(sol) - rhs
-        rel = math.sqrt(grid.l2_norm_sq(res) / grid.l2_norm_sq(rhs))
+        rel = math.sqrt(grid.lp_norm_pow(res, 2.0)
+                        / grid.lp_norm_pow(rhs, 2.0))
         assert rel <= 1e-12
 
     @pytest.mark.parametrize("grid, gamma", [
@@ -446,6 +448,76 @@ class TestPoisson:
 
     def test_first_eigenmode_shape(self):
         g = line_grid(n=99)
-        mode = g.first_eigenmode()
+        mode = g.sine_mode((1,))
         assert mode.shape == g.shape
         assert np.all(mode > 0)
+
+    @pytest.mark.parametrize("grid", [
+        line_grid(n=60, length=1.3),
+        SpatialGrid.rectangle((1.0, 2.5), (12, 10)),
+        SpatialGrid.rectangle((math.pi, 0.7), (9, 12)),
+    ], ids=["1d", "2d-12x10", "2d-9x12"])
+    def test_sine_solve_product_order(self, grid):
+        # gamma's bits depend on the order of the products: S_0 from the
+        # left, then S_1 from the right, as written out here
+        bases, lam = grid._sine_basis
+        rhs = np.random.default_rng(4).standard_normal(grid.shape)
+
+        def transform(f):
+            return bases[0] @ f if len(bases) == 1 else bases[0] @ f @ bases[1]
+
+        expected = transform(transform(rhs) / lam)
+        np.testing.assert_array_equal(grid._sine_solve(rhs).view(np.int64),
+                                      expected.view(np.int64))
+
+
+@st.composite
+def grid_field_and_modes(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    n = tuple(draw(st.integers(3, 16)) for _ in range(dim))
+    extents = tuple(draw(st.floats(0.1, 10.0)) for _ in range(dim))
+    f = draw(hnp.arrays(np.float64, n,
+                        elements=st.floats(-10, 10, allow_nan=False)))
+    modes = tuple(draw(st.integers(1, k)) for k in n)
+    return SpatialGrid.rectangle(extents, n), f, modes
+
+
+# Bounds of TestEveryDimension, each about 10x the largest value measured
+# over 20,000 draws of grid_field_and_modes: relative |h1_by_parts -
+# h1_seminorm_sq| 1.3e-15; Poisson residual max|-lap sol - rhs| / max|rhs|
+# 1.8e-14; eigen-residual max|-lap phi - lam phi| / (lam max|phi|) 3.9e-14;
+# max|phi - product of scaled basis columns| 1.3e-14.  The 1e-300 floor
+# covers fields whose squares or solutions fall below the normal range.
+SBP_REL, POISSON_REL, EIGEN_REL, BASIS_ABS = 1e-14, 2e-13, 4e-13, 1.3e-13
+
+
+class TestEveryDimension:
+    """One code path serves every dimension: on random 1-D and 2-D grids,
+    non-square with mixed extents, summation by parts, the Poisson solve
+    and the sine modes hold alike."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_field_and_modes())
+    def test_operators(self, case):
+        grid, f, modes = case
+        h1 = grid.h1_seminorm_sq(f)
+        by_parts = grid.h1_by_parts(f, grid.laplacian(f))
+        assert abs(by_parts - h1) <= SBP_REL * h1 + 1e-300
+        residual = -grid.laplacian(grid.poisson_solve(f)) - f
+        assert np.max(np.abs(residual)) <= (POISSON_REL * np.max(np.abs(f))
+                                            + 1e-300)
+        # sine_mode(k) is column k of each axis's sine matrix, unscaled,
+        # and an eigenvector of -laplacian with _sine_basis's eigenvalue
+        bases, lam = grid._sine_basis
+        phi, lam_k = grid.sine_mode(modes), lam[tuple(k - 1 for k in modes)]
+        columns = [S[:, k - 1] * math.sqrt((n_i + 1) / 2.0)
+                   for S, k, n_i in zip(bases, modes, grid.n)]
+        product = np.prod(np.meshgrid(*columns, indexing="ij"), axis=0)
+        assert np.max(np.abs(phi - product)) <= BASIS_ABS
+        eigen_residual = -grid.laplacian(phi) - lam_k * phi
+        assert np.max(np.abs(eigen_residual)) <= (EIGEN_REL * lam_k
+                                                  * np.max(np.abs(phi)))
+
+    def test_sine_mode_needs_one_mode_per_axis(self):
+        with pytest.raises(GridError, match="one mode number per grid axis"):
+            SpatialGrid.rectangle((1.0, 1.0), (5, 6)).sine_mode((1,))

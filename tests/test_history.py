@@ -117,7 +117,7 @@ class TestHistoryDatum:
         grid = grid_pi(50)
         datum = HistoryDatum.from_template(grid, 0.3, profile="ramp",
                                            support_T0=2.0, ramp_rate=1.5)
-        x = grid.coords()
+        (x,) = grid.coords()
         assert np.allclose(datum.value_at(0.0), 0.3 * np.sin(x))
         assert np.allclose(datum.velocity_at_0, 1.5 * 0.3 * np.sin(x))
         assert np.allclose(datum.value_at(-1.0),
@@ -141,7 +141,7 @@ class TestHistoryDatum:
 
     def test_table_interpolation(self):
         grid = grid_pi(10)
-        base = np.sin(grid.coords())
+        base = np.sin(grid.coords()[0])
         times = np.array([0.0, -1.0, -2.0])
         samples = np.stack([1.0 * base, 0.5 * base, 0.0 * base])
         datum = HistoryDatum.from_table(grid, times, samples)
@@ -223,7 +223,7 @@ class TestMemoryIntegral:
     def test_step_history_matches_closed_form(self):
         # u(t) = U for t >= 0, zero before: only the tail past lag t remains
         grid = grid_pi(60)
-        U = 0.4 * np.sin(grid.coords())
+        U = 0.4 * np.sin(grid.coords()[0])
         datum = HistoryDatum.from_template(grid, 0.0)
         ds = 0.01
         mem = MemoryState(datum, EXP11, ds=ds, s_depth=40.0)
@@ -238,7 +238,7 @@ class TestMemoryIntegral:
 
     def test_step_history_matches_dense_quadrature_oracle(self):
         grid = grid_pi(60)
-        U = 0.4 * np.sin(grid.coords())
+        U = 0.4 * np.sin(grid.coords()[0])
         datum = HistoryDatum.from_template(grid, 0.0)
         ds = 0.01
         mem = MemoryState(datum, EXP11, ds=ds, s_depth=40.0)
@@ -368,7 +368,7 @@ class TestMemoryIntegral:
         oracle = DenseMemory(datum, kernel, ds=0.1, s_depth=2.0)
         sizes = {k: v.size for k, v in vars(mem).items()
                  if isinstance(v, np.ndarray)}
-        u = 0.2 * np.sin(grid.coords())
+        u = 0.2 * np.sin(grid.coords()[0])
         stride = 4
         lags = set()
         for halvings in range(6):
@@ -523,7 +523,7 @@ class TestMemoryForce:
         # u(t - s) = (t - s) U with t = 10: the convolution weight of the
         # exponential kernel integrates to t - 1
         grid = grid_pi(80)
-        U = np.sin(grid.coords())
+        U = np.sin(grid.coords()[0])
         datum = HistoryDatum.from_template(grid, 0.0)
         ds = 0.01
         mem = MemoryState(datum, EXP11, ds=ds, s_depth=60.0)

@@ -115,10 +115,13 @@ class TestDampingSolve:
 # Damping-solve outputs recorded when the Newton solve took its clipped first
 # step, which later changes must reproduce bit for bit: per function and m,
 # the first 16 hex digits of the sha256 of the outputs' bytes over DAMP_DTS x
-# DAMP_INPUTS.  The m = 1 solve is the closed form a / (1 + dt) and dates
-# from before; the m = 1 midpoint was re-recorded when it became v times the
-# Cayley factor (1 - dt/2)/(1 + dt/2), a product that keeps -0.0 where the
-# factor is positive.  The m = 3 entries were re-recorded when m = 3 took
+# DAMP_INPUTS.  The m = 1 solve was re-recorded when its closed-form branch
+# went: every m = 1 input here is certified and takes the signed guess
+# |a|/(1 + dt), equal to a / (1 + dt) but for -0.0, which maps to 0.0 (see
+# test_linear_solve_is_the_closed_form).  The m = 1 midpoint was
+# re-recorded when it became v times the Cayley factor (1 - dt/2)/(1 + dt/2),
+# a product that keeps -0.0 where the factor is positive.  The m = 3 entries
+# were re-recorded when m = 3 took
 # the cubic's closed form, which keeps the sign of -0.0 and maps the
 # smallest subnormal to 0 where its scaled argument underflows.  Every other
 # entry is a converged solve of 0 to 8 Newton iterations, in which 0 and
@@ -137,7 +140,7 @@ DAMP_INPUTS = (_WIDE, _WIDE.reshape(3, 25), _SMALL, _SMALL.reshape(3, 5),
                _SPAN)
 DAMP_GOLDEN = {
     "damping_solve_field": {
-        1.0: "16c4a422ad439a74",
+        1.0: "0356028fc73cb866",
         1.5: "b589de946842d844",
         2.0: "8f5eaa8a45f13ef5",
         3.0: "d900d71540c01e5c",
@@ -153,7 +156,7 @@ DAMP_GOLDEN = {
         9.0: "8f04dc1c8aafcd42",
     },
 }
-POINTWISE_GOLDEN = "2efb836e26f7a0db"
+POINTWISE_GOLDEN = "7fe081e791ecbdae"
 
 
 class TestDampingSolveBitIdentity:
@@ -170,6 +173,16 @@ class TestDampingSolveBitIdentity:
                 assert out.shape == a.shape
                 h.update(out.tobytes())
         assert h.hexdigest()[:16] == DAMP_GOLDEN[name][m]
+
+    def test_linear_solve_is_the_closed_form(self):
+        # the m = 1 solve equals a / (1 + dt) elementwise; only zeros may
+        # differ in their bytes, as -0.0 maps to 0.0
+        for dt in DAMP_DTS:
+            for a in DAMP_INPUTS:
+                out, closed = damping_solve_field(a, dt, 1.0), a / (1.0 + dt)
+                assert np.array_equal(out, closed)
+                moved = out.view(np.int64) != closed.view(np.int64)
+                assert np.all(a[moved] == 0.0)
 
     def test_pointwise_outputs(self):
         h = hashlib.sha256()
@@ -505,18 +518,28 @@ class TestRun:
         with pytest.raises(Exception):
             run(quick_config(m=0.5))
 
-    def test_finished_run_memory_size_independent_of_depth(self):
+    def test_finished_run_memory_size_independent_of_depth(self,
+                                                            monkeypatch):
         # the polynomial frozen depth is 100 * t_end, yet the memory's arrays
         # have no axis of that depth, only the K modes of the run's horizon
         # t_end + T0 + ds, each row a field's Laplacian and its ||grad||^2;
-        # the kept state still gives the last convolution
+        # the kept state still gives the last convolution, whose Laplacian
+        # a wrapper around _record_row copies at every row
+        record, lap_convs = integrator._record_row, []
+
+        def record_and_keep(ledger, kept, stepper, *args):
+            record(ledger, kept, stepper, *args)
+            lap_convs.append(stepper.mem.conv[0].copy())
+
+        monkeypatch.setattr(integrator, "_record_row", record_and_keep)
+
         def mode_count(t_end):
             cfg = quick_config(kernel_family="polynomial", r=1.5,
                                extension="frozen", t_end=t_end)
-            res = run(cfg, trajectory=True)
+            res = run(cfg)
             memory, u = res.state.memory, res.state.u
             conv = memory.convolution_field(u, res.state.t - memory.t_push)
-            lap_conv = res.trajectory.lap_conv[-1]
+            lap_conv = lap_convs[-1]
             np.testing.assert_allclose(
                 res.grid.laplacian(conv), lap_conv, rtol=1e-12,
                 atol=1e-12 * np.max(np.abs(lap_conv)))

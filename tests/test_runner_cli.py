@@ -273,6 +273,26 @@ def test_no_module_imports_scipy():
                 f"{path.name}:{node.lineno} imports scipy"
 
 
+def dim_comparisons(path):
+    """Where the module at path compares an attribute named dim: a branch
+    or check on the dimension, such as ``self.dim == 1`` or
+    ``len(modes) != grid.dim``."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(operand, ast.Attribute) and operand.attr == "dim"
+                    for operand in [node.left, *node.comparators])]
+
+
+def test_grid_and_history_do_not_branch_on_dimension():
+    # their operators loop over the axes, so one code path serves every
+    # dimension
+    package = Path(viscowave.__file__).parent
+    found = [where for name in ("grid.py", "history.py")
+             for where in dim_comparisons(package / name)]
+    assert not found, f"comparisons with .dim: {found}"
+
+
 # functions no package code names, kept because bench/tracing.TARGETS wraps
 # them
 UNREFERENCED_ALLOWED = {"convolution_field", "scalar_convolution",

@@ -121,14 +121,14 @@ class TestDampingSolve:
 # test_linear_solve_is_the_closed_form).  The m = 1 midpoint was
 # re-recorded when it became v times the Cayley factor (1 - dt/2)/(1 + dt/2),
 # a product that keeps -0.0 where the factor is positive.  The m = 3 entries
-# were re-recorded when m = 3 took
-# the cubic's closed form, which keeps the sign of -0.0 and maps the
-# smallest subnormal to 0 where its scaled argument underflows.  Every other
-# entry is a converged solve of 0 to 8 Newton iterations, in which 0 and
-# -0.0 map to 0.0 and the smallest subnormal to itself.  Recorded on x86-64
-# with AVX-512 and NumPy 2.4.6; NumPy's power, which m = 1.5, 5 and 9 call
-# with exponents other than 1/2, 1 and 2, and its sinh and arcsinh, which
-# m = 3 calls, may round differently where NumPy picks another SIMD routine.
+# were re-recorded when m = 3 took the cubic's closed form, which keeps the
+# sign of -0.0 and maps the smallest subnormal to 0 where its scaled argument
+# underflows.  Every other entry is a converged solve of 0 to 8 Newton
+# iterations, in which 0 and -0.0 map to 0.0 and the smallest subnormal to
+# itself.  Recorded on x86-64 with AVX-512 and NumPy 2.4.6; NumPy's power,
+# which m = 1.5, 5 and 9 call with exponents other than 1/2, 1 and 2, and its
+# sinh and arcsinh, which m = 3 calls, may round differently where NumPy
+# picks another SIMD routine.
 _MAG = np.logspace(-3, 4, 36)
 _TINY = np.finfo(float).smallest_subnormal
 _WIDE = np.r_[_MAG, -_MAG, 0.0, -0.0, _TINY]

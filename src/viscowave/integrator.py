@@ -4,9 +4,10 @@
            - |u_t|^(m-1) u_t + |u|^(p-1) u
 
 by an operator-split leapfrog.  A ``Stepper`` owns a run's state and its
-step: a half-kick of v, implicit pointwise damping (at m = 1 a scaling of v,
-in closed form for m = 3, by Newton otherwise) split symmetrically around
-the drift of u, one Laplacian of u (into the memory's current row,
+step: a half-kick of v, implicit midpoint damping of v in place (at m = 1 a
+scaling of v, for m = 3 mostly a certified guess or Pade factor, the
+cubic's closed form beyond them, Newton otherwise) split symmetrically
+around the drift of u, one Laplacian of u (into the memory's current row,
 ||grad u||^2 following by summation by parts), a push of lap u and
 ||grad u||^2 onto the memory's s-grid when one is due, the force (one
 memory product over the rows' Laplacians gives lap of the mu and mu'
@@ -51,14 +52,13 @@ CUBIC_ARG_MAX = 1e20
 # pointwise damping solve
 
 
-def _guess(absa: np.ndarray, dt: float, m: float,
-           one: float = 1.0) -> np.ndarray:
-    """|a|/(one + dt|a|^(m-1)), into a new array; at one = 1 a lower bound on
-    the root.  At m = 3 the power is a product, so a signed a gives
-    a/(one + dt a^2), which keeps the sign of -0.0."""
+def _guess(absa: np.ndarray, dt: float, m: float) -> np.ndarray:
+    """|a|/(1 + dt|a|^(m-1)), into a new array, a lower bound on the root.
+    At m = 3 the power is a product, so a signed a gives a/(1 + dt a^2),
+    which keeps the sign of -0.0."""
     x = np.multiply(absa, absa) if m == 3.0 else absa ** (m - 1.0)
     x *= dt
-    x += one
+    x += 1.0
     return np.divide(absa, x, out=x)
 
 
@@ -73,6 +73,22 @@ def _certificate(amax: float, dt: float, m: float) -> tuple:
     except OverflowError:
         y = math.inf
     return y, (m - 1.0) * y * y * min(amax, 1.0) <= 0.5e-14
+
+
+def _pade_certificate(y: float, amax: float, dt: float) -> bool:
+    """Whether the m = 3 midpoint's Pade factor (``_damp_midpoint``) meets
+    the solve's stopping test on an array with y = dt max|a|^2: with
+    s = dt a^2 the factor is 2w/a - 1 within (52/3) s^5, so w's residual is
+    within (26/3) s^5 (1 + 3s) |a|, and 9 y^5 (1 + 3y) min(max|a|, 1) <=
+    0.5e-14 bounds it by 0.5e-14 max(1, |a|), leaving 0.4e-14 of the
+    solve's 0.9e-14 max(1, |a|) for rounding.  False for NaN and inf, where
+    y^5 overflows, and for dt <= 1e-150, where the factor's coefficient
+    dt^2/3 would be subnormal and lose its digits; monotone in max|a|."""
+    try:
+        return dt > 1e-150 and (
+            9.0 * y ** 5 * (1.0 + 3.0 * y) * min(amax, 1.0) <= 0.5e-14)
+    except OverflowError:
+        return False
 
 
 def damping_solve_field(a: np.ndarray, dt: float, m: float,
@@ -155,38 +171,86 @@ def _cayley(tau: float) -> float:
     return (1.0 - 0.5 * tau) / (1.0 + 0.5 * tau)
 
 
-def _damp_midpoint(v: np.ndarray, tau: float, m: float,
-                   certified: bool = False) -> tuple:
+# the tiers of a midpoint damping over tau, as ``_damp_midpoint`` returns
+# them for the next call with the same tau to reuse: SOLVE leaves that call
+# to take its own max|v|
+SOLVE, GUESS, PADE = 0, 1, 2
+
+
+def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
+                   scratch: Optional[tuple] = None) -> tuple:
     """Implicit-midpoint integration of v' = -|v|^(m-1) v over [0, tau]: the
-    new v, in a new array, and whether ``_certificate`` held.
+    new v, in a new array or, given ``scratch``, in v itself, and its tier.
 
     The midpoint velocity w solves w + (tau/2)|w|^(m-1) w = v, so the energy
     removed is exactly tau * |w|^(m+1) -- the damping power at the midpoint,
     which keeps the measured dissipation consistent with the trapezoid
-    bookkeeping to second order.  The new v is 2w - v, at m = 1 v times
-    ``_cayley(tau)``.  A certified 2w costs no pass of its own, exactly: at
-    m = 3 the guess's divisor is halved, otherwise 2 sign(v) scales the
-    guess (a halved general divisor would round a subnormal quotient once
-    where the doubling rounds it twice).  |v| cannot grow here and the
-    certificate is monotone in max|v|, so a certified call's v passes
-    ``certified`` to the next call with the same tau and m, which then
-    skips max|v|.
+    bookkeeping to second order.  The new v is 2w - v, by one of three
+    tiers, each certified by one scalar per array:
+
+    * GUESS, where ``_certificate`` holds: the solve's guess doubled, in no
+      pass of its own, exactly.  At m = 3 the guess's divisor is halved,
+      otherwise 2 sign(v) scales the guess (a halved general divisor would
+      round a subnormal quotient once where the doubling rounds it twice).
+      At m = 1 this is v times ``_cayley(tau)``.
+    * PADE, at m = 3 where ``_pade_certificate`` holds: v times the [2/2]
+      Pade approximant (1 + 13s/3 + s^2/3)/(1 + 19s/3 + 7s^2) of 2w/v - 1,
+      s = (tau/2) v^2, by Horner in v^2 with tau folded into the
+      coefficients: ten passes and a divide.  Its w meets the solve's
+      stopping test, and its factor lies in [0, 1].  It keeps -0.0 where
+      the solve's 2w - v gave 0.0; no run value depends on that sign (the
+      m = 3 ledger digests hold with each new v's zeros made 0.0).
+    * SOLVE otherwise: ``damping_solve_field``, at m = 3 the cubic's closed
+      form up to CUBIC_ARG_MAX, Newton beyond it and for NaN and inf.
+
+    |v| cannot grow through GUESS or PADE, and both certificates are
+    monotone in max|v|, so a second call with the same tau and m takes the
+    first call's tier as ``tier`` and skips max|v|.  At m = 3 max v^2 comes
+    from the v*v that both tiers read, and the passes run in ``scratch``,
+    three fields of v's shape that the caller does not need.
     """
+    out = None if scratch is None else v
     if m == 1.0:
-        return np.multiply(v, _cayley(tau)), True
+        return np.multiply(v, _cayley(tau), out=out), GUESS
     dt = 0.5 * float(tau)
-    absa = None if certified and m == 3.0 else np.abs(v)
-    if not certified:
-        amax = float(absa.max()) if v.size else math.inf
-        if not _certificate(amax, dt, m)[1]:
-            w = damping_solve_field(v, dt, m, absa, amax)
-            return np.subtract(np.multiply(w, 2.0, out=w), v, out=w), False
     if m == 3.0:
-        x = _guess(v, 0.5 * dt, m, 0.5)
-    else:
-        x = _guess(absa, dt, m)
-        x *= np.copysign(2.0, v)
-    return np.subtract(x, v, out=x), True
+        t, x, q = scratch or (None, None, None)
+        t = np.multiply(v, v, out=t)
+        if not tier:
+            # sqrt(max v*v) is max|v| to the bit unless v*v under- or
+            # overflows, where the verdicts are those of max|v| still
+            t_max = float(t.max()) if v.size else math.inf
+            amax = math.sqrt(t_max)
+            y, certified = _certificate(amax, dt, m)
+            tier = (GUESS if certified else
+                    PADE if _pade_certificate(y, amax, dt) else SOLVE)
+        if tier == GUESS:
+            x = np.multiply(t, 0.5 * dt, out=x)
+            x += 0.5
+            np.divide(v, x, out=x)
+            return np.subtract(x, v, out=x if out is None else out), GUESS
+        if tier == PADE:
+            dt_sq = dt * dt
+            x = np.multiply(t, dt_sq / 3.0, out=x)
+            x += 13.0 / 3.0 * dt
+            x *= t
+            x += 1.0
+            q = np.multiply(t, 7.0 * dt_sq, out=q)
+            q += 19.0 / 3.0 * dt
+            q *= t
+            q += 1.0
+            np.divide(x, q, out=x)
+            return np.multiply(v, x, out=x if out is None else out), PADE
+    absa = np.abs(v)
+    if not tier:
+        amax = float(absa.max()) if v.size else math.inf
+        if m == 3.0 or not _certificate(amax, dt, m)[1]:
+            w = damping_solve_field(v, dt, m, absa, amax)
+            w = np.multiply(w, 2.0, out=w)
+            return np.subtract(w, v, out=w if out is None else out), SOLVE
+    x = _guess(absa, dt, m)
+    x *= np.copysign(2.0, v)
+    return np.subtract(x, v, out=x if out is None else out), GUESS
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +309,13 @@ def _row_terms(grid: SpatialGrid, u: np.ndarray, v: np.ndarray, mem,
 class Stepper:
     """The state of a run of config from datum, and its leapfrog step.
 
-    u is the stepper's own array and lap u the view of the memory's current
-    row that ``evaluate`` reads, the same arrays for the whole run, so that
-    ``grid.laplacian`` reruns the plan it bound to them.  v, h1 =
-    ||grad u||^2 and the memory at the state's lag (``mem``) follow the
-    state, and F is its force.  The grid's and the memory's methods are
-    bound once, from their classes' attributes, when the stepper is built.
+    u and v are the stepper's own arrays, which a step updates in place,
+    and lap u the view of the memory's current row that ``evaluate`` reads,
+    the same arrays for the whole run, so that ``grid.laplacian`` reruns
+    the plan it bound to them.  h1 = ||grad u||^2 and the memory at the
+    state's lag (``mem``) follow the state, and F is its force.  The grid's
+    and the memory's methods are bound once, from their classes'
+    attributes, when the stepper is built.
     """
 
     def __init__(self, config: ScenarioConfig, datum: HistoryDatum,
@@ -263,16 +328,19 @@ class Stepper:
         self.mem = memory.evaluate(self.h1, 0.0)
         self.v = datum.velocity_at_0.copy()
         self.F, self.kick = np.empty(grid.shape), np.empty(grid.shape)
+        work = np.empty(grid.shape)
         m, self.p, self.source = config.m, config.p, config.source_enabled
         self.damping = config.damping_enabled
         # what a step reads, as one tuple that it unpacks into locals (the
-        # cheapest names); every evaluation writes the same product rows
+        # cheapest names); every evaluation writes the same product rows.
+        # work and kick are free while v is damped, so they and one more
+        # field are the dampings' scratch
         self._operands = (
-            u, lap_u, self.F, self.kick, np.empty(grid.shape), *self.mem.conv,
+            u, lap_u, self.F, self.kick, work, *self.mem.conv,
             grid.laplacian, grid.h1_by_parts, memory.evaluate, memory.push,
             kernel.k0, grid.cell_volume, self.damping,
             self.damping and m == 1.0, m, self.source, self.p - 1.0,
-            0.5 * (m + 1.0))
+            0.5 * (m + 1.0), (work, self.kick, np.empty(grid.shape)))
 
     def terms(self) -> dict:
         """``_row_terms`` of the state."""
@@ -297,7 +365,7 @@ class Stepper:
         viscous powers of the state reached."""
         (u, lap_u, F, kick, work, conv_mu, conv_mup, laplacian, h1_by_parts,
          evaluate, push_u, k0, cell, damping, linear, m, source, source_e,
-         power_e) = self._operands
+         power_e, scratch) = self._operands
         v = self.v
         if move:
             # kick, then the damping split symmetrically around the drift;
@@ -310,11 +378,11 @@ class Stepper:
                 multiply(v, alpha_sq, v)
             else:
                 if damping:
-                    v, certified = _damp_midpoint(v, half_dt, m)
+                    tier = _damp_midpoint(v, half_dt, m, SOLVE, scratch)[1]
                 multiply(v, dt, work)
                 add(u, work, u)
                 if damping:
-                    v = self.v = _damp_midpoint(v, half_dt, m, certified)[0]
+                    _damp_midpoint(v, half_dt, m, tier, scratch)
             h1 = self.h1 = h1_by_parts(u, laplacian(u, lap_u))
             if push:
                 push_u(t, h1, lap_u)

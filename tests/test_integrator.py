@@ -12,7 +12,8 @@ from viscowave.acceptance import w1_scenario
 from viscowave.config import ScenarioConfig, loads
 from viscowave.grid import SpatialGrid
 from viscowave.history import MemoryState
-from viscowave.integrator import (_damp_midpoint, damping_solve_field,
+from viscowave.integrator import (GUESS, PADE, SOLVE, _damp_midpoint,
+                                  _pade_certificate, damping_solve_field,
                                   initial_terms, run)
 from viscowave.runner import run_scenario
 
@@ -123,12 +124,16 @@ class TestDampingSolve:
 # a product that keeps -0.0 where the factor is positive.  The m = 3 entries
 # were re-recorded when m = 3 took the cubic's closed form, which keeps the
 # sign of -0.0 and maps the smallest subnormal to 0 where its scaled argument
-# underflows.  Every other entry is a converged solve of 0 to 8 Newton
+# underflows; the m = 3 midpoint once more when it took the Pade tier.  Its
+# arrays cover the three tiers: the certified guess (the short arrays at
+# tau = 1e-3), the Pade factor (the short arrays at tau = 1) and the closed
+# form (the rest).  Every other entry is a converged solve of 0 to 8 Newton
 # iterations, in which 0 and -0.0 map to 0.0 and the smallest subnormal to
-# itself.  Recorded on x86-64 with AVX-512 and NumPy 2.4.6; NumPy's power,
-# which m = 1.5, 5 and 9 call with exponents other than 1/2, 1 and 2, and its
-# sinh and arcsinh, which m = 3 calls, may round differently where NumPy
-# picks another SIMD routine.
+# itself.  Recorded on x86-64 with AVX-512 and NumPy 2.4.6.  The guess and
+# the Pade factor are products, sums and divides, each rounded correctly;
+# NumPy's power (the inputs' logspace, and m = 1.5, 5 and 9 with exponents
+# other than 1/2, 1 and 2) and the closed form's sinh and arcsinh are not,
+# and their last bits follow the routine NumPy runs.
 _MAG = np.logspace(-3, 4, 36)
 _TINY = np.finfo(float).smallest_subnormal
 _WIDE = np.r_[_MAG, -_MAG, 0.0, -0.0, _TINY]
@@ -151,7 +156,7 @@ DAMP_GOLDEN = {
         1.0: "a82cbaa10dff8d0a",
         1.5: "a2ad7206c8ca1fb4",
         2.0: "a8e7d20012e22b0b",
-        3.0: "92ef285875631ec2",
+        3.0: "1ec328213e2814fa",
         5.0: "edb488936c725418",
         9.0: "8f04dc1c8aafcd42",
     },
@@ -338,6 +343,74 @@ def certificate_amax(dt, m):
     return math.exp(min(max(log_amax, -690.0), 690.0))
 
 
+def pade_amax(dt):
+    """The largest max|a| at which the m = 3 midpoint over 2 dt takes its
+    Pade tier, to a relative 1e-14 in ln max|a|, by bisection over
+    [-700, 700]; the tier holds at the value returned."""
+    lo, hi = -700.0, 700.0
+    while hi - lo > 1e-14 * max(1.0, abs(lo)):
+        mid = 0.5 * (lo + hi)
+        a = math.exp(mid)
+        holds = _pade_certificate(dt * (a * a), a, dt)
+        lo, hi = (mid, hi) if holds else (lo, mid)
+    return math.exp(lo)
+
+
+# |2w - a - 2 uncertified_solve + a| <= 2 (1e-14 + 0.9e-14) max(1, |a|): w and
+# the loop's root each meet their residual bound, and the residual's slope in
+# w is at least 1.  Measured at most 1.8e-14 over 60,000 arrays drawn as in
+# test_pade_midpoint_meets_the_solve_contract
+MIDPOINT_TO_LOOP = 3.8e-14
+
+
+def assert_midpoint_contract(got, a, tau):
+    """The m = 3 midpoint's w = (got + a)/2 meets test_contraction_and_residual
+    elementwise, and got is 2 uncertified_solve - a to MIDPOINT_TO_LOOP."""
+    dt = 0.5 * tau
+    for w, x in zip((0.5 * (got + a)).ravel().tolist(), a.ravel().tolist()):
+        assert abs(w) <= abs(x)
+        assert w * x >= 0.0
+        res = w + dt * abs(w) ** 2.0 * w - x
+        assert abs(res) <= 1e-14 * max(1.0, abs(x))
+    want = np.subtract(np.multiply(uncertified_solve(a, dt, 3.0), 2.0), a)
+    assert np.all(np.abs(got - want)
+                  <= MIDPOINT_TO_LOOP * np.maximum(1.0, np.abs(a)))
+
+
+# Over 60,000 arrays drawn as below, a quarter of them with depth below
+# 1e-3, w's residual measured at most 5.03e-15 max(1, |a|): the test's 1e-14
+# leaves a factor 2
+@settings(max_examples=300, deadline=None)
+@given(tau=st.floats(1e-6, 1e2), depth=st.floats(0.0, 1.0),
+       unit=hnp.arrays(np.float64, st.integers(1, 40),
+                       elements=st.floats(-1.0, 1.0)),
+       extras=st.lists(st.sampled_from((-0.0, _TINY)), max_size=2))
+@example(tau=1e2, depth=0.0, unit=np.array([-1.0]), extras=[-0.0, _TINY])
+@example(tau=1e-6, depth=0.0, unit=np.array([1.0, 0.5]), extras=[])
+def test_pade_midpoint_meets_the_solve_contract(tau, depth, unit, extras):
+    # max|a| log-uniform from the certificate's threshold (depth 1) up to the
+    # Pade tier's (depth 0); -0.0 stays -0.0, and the midpoint in place gives
+    # the same bits in the caller's v
+    dt, amax = 0.5 * tau, pade_amax(0.5 * tau)
+    top, bottom = math.log(amax), math.log(certificate_amax(dt, 3.0))
+    scale = min(math.exp(top - depth * (top - bottom)), amax)
+    a = unit * scale
+    a[0] = math.copysign(scale, a[0])
+    a = np.r_[a, extras]
+    got, tier = _damp_midpoint(a, tau, 3.0)
+    assert tier == PADE or (depth > 0.99 and tier == GUESS)
+    assert_midpoint_contract(got, a, tau)
+    if tier == PADE:
+        zero = a == 0.0
+        np.testing.assert_array_equal(np.signbit(got[zero]),
+                                      np.signbit(a[zero]))
+    v = a.copy()
+    scratch = tuple(np.empty(a.shape) for _ in range(3))
+    out, again = _damp_midpoint(v, tau, 3.0, SOLVE, scratch)
+    assert out is v and again == tier
+    np.testing.assert_array_equal(v.view(np.int64), got.view(np.int64))
+
+
 SPECIALS = (-0.0, np.finfo(float).smallest_subnormal, math.inf, -math.inf,
             math.nan)
 
@@ -398,7 +471,8 @@ def test_linear_midpoint_is_the_cayley_factor(tau, v, zeros):
 
 @settings(max_examples=300, deadline=None)
 @given(m=st.one_of(st.just(3.0), st.floats(1.0, 20.0, exclude_min=True)),
-       tau=st.floats(1e-6, 1e2), shift=st.floats(-40.0, 1.0),
+       tau=st.floats(1e-6, 1e2),
+       shift=st.one_of(st.floats(-40.0, 1.0), st.floats(1.0, 40.0)),
        unit=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8),
                        elements=st.floats(-1.0, 1.0)),
        extras=st.lists(st.sampled_from(
@@ -408,23 +482,66 @@ def test_linear_midpoint_is_the_cayley_factor(tau, v, zeros):
 @example(m=1.01, tau=100.0, shift=-1.0, unit=np.array([1.0]),
          extras=[-9.0 * _TINY, 1e-310])
 def test_certified_midpoint_is_the_doubled_solve(m, tau, shift, unit, extras):
-    # max|a| around the certificate's threshold for the half-step's solve;
-    # a certified half-step doubles the guess in no pass of its own, and the
-    # next half-step that reuses its certificate skips max|a|, both bit for
-    # bit, also for subnormal a at m near 1
+    # max|a| around the certificate's threshold for the half-step's solve,
+    # or up to 2^40 above it; a certified half-step doubles the guess in no
+    # pass of its own, and the next half-step that reuses its certificate
+    # skips max|a|, both bit for bit, also for subnormal a at m near 1.  At
+    # m = 3 an array between the certificate and the Pade tier's threshold
+    # takes the Pade factor, which meets the solve's contract instead, and so
+    # does the next half-step that reuses its tier.  In place, each tier
+    # gives the same bits in the caller's v
     scale = certificate_amax(0.5 * tau, m) * 2.0 ** shift
     a = unit * min(max(scale, 1e-300), 1e300)
     a = np.r_[a.reshape(-1), extras] if extras else a
-    got, certified = _damp_midpoint(a, tau, m)
-    w = damping_solve_field(a, 0.5 * tau, m)
-    want = np.subtract(np.multiply(w, 2.0), a)
+    got, tier = _damp_midpoint(a, tau, m)
+    if tier == PADE:
+        assert m == 3.0
+        assert_midpoint_contract(got, a, tau)
+    else:
+        w = damping_solve_field(a, 0.5 * tau, m)
+        want = np.subtract(np.multiply(w, 2.0), a)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    v = a.copy()
+    scratch = tuple(np.empty(a.shape) for _ in range(3))
+    out, in_place_tier = _damp_midpoint(v, tau, m, SOLVE, scratch)
+    assert out is v and in_place_tier == tier
+    np.testing.assert_array_equal(v.view(np.int64), got.view(np.int64))
+    if tier:
+        again, still = _damp_midpoint(got, tau, m, tier)
+        full, full_tier = _damp_midpoint(got, tau, m)
+        assert still == tier and full_tier in (GUESS, tier)
+        if tier == PADE:
+            assert_midpoint_contract(again, got, tau)
+        else:
+            np.testing.assert_array_equal(again.view(np.int64),
+                                          full.view(np.int64))
+
+
+@pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf, 1e100,
+                                     -1e100])
+def test_cubic_midpoint_past_its_tiers_is_the_doubled_solve(special):
+    # NaN and inf fail both certificates, and at 1e100 y^5 overflows: such
+    # arrays take the closed form or Newton, bit for bit as the solve does
+    a = np.r_[0.3, -0.0, _TINY, special]
+    for tau in (1e-6, 1.0, 100.0):
+        with np.errstate(invalid="ignore"):
+            got, tier = _damp_midpoint(a, tau, 3.0)
+            w = damping_solve_field(a, 0.5 * tau, 3.0)
+        want = np.subtract(np.multiply(w, 2.0), a)
+        assert tier == SOLVE
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_cubic_midpoint_needs_a_normal_dt_squared():
+    # at tau/2 = 1e-160 the Pade tier's window is max|a| in about (2e76,
+    # 3e78), where (tau/2)^2 is subnormal and the factor's folded
+    # coefficients would lose their digits: such arrays take the solve
+    dt = 1e-160
+    a = np.array([1.0, -0.5, 0.0]) * math.sqrt(1e-5 / dt)
+    got, tier = _damp_midpoint(a, 2.0 * dt, 3.0)
+    want = np.subtract(np.multiply(damping_solve_field(a, dt, 3.0), 2.0), a)
+    assert tier == SOLVE
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-    if certified:
-        again, still = _damp_midpoint(got, tau, m, True)
-        full, full_certified = _damp_midpoint(got, tau, m)
-        assert still and full_certified
-        np.testing.assert_array_equal(again.view(np.int64),
-                                      full.view(np.int64))
 
 
 def quick_config(**overrides):
@@ -645,6 +762,50 @@ class TestRun:
         with pytest.raises(AssertionError, match="damping solve"):
             run(quick_config(t_end=0.5, m=3.0))
 
+    @pytest.mark.parametrize("amplitude, tiers", [
+        (0.003, {GUESS, PADE}), (0.1, {PADE, SOLVE})])
+    def test_cubic_damping_keeps_v_in_place(self, monkeypatch, amplitude,
+                                            tiers):
+        # an m = 3 step damps v in place through each tier: the stepper's v
+        # is one array from the start of the run to its end
+        made, taken = [], set()
+
+        class Kept(integrator.Stepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self.v)
+
+        damp = integrator._damp_midpoint
+
+        def recording(*args):
+            out = damp(*args)
+            taken.add(out[1])
+            return out
+
+        monkeypatch.setattr(integrator, "Stepper", Kept)
+        monkeypatch.setattr(integrator, "_damp_midpoint", recording)
+        result = run(quick_config(dim=2, n=12, n_y=10, extent_y=2.0,
+                                  t_end=2.0, modes=(1, 2), m=3.0,
+                                  amplitude=amplitude))
+        assert result.flags["completed"] and result.state.step_index > 10
+        assert len(made) == 1 and result.state.v is made[0]
+        assert taken == tiers
+
+    def test_wave2d_band_datum_takes_no_solve(self, monkeypatch):
+        # a datum of the wave2d benchmark's band, max|v| 0.40: each half-step
+        # that the certificate leaves takes the Pade tier.  (At the band's
+        # top, modes (2, 2) reach max|v| 0.52, and 20 of their 4,682
+        # half-steps take the closed form.)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a wave2d-band step took a damping solve")
+
+        monkeypatch.setattr(integrator, "damping_solve_field", refuse)
+        result = run(ScenarioConfig(
+            dim=2, extent=math.pi, extent_y=math.pi, n=64, n_y=64, m=3.0,
+            p=3.0, modes=(1, 2), amplitude=0.15, t_end=40.0, stride=8,
+            output_every=10))
+        assert result.flags["completed"] and result.state.step_index > 2000
+
     def test_datum_at_rest_needs_no_halvings(self, tmp_path):
         # u(0) = 0 with a small past: the memory sets the string moving and
         # the energy decays; ||grad u(0)|| = 0 must not make every later
@@ -720,19 +881,24 @@ GOLDEN = {
 
 
 # sha256 of ledger.csv for a 2-D run with m = 3, re-recorded when m = 3 took
-# the cubic's closed form and ||.||_4^4 became a squared square, and again,
-# with the digests below, when the step took ||grad u||^2 by parts from lap u
-# and the memory's rows their Laplacians (every column moved by at most
-# 2e-16 absolute, E by at most 6e-15 relative); later changes must reproduce
-# it byte for byte.  Its velocities are small enough that some damping solves
-# end at the certified guess and others take the closed form.  Recorded on
-# x86-64 with AVX-512 and NumPy 2.4.6; NumPy's sinh, arcsinh and power (the
-# source term's |u|^(p-1)) may round differently where NumPy picks another
-# SIMD routine.
+# the cubic's closed form and ||.||_4^4 became a squared square, again, with
+# the digests below, when the step took ||grad u||^2 by parts from lap u and
+# the memory's rows their Laplacians (every column moved by at most 2e-16
+# absolute, E by at most 6e-15 relative), and once more, with
+# exponential_m3_1d, when the midpoint damping took the Pade tier (every
+# column moved by at most 1.7e-18 absolute); later changes must reproduce it
+# byte for byte.  Its velocities are small enough that its 64 damping
+# half-steps take the certified guess (28) or the Pade factor (36), none the
+# closed form, which the midpoint's DAMP_GOLDEN entry and
+# test_cubic_damping_keeps_v_in_place cover.  Recorded on x86-64 with
+# AVX-512 and NumPy 2.4.6.  Its damping and source (p = 3) are products, sums
+# and divides alone, each rounded correctly: it depends on the order of the
+# step's sums, of which np.vdot and the memory's @ follow the BLAS kernel
+# that NumPy's OpenBLAS picks.
 LEDGER_2D_M3 = (quick_config(dim=2, n=12, n_y=10, extent_y=2.0, t_end=2.0,
                              modes=(1, 2), m=3.0, output_every=1,
                              amplitude=0.003),
-                "6f883787785d04a3229e201c4eac5ff5e140419d4921ec8a86686326ace2aa25")
+                "945ca5cae159ebede537d641475f803ac9dda6f9286d49893f34f71d38e4d0ee")
 
 # The same for 1-D runs, a row per step.  The polynomial one was re-recorded
 # when the memory took the modes fitted to the run's horizon (19 modes in
@@ -747,6 +913,10 @@ LEDGER_2D_M3 = (quick_config(dim=2, n=12, n_y=10, extent_y=2.0, t_end=2.0,
 # is products alone, with no solve and no power: they depend on alpha's
 # rounding and on the order of the step's sums, of which np.vdot and the
 # memory's @ follow the BLAS kernel that NumPy's OpenBLAS picks.
+# exponential_m3_1d was re-recorded when the m = 3 midpoint damping took the
+# Pade tier (every column moved by at most 1.0e-15 absolute, in grad_norm);
+# its 438 half-steps take the certified guess (36) or the Pade factor (402),
+# so it depends on the same sums alone.
 LEDGER_BYTES = {
     "exponential_m1_1d": (
         quick_config(output_every=1),
@@ -757,7 +927,7 @@ LEDGER_BYTES = {
         "86540fd32176a6154816ec95d8df7c221d338851468ad7b3fdfabbc2cb61eb9b"),
     "exponential_m3_1d": (
         quick_config(m=3.0, output_every=1),
-        "58bcb03ccfd230e3fd64d68d88e67e07a66bed56cdc3f8c78fe362b8362a85a8"),
+        "0f714d0f9d9eda046c5d43ffc8d85878fbc58fe7e5462c39e5495fccbab5eacd"),
     "grid_2d_m3": LEDGER_2D_M3,
     # Branches of the step the runs above leave out, recorded before the
     # step loop was rewritten with fewer calls per step: p = 2 (the source's
@@ -781,6 +951,14 @@ LEDGER_BYTES = {
     "halving_1d": (
         quick_config(amplitude=2.0, output_every=1),
         "375f0f611764dea3c1878e46900e4ce3882a2764243c98f1d52edf7e3b3c766d"),
+    # Recorded when m = 3 took the Pade tier, which left the cubic's closed
+    # form to none of the runs above: here 22 of the 64 damping half-steps
+    # take it and the rest the Pade factor.  The closed form's sinh and
+    # arcsinh are not rounded correctly, so this digest also follows the
+    # routine NumPy runs for them.
+    "closed_form_m3_2d": (
+        replace(LEDGER_2D_M3[0], amplitude=0.1),
+        "4dd7893d9b060e8fe15ef8362c5d4b98c4714321327a2c25bf3d807f793cee52"),
 }
 
 

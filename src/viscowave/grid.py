@@ -156,6 +156,9 @@ class SpatialGrid:
         add and restored after it: bit for bit the slice stencil.
         """
         steps, views_f = [], True
+        # the scalars as 0-d arrays, which NumPy converts faster than Python
+        # floats, to the same bits
+        minus_two = np.array(-2.0)
         for lo, up, first, last, h2, flat in self._stencils:
             if flat:
                 fv = f.reshape(f.shape[:-2] + (-1,))
@@ -163,7 +166,7 @@ class SpatialGrid:
                 dv = np.empty(fv.shape)
                 d = dv.reshape(f.shape)
                 edges = np.empty(d[first].shape), np.empty(d[last].shape)
-                steps += [partial(np.multiply, fv, -2.0, dv),
+                steps += [partial(np.multiply, fv, minus_two, dv),
                           partial(np.copyto, edges[0], d[first]),
                           partial(np.add, dv[..., 1:], fv[..., :-1],
                                   dv[..., 1:]),
@@ -175,10 +178,10 @@ class SpatialGrid:
             else:
                 # the first axis, whose array is out
                 d = out
-                steps += [partial(np.multiply, f, -2.0, d),
+                steps += [partial(np.multiply, f, minus_two, d),
                           partial(np.add, d[up], f[lo], d[up]),
                           partial(np.add, d[lo], f[up], d[lo])]
-            steps.append(partial(np.divide, d, h2, d))
+            steps.append(partial(np.divide, d, np.array(h2), d))
             if d is not out:
                 steps.append(partial(np.add, out, d, out))
         return tuple(steps), views_f

@@ -281,6 +281,10 @@ class MemoryState:
         self.M[:-3] = np.vstack([coef @ dev, dev[0], ext])
         self.t_push = 0.0
         self._lags = {}
+        # the push's buffer, and its scalar as a 0-d array, which NumPy
+        # converts faster than a Python float, to the same bits
+        self._push_buf = np.empty(grid.size + 1)
+        self._half_ds = np.array(0.5 * self.ds)
 
     @property
     def lap_field(self) -> np.ndarray:
@@ -293,14 +297,16 @@ class MemoryState:
         if t + self.T0 > self.horizon:
             raise ValueError(f"push at t = {t} takes the history's lags past "
                              f"the memory's horizon {self.horizon}")
-        P, D0 = self.M[:-5], self.M[-5]
+        P, D0, buf = self.M[:-5], self.M[-5], self._push_buf
         # the old row 0 moves to node ds, where its weight doubles
-        P += 0.5 * self.ds * D0
+        np.multiply(D0, self._half_ds, buf)
+        P += buf
         P *= self.decay
         D0[:-1] = lap_u.ravel()
         D0[-1] = h1
         D0 -= self.M[-4]
-        P += 0.5 * self.ds * D0
+        np.multiply(D0, self._half_ds, buf)
+        P += buf
         self.t_push = t
 
     def _lag(self, delta: float) -> tuple:

@@ -338,7 +338,7 @@ class Stepper:
         self._operands = (
             u, lap_u, self.F, self.kick, work, *self.mem.conv,
             grid.laplacian, grid.h1_by_parts, memory.evaluate, memory.push,
-            kernel.k0, grid.cell_volume, self.damping,
+            np.array(kernel.k0), grid.cell_volume, self.damping,
             self.damping and m == 1.0, m, self.source, self.p - 1.0,
             0.5 * (m + 1.0), (work, self.kick, np.empty(grid.shape)))
 
@@ -354,7 +354,10 @@ class Stepper:
         half-kick (dt/2) F, which a step otherwise leaves in kick."""
         half_dt = 0.5 * dt
         alpha = _cayley(half_dt)
-        self._scalars = dt, half_dt, alpha * dt, alpha * alpha
+        # the ufuncs' operands as 0-d arrays, which NumPy converts faster
+        # than Python floats, to the same bits
+        self._scalars = (half_dt, *map(np.array, (
+            dt, half_dt, alpha * dt, alpha * alpha)))
         multiply(self.F, half_dt, self.kick)
 
     def step(self, t: float = 0.0, lag: float = 0.0, push: bool = False,
@@ -370,7 +373,7 @@ class Stepper:
         if move:
             # kick, then the damping split symmetrically around the drift;
             # at m = 1 the dampings scale v by alpha before and after it
-            dt, half_dt, alpha_dt, alpha_sq = self._scalars
+            half_dt, dt, kick_dt, alpha_dt, alpha_sq = self._scalars
             add(v, kick, v)
             if linear:
                 multiply(v, alpha_dt, work)
@@ -408,7 +411,7 @@ class Stepper:
                        + mem.scalar.item(1))
         if move:
             # the second half-kick, with the new force
-            multiply(F, half_dt, kick)
+            multiply(F, kick_dt, kick)
             add(v, kick, v)
         if not damping:
             return h1, 0.0, visc

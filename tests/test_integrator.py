@@ -664,7 +664,7 @@ class TestRun:
             assert {k: v.shape for k, v in vars(memory).items()
                     if isinstance(v, np.ndarray)} == {
                 "lam": (K,), "weights": (2, K), "w0": (2,), "decay": (K, 1),
-                "M": (K + 5, N + 1)}
+                "M": (K + 5, N + 1), "_push_buf": (N + 1,), "_half_ds": ()}
             ds = memory.ds
             assert memory.horizon == t_end + cfg.support_T0 + ds
             assert np.array_equal(

@@ -262,7 +262,3 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"runtime failure: {exc!r}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -146,19 +146,17 @@ class SpatialGrid:
         return out
 
     def _plan(self, f: np.ndarray, out: np.ndarray) -> tuple:
-        """The ufunc calls, as bound partials, that take lap f into out, and
-        whether they read f's own memory.  The first axis differences into
-        out.  Along the last axis of a 2-D grid both shifted adds run on
-        each field's flat C-order row (a copy unless each field is
-        contiguous), one pass each, into a scratch field added to out; the
-        first column picks up the last node of the row before and the last
-        column the first node of the row after, so each is saved before its
-        add and restored after it: bit for bit the slice stencil.
+        """The ufunc calls, as bound partials with 0-d arrays for scalars
+        (faster operands than floats, same bits), that take lap f into out,
+        and whether they read f's own memory.  The first axis differences
+        into out.  Along the last axis of a 2-D grid both shifted adds run on
+        each field's flat C-order row (a copy unless it is contiguous), one
+        pass each, into a scratch field added to out; the first column picks
+        up the last node of the row before and the last column the first of
+        the row after, each saved and restored around its add: bit for bit
+        the slice stencil.
         """
         steps, views_f = [], True
-        # the scalars as 0-d arrays, which NumPy converts faster than Python
-        # floats, to the same bits
-        minus_two = np.array(-2.0)
         for lo, up, first, last, h2, flat in self._stencils:
             if flat:
                 fv = f.reshape(f.shape[:-2] + (-1,))
@@ -166,7 +164,7 @@ class SpatialGrid:
                 dv = np.empty(fv.shape)
                 d = dv.reshape(f.shape)
                 edges = np.empty(d[first].shape), np.empty(d[last].shape)
-                steps += [partial(np.multiply, fv, minus_two, dv),
+                steps += [partial(np.multiply, fv, np.array(-2.0), dv),
                           partial(np.copyto, edges[0], d[first]),
                           partial(np.add, dv[..., 1:], fv[..., :-1],
                                   dv[..., 1:]),
@@ -178,7 +176,7 @@ class SpatialGrid:
             else:
                 # the first axis, whose array is out
                 d = out
-                steps += [partial(np.multiply, f, minus_two, d),
+                steps += [partial(np.multiply, f, np.array(-2.0), d),
                           partial(np.add, d[up], f[lo], d[up]),
                           partial(np.add, d[lo], f[up], d[lo])]
             steps.append(partial(np.divide, d, np.array(h2), d))

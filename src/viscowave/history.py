@@ -4,10 +4,10 @@
 take their memory terms from it, and ``classify`` reads row 0's terms.
 
 The memory realizes ``w(t, s) = u(t) - u(t - s)`` on a uniform s-grid with
-spacing ``ds`` (a fixed multiple of the time step), with an exact closed-form
-tail beyond the covered depth, and keeps the past as a few exponential modes
-of the kernel rather than as stored fields.  Two extension modes are
-supported for the history beyond its tabulated support:
+spacing ``ds`` (a stride of time steps) and an exact tail past its depth.  It
+keeps the past as rows R of a few exponential modes, which a push updates in
+two passes, and takes a lag's quadrature of the kernel in O(K) from the modes
+of ``memory_horizon``.  The history extends beyond its support in one of:
 
 * ``zero``   -- u0(t) = 0 for t <= -T0 (compactly supported history); the
                 tail of every memory integral is then exact.
@@ -241,14 +241,15 @@ class MemoryState:
 
     Each past field is kept once, as its Laplacian: each row of the state
     ``M`` (K+5, N+1) is [lap field | ||grad field||^2], and the rows are:
-    the K modes P_k = sum_j c_j exp(-lam_k j ds) D_j of the deviations D_j
-    of the past fields u(t_push - j*ds) from the extension field
-    (c_0 = ds/2, c_j = ds beyond), D_0, the extension field, the current
-    field u(t) (``lap_field``) and two product rows.  The modes hold on
-    lags up to ``horizon``, which a push may not pass
+    the K modes R_k = sum_{j >= 1} ds exp(-lam_k j ds) D_j of the
+    deviations D_j of the past fields u(t_push - j*ds) from the extension
+    field, D_0, the extension field, the current field u(t) (``lap_field``)
+    and two product rows; a push scales R + ds D_0 by exp(-lam ds).  The
+    modes hold on lags up to ``horizon``, which a push may not pass
     (``kernel.memory_horizon`` if None or shorter).  ``evaluate`` takes
     G @ M[:-2] into the product rows: lap of the mu and mu' convolutions
-    and their scalars.
+    and their scalars.  A new lag's quadrature of the weights costs O(K_h),
+    a geometric sum C per mode of ``memory_horizon`` (K_h = 133 at r = 1.5).
     """
 
     def __init__(self, datum: HistoryDatum, kernel: RelaxationKernel,
@@ -265,6 +266,12 @@ class MemoryState:
         self.weights = np.stack([a, -a * self.lam])
         self.w0 = np.array([kernel.mu(0.0), kernel.mu_prime(0.0)])
         self.decay = np.exp(-self.lam * self.ds)[:, None]
+        # per horizon mode the trapezoid of exp(-lam s) on s = ds .. depth*ds
+        self.lam_h, a = kernel.modes(kernel.memory_horizon)
+        self.weights_h = np.stack([a, -a * self.lam_h])
+        x = self.lam_h * self.ds
+        self.C = self.ds * (np.exp(-x) * np.expm1(-x * (self.depth - 1))
+                            / np.expm1(-x) + 0.5 * np.exp(-x * self.depth))
         ext = datum.frozen_field()
         ext = np.append(grid.laplacian(ext).ravel(), grid.h1_seminorm_sq(ext))
         # the support's rows, j*ds <= min(T0, s_depth); the rows beyond it
@@ -276,15 +283,13 @@ class MemoryState:
         dev = np.column_stack([lap.reshape(lags.size, -1) - ext[:-1],
                                h1 - ext[-1]])
         coef = self.ds * np.exp(-np.outer(self.lam, lags))
-        coef[:, 0] *= 0.5
+        coef[:, 0] = 0.0
         self.M = np.zeros((self.lam.size + 5, grid.size + 1))
         self.M[:-3] = np.vstack([coef @ dev, dev[0], ext])
         self.t_push = 0.0
         self._lags = {}
-        # the push's buffer, and its scalar as a 0-d array, which NumPy
-        # converts faster than a Python float, to the same bits
         self._push_buf = np.empty(grid.size + 1)
-        self._half_ds = np.array(0.5 * self.ds)
+        self._ds = np.array(self.ds)
 
     @property
     def lap_field(self) -> np.ndarray:
@@ -297,49 +302,40 @@ class MemoryState:
         if t + self.T0 > self.horizon:
             raise ValueError(f"push at t = {t} takes the history's lags past "
                              f"the memory's horizon {self.horizon}")
-        P, D0, buf = self.M[:-5], self.M[-5], self._push_buf
-        # the old row 0 moves to node ds, where its weight doubles
-        np.multiply(D0, self._half_ds, buf)
-        P += buf
-        P *= self.decay
+        R, D0, buf = self.M[:-5], self.M[-5], self._push_buf
+        # the old row 0 moves to node ds, where it takes weight ds
+        np.multiply(D0, self._ds, buf)
+        R += buf
+        R *= self.decay
         D0[:-1] = lap_u.ravel()
         D0[-1] = h1
         D0 -= self.M[-4]
-        np.multiply(D0, self._half_ds, buf)
-        P += buf
         self.t_push = t
 
     def _lag(self, delta: float) -> tuple:
-        """(G, ev, source, product) at lag delta: G takes M's source columns
-        to the convolutions in its product rows, and ev views the product
-        rows with the weight's whole quadrature Q as its total.
+        """(G, ev, source, product) at lag delta, cached: G takes M's source
+        columns to the convolutions in its product rows, and ev views the
+        product rows with the weight's whole quadrature Q as its total.
 
-        Row j sits on the node s = delta + j*ds.  With the modes
-        w(s) = sum_k b_k exp(-lam_k s) (b = a for mu, -a*lam for mu'), the
-        trapezoid of w over the deviations is
-        sum_k b_k exp(-lam_k delta) (P_k + delta/2 D_0); the extension field
-        takes Q(delta), the trapezoid over the depth's nodes, the current
-        node and the exact tail, less the current node's now = delta/2 w(0).
+        Row j sits on the node s = delta + j*ds, row 0's cell (delta+ds)/2
+        wide.  With w(s) = sum_k b_k exp(-lam_k s) (b = a for mu, -a*lam for
+        mu'), the trapezoid of w over the deviations is sum_k b_k
+        exp(-lam_k delta) (R_k + (delta+ds)/2 D_0); the extension field
+        takes Q(delta), the depth's nodes by the horizon modes and C, the
+        current node and the exact tail, less the current node's delta/2 w(0).
         """
-        entry = self._lags.get(delta)
-        if entry is None:
-            kern = self.kernel
-            now = 0.5 * delta * self.w0
-            s = delta + self.ds * np.arange(self.depth + 1)
-            coef = np.full(self.depth + 1, self.ds)
-            coef[0] = 0.5 * (delta + self.ds)
-            coef[-1] = 0.5 * self.ds
-            rows = coef * np.stack([kern.mu(s), kern.mu_prime(s)])
-            tail = np.array([kern.tail_mass(s[-1]), kern.mu_prime_tail(s[-1])])
-            total = rows.sum(axis=1) + now + tail
-            f = self.weights * np.exp(-self.lam * delta)
-            # row 0's first cell widens by delta
-            G = np.column_stack([f, 0.5 * delta * f.sum(axis=1), total - now,
-                                 now])
-            ev = MemoryEval(self.grid, self.M[-2:, :-1].reshape(
-                (2,) + self.grid.shape), self.M[-2:, -1], total)
-            entry = self._lags[delta] = (G, ev, self.M[:-2], self.M[-2:])
-        return entry
+        kern = self.kernel
+        now = 0.5 * delta * self.w0
+        first = 0.5 * (delta + self.ds)
+        Q = self.weights_h @ (np.exp(-self.lam_h * delta) * (first + self.C))
+        s = delta + self.ds * self.depth
+        tail = np.array([kern.tail_mass(s), kern.mu_prime_tail(s)])
+        total = Q + now + tail
+        f = self.weights * np.exp(-self.lam * delta)
+        G = np.column_stack([f, first * f.sum(axis=1), total - now, now])
+        ev = MemoryEval(self.grid, self.M[-2:, :-1].reshape(
+            (2,) + self.grid.shape), self.M[-2:, -1], total)
+        return self._lags.setdefault(delta, (G, ev, self.M[:-2], self.M[-2:]))
 
     def evaluate(self, h1_now: float, delta: float = 0.0) -> MemoryEval:
         """Both weights' convolutions at lag delta, the current node taking

@@ -350,12 +350,10 @@ class Stepper:
     def set_dt(self, dt: float):
         """Step by dt from now on: dt/2; for m = 1 the factor alpha by which
         each midpoint damping over dt/2 scales v (``_cayley``), as alpha dt
-        for the drift between the two and alpha^2 for both; and the first
-        half-kick (dt/2) F, which a step otherwise leaves in kick."""
-        half_dt = 0.5 * dt
-        alpha = _cayley(half_dt)
-        # the ufuncs' operands as 0-d arrays, which NumPy converts faster
-        # than Python floats, to the same bits
+        for the drift between the two and alpha^2 for both, as 0-d arrays,
+        faster ufunc operands than floats; and the first half-kick (dt/2) F,
+        which a step otherwise leaves in kick."""
+        half_dt, alpha = 0.5 * dt, _cayley(0.5 * dt)
         self._scalars = (half_dt, *map(np.array, (
             dt, half_dt, alpha * dt, alpha * alpha)))
         multiply(self.F, half_dt, self.kick)

@@ -215,10 +215,10 @@ class RelaxationKernel:
 
     @property
     def memory_horizon(self) -> float:
-        """Lag where mu falls to MODES_RTOL * mu(0).  The modes of this
-        horizon, the trapezoid's, err by at most about MODES_RTOL * (mu(s) +
-        MODES_RTOL * mu(0)) at every lag, so a memory needs no longer
-        horizon, however long the run; a shorter one takes fewer modes."""
+        """Lag where mu falls to MODES_RTOL * mu(0).  Its modes, the
+        trapezoid's, err by at most about MODES_RTOL * (mu(s) + MODES_RTOL *
+        mu(0)) at every lag, past it too: a memory's lag quadrature takes
+        them at any depth, and its rows need no longer horizon."""
         if self.family == EXPONENTIAL:
             return -math.log(MODES_RTOL) / self.c
         return MODES_RTOL ** (1.0 - self.r) - 1.0

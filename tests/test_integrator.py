@@ -639,9 +639,11 @@ class TestRun:
                                                             monkeypatch):
         # the polynomial frozen depth is 100 * t_end, yet the memory's arrays
         # have no axis of that depth, only the K modes of the run's horizon
-        # t_end + T0 + ds, each row a field's Laplacian and its ||grad||^2;
-        # the kept state still gives the last convolution, whose Laplacian
-        # a wrapper around _record_row copies at every row
+        # t_end + T0 + ds, each row a field's Laplacian and its ||grad||^2,
+        # the K_h modes of memory_horizon with their per-mode depth sums C
+        # that a lag's quadrature takes, the push's buffer of one row and
+        # its 0-d ds; the kept state still gives the last convolution, whose
+        # Laplacian a wrapper around _record_row copies at every row
         record, lap_convs = integrator._record_row, []
 
         def record_and_keep(ledger, kept, stepper, *args):
@@ -661,10 +663,12 @@ class TestRun:
                 res.grid.laplacian(conv), lap_conv, rtol=1e-12,
                 atol=1e-12 * np.max(np.abs(lap_conv)))
             K, N = len(memory.lam), cfg.n
+            K_h = len(res.kernel.modes(res.kernel.memory_horizon)[0])
             assert {k: v.shape for k, v in vars(memory).items()
                     if isinstance(v, np.ndarray)} == {
                 "lam": (K,), "weights": (2, K), "w0": (2,), "decay": (K, 1),
-                "M": (K + 5, N + 1), "_push_buf": (N + 1,), "_half_ds": ()}
+                "lam_h": (K_h,), "weights_h": (2, K_h), "C": (K_h,),
+                "M": (K + 5, N + 1), "_push_buf": (N + 1,), "_ds": ()}
             ds = memory.ds
             assert memory.horizon == t_end + cfg.support_T0 + ds
             assert np.array_equal(
@@ -898,7 +902,7 @@ GOLDEN = {
 LEDGER_2D_M3 = (quick_config(dim=2, n=12, n_y=10, extent_y=2.0, t_end=2.0,
                              modes=(1, 2), m=3.0, output_every=1,
                              amplitude=0.003),
-                "945ca5cae159ebede537d641475f803ac9dda6f9286d49893f34f71d38e4d0ee")
+                "421da46c7360e17bf588ef55e1de554cc71541b0d4eb165d6520e4763dacb0c2")
 
 # The same for 1-D runs, a row per step.  The polynomial one was re-recorded
 # when the memory took the modes fitted to the run's horizon (19 modes in
@@ -917,17 +921,22 @@ LEDGER_2D_M3 = (quick_config(dim=2, n=12, n_y=10, extent_y=2.0, t_end=2.0,
 # Pade tier (every column moved by at most 1.0e-15 absolute, in grad_norm);
 # its 438 half-steps take the certified guess (36) or the Pade factor (402),
 # so it depends on the same sums alone.
+# Every digest here and LEDGER_2D_M3 were re-recorded once more when a push
+# kept the mode rows less half their newest deviation, R = P - (ds/2) D_0,
+# and a new lag took its quadrature from the horizon's modes in O(K): every
+# column moved by at most 2.5e-16 absolute, but halving_1d's, which moved by
+# at most 8.6e-12 relative and stops at the same step.
 LEDGER_BYTES = {
     "exponential_m1_1d": (
         quick_config(output_every=1),
-        "2a097f8e048cade04287723599a08406fae9f68f34ecab77645e53fe5dd5087b"),
+        "fd6756265322316376ca28471b98a8fdfcf76e975e464c0a5f51914bd64a2f71"),
     "polynomial_frozen_1d": (
         quick_config(n=60, t_end=2.0, kernel_family="polynomial", r=1.5,
                      extension="frozen", output_every=1),
-        "86540fd32176a6154816ec95d8df7c221d338851468ad7b3fdfabbc2cb61eb9b"),
+        "ede2e864bb8267671d4f165ba2672412db2e83f6d400b0d11ac93d5d7d81b45f"),
     "exponential_m3_1d": (
         quick_config(m=3.0, output_every=1),
-        "0f714d0f9d9eda046c5d43ffc8d85878fbc58fe7e5462c39e5495fccbab5eacd"),
+        "35654e292b78d2a0af0f56bce8ebc6e77bad7a976b3029bb0634e96a5db86e17"),
     "grid_2d_m3": LEDGER_2D_M3,
     # Branches of the step the runs above leave out, recorded before the
     # step loop was rewritten with fewer calls per step: p = 2 (the source's
@@ -938,19 +947,19 @@ LEDGER_BYTES = {
     # NumPy's power, which may round differently on another SIMD routine.
     "source_p2_1d": (
         quick_config(p=2.0, output_every=1),
-        "0985729289541386fa6c402f392524306d936ee6699cc5723e43cee4a21ece84"),
+        "ea34005a51ff0b540cce209337a193aa43b80c03874129677f4fcb9d564fd1b8"),
     "newton_m1.5_1d": (
         quick_config(m=1.5, output_every=1),
-        "c6101dc3cd12869ec495dc09b5a6ea2a81604af0408a7463012818aee21ce60a"),
+        "bec686c3696de59da8d39d8f0ac48df18ed661aaefbe2d21fe1108a989dc91dc"),
     "undamped_1d": (
         quick_config(damping_enabled=False, output_every=1),
-        "9b8192cc0cc44fc40019ebaeb1cea7e077d8b925e0ae3609bc4d677813ed7bf1"),
+        "7b1d276cf40191bb69101839ead437201a69e3ad4d9e88d8e70886fe1d80f51c"),
     "sourceless_1d": (
         quick_config(source_enabled=False, output_every=1),
-        "324724e38d299fa3a81c722588de1cf729b41dfd486eb825cbcfaba440e0e58a"),
+        "e7986ee1a8c6749a76894241f07521b820a6aa12fd173456b89ce0bba33bc2c6"),
     "halving_1d": (
         quick_config(amplitude=2.0, output_every=1),
-        "375f0f611764dea3c1878e46900e4ce3882a2764243c98f1d52edf7e3b3c766d"),
+        "00c744fee0f3a30a4518da749412640c7af3d7b43416f45fda6db88a7280b966"),
     # Recorded when m = 3 took the Pade tier, which left the cubic's closed
     # form to none of the runs above: here 22 of the 64 damping half-steps
     # take it and the rest the Pade factor.  The closed form's sinh and
@@ -958,7 +967,7 @@ LEDGER_BYTES = {
     # routine NumPy runs for them.
     "closed_form_m3_2d": (
         replace(LEDGER_2D_M3[0], amplitude=0.1),
-        "4dd7893d9b060e8fe15ef8362c5d4b98c4714321327a2c25bf3d807f793cee52"),
+        "476eae77b879b6314bbe362a20611fe4903fd84d570936c37c18c0f8b2841a07"),
 }
 
 

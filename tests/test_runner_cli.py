@@ -318,14 +318,26 @@ def test_every_function_is_referenced_in_the_package():
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
 
 
-def test_run_setup_loads_no_scipy():
-    # importing the CLI, running a scenario (well constants included) and
-    # criterion 10's oracles load no SciPy module
+def _python(*args):
+    """Run this Python with the package's source on its path."""
     src = Path(viscowave.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", _SETUP_WITHOUT_SCIPY],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_run_setup_loads_no_scipy():
+    # importing the CLI, running a scenario (well constants included) and
+    # criterion 10's oracles load no SciPy module
+    proc = _python("-c", _SETUP_WITHOUT_SCIPY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package runs as a module, as the viscowave command does
+    proc = _python("-m", "viscowave", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "verify" in proc.stdout

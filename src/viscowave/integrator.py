@@ -5,19 +5,18 @@
 
 by an operator-split leapfrog.  A ``Stepper`` owns a run's state and its
 step: a half-kick of v, implicit midpoint damping of v in place (at m = 1 a
-scaling of v, for m = 3 mostly a certified guess or Pade factor, the
-cubic's closed form beyond them, Newton otherwise) split symmetrically
-around the drift of u, one Laplacian of u (into the memory's current row,
-||grad u||^2 following by summation by parts), a push of lap u and
-||grad u||^2 onto the memory's s-grid when one is due, the force (one
-memory product over the rows' Laplacians gives lap of the mu and mu'
-convolutions), the second half-kick and the damping and viscous powers.  A
-step costs O(K N) for the K memory modes of the run's horizon,
-t_end + T0 + ds, which ``ScenarioConfig.make_memory`` builds.  On small
-grids it costs its calls, not its arithmetic: the phases run inline in one
-method, on ufuncs into buffers bound once a run, each with the operand
-order of the plain expression, so every value is that expression's to the
-bit.  ``initial_terms`` gives ledger row 0's terms without the run.
+scaling of v, otherwise a certified guess, at m = 3 a Pade factor, or
+Newton) split symmetrically around the drift of u, one Laplacian of u
+(into the memory's current row, ||grad u||^2 following by summation by
+parts), a push of lap u and ||grad u||^2 onto the memory's s-grid when one
+is due, the force (one memory product over the rows' Laplacians gives lap
+of the mu and mu' convolutions), the second half-kick and the damping and
+viscous powers.  A step costs O(K N) for the K memory modes of the run's
+horizon, t_end + T0 + ds, which ``ScenarioConfig.make_memory`` builds.  On
+small grids it costs its calls, not its arithmetic: the phases run inline
+in one method, on ufuncs into buffers bound once a run, each with the
+operand order of the plain expression, so every value is that expression's
+to the bit.  ``initial_terms`` gives ledger row 0's terms without the run.
 
 ``run`` drives the stepper.  It keeps time in integer ticks of dt0 / 2^10,
 so that memory pushes land exactly on the s-grid after halvings, sums the
@@ -43,9 +42,6 @@ from .kernel import RelaxationKernel
 
 MAX_DT_HALVINGS = 10
 GRAD_DOUBLING_FACTOR = 2.0
-# largest scaled argument 3|a|/(2k) of the m = 3 closed form: from about
-# 1e28 on, the rounding of asinh takes its residual past 1e-14 max(1, |a|)
-CUBIC_ARG_MAX = 1e20
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +49,8 @@ CUBIC_ARG_MAX = 1e20
 
 
 def _guess(absa: np.ndarray, dt: float, m: float) -> np.ndarray:
-    """|a|/(1 + dt|a|^(m-1)), into a new array, a lower bound on the root.
-    At m = 3 the power is a product, so a signed a gives a/(1 + dt a^2),
-    which keeps the sign of -0.0."""
-    x = np.multiply(absa, absa) if m == 3.0 else absa ** (m - 1.0)
+    """|a|/(1 + dt|a|^(m-1)), into a new array, a lower bound on the root."""
+    x = absa ** (m - 1.0)
     x *= dt
     x += 1.0
     return np.divide(absa, x, out=x)
@@ -96,41 +90,20 @@ def damping_solve_field(a: np.ndarray, dt: float, m: float,
                         amax: float = math.nan) -> np.ndarray:
     """The unique real v with v + dt*|v|^(m-1)*v = a, elementwise, into a new
     array; ``absa`` and ``amax``, |a| and max|a|, from a caller that has
-    taken them.  An array that ``_certificate`` certifies gets the guess,
-    signed (at m = 3 as a/(1 + dt a^2)).  At m = 1 that is every array
-    without NaN where dt^2 is finite, and the guess is a/(1 + dt) with -0.0
-    taken to 0.0.  Other arrays take, for m = 3 and 3 max|a|/(2k) <=
-    CUBIC_ARG_MAX, the cubic's real root 2k sinh(asinh(3|a|/(2k))/3),
-    k = (3 dt)^(-1/2), clamped to |a|.  The rest take Newton on |v| from the
-    guess, its first step clipped to U = min(|a|, (|a|/dt)^(1/m)) >= root,
-    down to |residual| <= 0.9e-14 max(1, m/45) max(1, |a|), the factor m/45
-    clearing rounding and the tenth below 1e-14 a residual taken with
-    another pow, which may land a ulp of |a| higher.  Uncertified NaN, inf
-    and empty input take Newton, capped at 100 steps.
+    taken them.  Newton on |v| from the guess, its first step clipped to
+    U = min(|a|, (|a|/dt)^(1/m)) >= root, down to |residual| <= 0.9e-14
+    max(1, m/45) max(1, |a|), the factor m/45 clearing rounding and the
+    tenth below 1e-14 a residual taken with another pow, which may land a
+    ulp of |a| higher.  An array that ``_certificate`` certifies stops at
+    the guess, and 0 and -0.0 map to 0.0.  NaN and inf run to the cap of
+    100 steps.
     """
     # as Python floats the scalar bounds overflow to inf or raise, never warn
     dt, m = float(dt), float(m)
     if absa is None:
         absa = np.abs(a)
         amax = float(absa.max()) if a.size else math.inf
-    y_max, certified = _certificate(amax, dt, m)
-    if certified:
-        if m == 3.0:
-            return _guess(a, dt, m)
-        x = _guess(absa, dt, m)
-        return np.multiply(np.sign(a), x, out=x)
-    if m == 3.0:
-        root3dt = math.sqrt(3.0 * dt)       # 1 / k
-        scale = 1.5 * root3dt               # 3 / (2k)
-        if scale * amax <= CUBIC_ARG_MAX:   # false for NaN and inf
-            v = np.multiply(absa, scale)
-            np.arcsinh(v, out=v)
-            v /= 3.0
-            np.sinh(v, out=v)
-            v *= 2.0 / root3dt
-            # where dt a^2 is tiny the rounding may land 1 ulp above |a|
-            np.minimum(v, absa, out=v)
-            return np.copysign(v, a, out=v)
+    y_max = _certificate(amax, dt, m)[0]
     # entering np.errstate costs microseconds, so only where it can overflow
     if y_max < 1e300:
         x = _guess(absa, dt, m)
@@ -200,8 +173,7 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
       stopping test, and its factor lies in [0, 1].  It keeps -0.0 where
       the solve's 2w - v gave 0.0; no run value depends on that sign (the
       m = 3 ledger digests hold with each new v's zeros made 0.0).
-    * SOLVE otherwise: ``damping_solve_field``, at m = 3 the cubic's closed
-      form up to CUBIC_ARG_MAX, Newton beyond it and for NaN and inf.
+    * SOLVE otherwise: ``damping_solve_field``, Newton from the guess.
 
     |v| cannot grow through GUESS or PADE, and both certificates are
     monotone in max|v|, so a second call with the same tau and m takes the

@@ -1,10 +1,16 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from viscowave import energetics, integrator
@@ -113,71 +119,85 @@ class TestDampingSolve:
                 solve_one(float(ai), 0.3, 2.5), rel=1e-12)
 
 
-# Damping-solve outputs recorded when the Newton solve took its clipped first
-# step, which later changes must reproduce bit for bit: per function and m,
-# the first 16 hex digits of the sha256 of the outputs' bytes over DAMP_DTS x
-# DAMP_INPUTS.  The m = 1 solve was re-recorded when its closed-form branch
-# went: every m = 1 input here is certified and takes the signed guess
-# |a|/(1 + dt), equal to a / (1 + dt) but for -0.0, which maps to 0.0 (see
-# test_linear_solve_is_the_closed_form).  The m = 1 midpoint was
-# re-recorded when it became v times the Cayley factor (1 - dt/2)/(1 + dt/2),
-# a product that keeps -0.0 where the factor is positive.  The m = 3 entries
-# were re-recorded when m = 3 took the cubic's closed form, which keeps the
-# sign of -0.0 and maps the smallest subnormal to 0 where its scaled argument
-# underflows; the m = 3 midpoint once more when it took the Pade tier.  Its
-# arrays cover the three tiers: the certified guess (the short arrays at
-# tau = 1e-3), the Pade factor (the short arrays at tau = 1) and the closed
-# form (the rest).  Every other entry is a converged solve of 0 to 8 Newton
-# iterations, in which 0 and -0.0 map to 0.0 and the smallest subnormal to
-# itself.  Recorded on x86-64 with AVX-512 and NumPy 2.4.6.  The guess and
-# the Pade factor are products, sums and divides, each rounded correctly;
-# NumPy's power (the inputs' logspace, and m = 1.5, 5 and 9 with exponents
-# other than 1/2, 1 and 2) and the closed form's sinh and arcsinh are not,
-# and their last bits follow the routine NumPy runs.
-_MAG = np.logspace(-3, 4, 36)
+# Damping-solve outputs, which later changes must reproduce bit for bit: per
+# function and m, the first 16 hex digits of the sha256 of the outputs' bytes
+# over DAMP_DTS x DAMP_INPUTS.  Every entry and POINTWISE_GOLDEN were
+# re-recorded when every m took the guess and Newton, the m = 3 closed form
+# gone, and the inputs came from Python's float power in place of
+# np.logspace.  Each solve maps 0 and -0.0 to 0.0 and the smallest subnormal
+# to itself; a certified array is the guess, the rest converge in 0 to 8
+# Newton iterations.  The m = 1 midpoint is v times the Cayley factor
+# (1 - dt/2)/(1 + dt/2), a product that keeps -0.0 where the factor is
+# positive.  The m = 3 midpoint's arrays cover its three tiers: the
+# certified guess (the short arrays at tau = 1e-3), the Pade factor (the
+# short arrays at tau = 1) and the solve (the rest).  Recorded on x86-64 with
+# AVX-512 and NumPy 2.4.6.  The guess and the Pade factor are products, sums
+# and divides, each rounded correctly, and the inputs' power is libm's, which
+# follows no NumPy dispatch; NumPy's power at exponents other than 1/2, 1 and
+# 2 does.  Of these digests only SIMD_DEPENDENT's follow it, through
+# Newton's powers at 4 and 8: the solve at m = 5 and 9 and the midpoint at
+# m = 5, a ulp apart at 1 to 3 nodes each (test_digests_hold_with_simd_off).
+_MAG = np.array([10.0 ** x for x in np.linspace(-3, 4, 36).tolist()])
 _TINY = np.finfo(float).smallest_subnormal
 _WIDE = np.r_[_MAG, -_MAG, 0.0, -0.0, _TINY]
 _SMALL = np.r_[_MAG[:6], -_MAG[:6], 0.0, -0.0, _TINY]
 DAMP_DTS = (1e-3, 1.0, 100.0)
 # nodes of one array that converge early keep iterating with the rest
-_SPAN = np.logspace(-8, 8, 401)
+_SPAN = np.array([10.0 ** x for x in np.linspace(-8, 8, 401).tolist()])
 DAMP_INPUTS = (_WIDE, _WIDE.reshape(3, 25), _SMALL, _SMALL.reshape(3, 5),
                _SPAN)
 DAMP_GOLDEN = {
     "damping_solve_field": {
-        1.0: "0356028fc73cb866",
-        1.5: "b589de946842d844",
-        2.0: "8f5eaa8a45f13ef5",
-        3.0: "d900d71540c01e5c",
-        5.0: "a2b689e3ce74f79f",
-        9.0: "f162af7bea654d60",
+        1.0: "d149de0e3106066f",
+        1.5: "7fed36c9fa935e4e",
+        2.0: "2fc259c98d03d87c",
+        3.0: "c33329ed9c4bd2ec",
+        5.0: "a4fa2f4959dece5a",
+        9.0: "32c5324b01578200",
     },
     "_damp_midpoint": {
-        1.0: "a82cbaa10dff8d0a",
-        1.5: "a2ad7206c8ca1fb4",
-        2.0: "a8e7d20012e22b0b",
-        3.0: "1ec328213e2814fa",
-        5.0: "edb488936c725418",
-        9.0: "8f04dc1c8aafcd42",
+        1.0: "5f3991e123383bfa",
+        1.5: "8e954cbdb32aa38e",
+        2.0: "cb7aad42000dd11b",
+        3.0: "f9e62b1d05edf50e",
+        5.0: "2df6d7f3a4c190e3",
+        9.0: "f5832628260d57c5",
     },
 }
-POINTWISE_GOLDEN = "7fe081e791ecbdae"
+POINTWISE_GOLDEN = "1b7797939058fd16"
+SIMD_DEPENDENT = {("damping_solve_field", 5.0), ("damping_solve_field", 9.0),
+                  ("_damp_midpoint", 5.0)}
+
+
+def field_digest(name, m):
+    """The DAMP_GOLDEN digest of ``name`` at m, as the code gives it now."""
+    h = hashlib.sha256()
+    for dt in DAMP_DTS:
+        for a in DAMP_INPUTS:
+            if name == "_damp_midpoint":
+                out = _damp_midpoint(a, dt, m)[0]
+            else:
+                out = damping_solve_field(a, dt, m)
+            assert out.shape == a.shape
+            h.update(out.tobytes())
+    return h.hexdigest()[:16]
+
+
+def pointwise_digest():
+    """The POINTWISE_GOLDEN digest, as the code gives it now."""
+    h = hashlib.sha256()
+    for m in sorted(DAMP_GOLDEN["damping_solve_field"]):
+        for dt in DAMP_DTS:
+            for a in (1e-3, -0.7, 2.5, -1e4, _TINY, -0.0):
+                h.update(np.float64(solve_one(a, dt, m)).tobytes())
+    return h.hexdigest()[:16]
 
 
 class TestDampingSolveBitIdentity:
     @pytest.mark.parametrize("m", sorted(DAMP_GOLDEN["damping_solve_field"]))
     @pytest.mark.parametrize("name", ["damping_solve_field", "_damp_midpoint"])
     def test_field_outputs(self, name, m):
-        h = hashlib.sha256()
-        for dt in DAMP_DTS:
-            for a in DAMP_INPUTS:
-                if name == "_damp_midpoint":
-                    out = _damp_midpoint(a, dt, m)[0]
-                else:
-                    out = damping_solve_field(a, dt, m)
-                assert out.shape == a.shape
-                h.update(out.tobytes())
-        assert h.hexdigest()[:16] == DAMP_GOLDEN[name][m]
+        assert field_digest(name, m) == DAMP_GOLDEN[name][m]
 
     def test_linear_solve_is_the_closed_form(self):
         # the m = 1 solve equals a / (1 + dt) elementwise; only zeros may
@@ -190,12 +210,39 @@ class TestDampingSolveBitIdentity:
                 assert np.all(a[moved] == 0.0)
 
     def test_pointwise_outputs(self):
-        h = hashlib.sha256()
-        for m in sorted(DAMP_GOLDEN["damping_solve_field"]):
-            for dt in DAMP_DTS:
-                for a in (1e-3, -0.7, 2.5, -1e4, _TINY, -0.0):
-                    h.update(np.float64(solve_one(a, dt, m)).tobytes())
-        assert h.hexdigest()[:16] == POINTWISE_GOLDEN
+        assert pointwise_digest() == POINTWISE_GOLDEN
+
+
+# the CPU features whose NumPy loops a digest must not need
+SIMD_OFF = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+_SIMD_OFF_DIGESTS = """
+import json, test_integrator as t
+print(json.dumps([[name, m, t.field_digest(name, m)]
+                  for name, by_m in t.DAMP_GOLDEN.items() for m in by_m]
+                 + [["pointwise", None, t.pointwise_digest()]]))
+"""
+
+
+@pytest.mark.skipif(
+    not all(__cpu_features__.get(name) for name in SIMD_OFF),
+    reason="the CPU lacks a SIMD feature that the digests were recorded with")
+def test_digests_hold_with_simd_off():
+    # NumPy's baseline loops round exp, power and the other transcendentals
+    # differently from its SIMD ones; only SIMD_DEPENDENT may follow them
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(SIMD_OFF))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parent), str(Path(integrator.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _SIMD_OFF_DIGESTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert len(got) == 13
+    for name, m, digest in got:
+        if name == "pointwise":
+            assert digest == POINTWISE_GOLDEN
+        elif (name, m) not in SIMD_DEPENDENT:
+            assert digest == DAMP_GOLDEN[name][m], (name, m)
 
 
 def step_damping_power(v, e, work, cell_volume):
@@ -274,8 +321,8 @@ def uncertified_solve(a, dt, m):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCubicSolve:
-    """m = 3: the certified guess or the cubic's real root, Newton only for
-    non-finite input and arguments beyond CUBIC_ARG_MAX."""
+    """m = 3: the guess and Newton, as at every m, are the uncertified loop
+    bit for bit, and a certified array stops at the guess."""
 
     TINY = np.finfo(float).smallest_subnormal
     MAG = np.logspace(-300, 15, 631)
@@ -290,15 +337,15 @@ class TestCubicSolve:
         assert np.all(np.abs(res) <= 1e-14 * np.maximum(1.0, np.abs(a)))
         assert np.all(np.abs(v) <= np.abs(a))
         assert np.all(v * a >= 0.0)
-        # the smallest subnormal may map to 0: its scaled argument underflows
-        np.testing.assert_allclose(v, uncertified_solve(a, dt, 3.0),
-                                   rtol=1e-12, atol=self.TINY)
+        np.testing.assert_array_equal(
+            v.view(np.int64), uncertified_solve(a, dt, 3.0).view(np.int64))
 
     @pytest.mark.parametrize("dt", DTS)
     def test_certified_arrays_are_the_guess(self, dt):
         for amax in (certificate_amax(dt, 3.0) / 2.0, 1e-300, 0.0):
             a = self.A[np.abs(self.A) <= amax]
-            expected = a / (1.0 + dt * a * a)
+            # the signed guess; adding 0.0 maps -0.0 to 0.0
+            expected = a / (1.0 + dt * a * a) + 0.0
             np.testing.assert_array_equal(
                 damping_solve_field(a, dt, 3.0).view(np.int64),
                 expected.view(np.int64))
@@ -316,16 +363,6 @@ class TestCubicSolve:
             got = damping_solve_field(a, dt, 3.0)
         np.testing.assert_array_equal(got.view(np.int64),
                                       expected.view(np.int64))
-
-    @pytest.mark.parametrize("dt", DTS)
-    def test_root_up_to_the_largest_argument(self, dt):
-        top = integrator.CUBIC_ARG_MAX / (1.5 * math.sqrt(3.0 * dt))
-        a = np.r_[np.linspace(-1.0, 1.0, 2001), np.logspace(-10, 0, 101)] * top
-        v = damping_solve_field(a, dt, 3.0)
-        res = v + dt * np.abs(v) ** 2.0 * v - a
-        assert np.all(np.abs(res) <= 1e-14 * np.maximum(1.0, np.abs(a)))
-        np.testing.assert_allclose(v, uncertified_solve(a, dt, 3.0),
-                                   rtol=1e-12, atol=0.0)
 
     def test_empty_input(self):
         for shape in ((0,), (0, 3)):
@@ -416,16 +453,15 @@ SPECIALS = (-0.0, np.finfo(float).smallest_subnormal, math.inf, -math.inf,
 
 
 @settings(max_examples=300, deadline=None)
-@given(m=st.floats(1.0, 20.0, exclude_min=True), dt=st.floats(1e-6, 1e2),
+@given(m=st.one_of(st.just(3.0), st.floats(1.0, 20.0, exclude_min=True)),
+       dt=st.floats(1e-6, 1e2),
        shift=st.one_of(st.floats(-40.0, 40.0), st.floats(-700.0, 700.0)),
        unit=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8),
                        elements=st.floats(-1.0, 1.0)),
        extras=st.lists(st.sampled_from(SPECIALS), max_size=3))
 def test_certified_guess_matches_uncertified_loop(m, dt, shift, unit, extras):
     # max|a| within 2^40 of the certificate's threshold, or anywhere in
-    # [1e-300, 1e300]; an inf or NaN anywhere sends the array to the loop.
-    # m = 3 solves uncertified arrays in closed form (TestCubicSolve)
-    assume(m != 3.0)
+    # [1e-300, 1e300]; an inf or NaN anywhere sends the array to the loop
     scale = certificate_amax(dt, m) * 2.0 ** shift
     scale = min(max(scale, 1e-300), 1e300)
     a = unit * scale
@@ -521,7 +557,7 @@ def test_certified_midpoint_is_the_doubled_solve(m, tau, shift, unit, extras):
                                      -1e100])
 def test_cubic_midpoint_past_its_tiers_is_the_doubled_solve(special):
     # NaN and inf fail both certificates, and at 1e100 y^5 overflows: such
-    # arrays take the closed form or Newton, bit for bit as the solve does
+    # arrays take Newton, bit for bit as the solve does
     a = np.r_[0.3, -0.0, _TINY, special]
     for tau in (1e-6, 1.0, 100.0):
         with np.errstate(invalid="ignore"):
@@ -799,7 +835,7 @@ class TestRun:
         # a datum of the wave2d benchmark's band, max|v| 0.40: each half-step
         # that the certificate leaves takes the Pade tier.  (At the band's
         # top, modes (2, 2) reach max|v| 0.52, and 20 of their 4,682
-        # half-steps take the closed form.)
+        # half-steps take the solve.)
         def refuse(*args, **kwargs):
             raise AssertionError("a wave2d-band step took a damping solve")
 
@@ -884,8 +920,8 @@ GOLDEN = {
 }
 
 
-# sha256 of ledger.csv for a 2-D run with m = 3, re-recorded when m = 3 took
-# the cubic's closed form and ||.||_4^4 became a squared square, again, with
+# sha256 of ledger.csv for a 2-D run with m = 3, re-recorded when the m = 3
+# solve changed and ||.||_4^4 became a squared square, again, with
 # the digests below, when the step took ||grad u||^2 by parts from lap u and
 # the memory's rows their Laplacians (every column moved by at most 2e-16
 # absolute, E by at most 6e-15 relative), and once more, with
@@ -893,7 +929,7 @@ GOLDEN = {
 # column moved by at most 1.7e-18 absolute); later changes must reproduce it
 # byte for byte.  Its velocities are small enough that its 64 damping
 # half-steps take the certified guess (28) or the Pade factor (36), none the
-# closed form, which the midpoint's DAMP_GOLDEN entry and
+# solve, which the midpoint's DAMP_GOLDEN entry, closed_form_m3_2d and
 # test_cubic_damping_keeps_v_in_place cover.  Recorded on x86-64 with
 # AVX-512 and NumPy 2.4.6.  Its damping and source (p = 3) are products, sums
 # and divides alone, each rounded correctly: it depends on the order of the
@@ -960,14 +996,16 @@ LEDGER_BYTES = {
     "halving_1d": (
         quick_config(amplitude=2.0, output_every=1),
         "00c744fee0f3a30a4518da749412640c7af3d7b43416f45fda6db88a7280b966"),
-    # Recorded when m = 3 took the Pade tier, which left the cubic's closed
-    # form to none of the runs above: here 22 of the 64 damping half-steps
-    # take it and the rest the Pade factor.  The closed form's sinh and
-    # arcsinh are not rounded correctly, so this digest also follows the
-    # routine NumPy runs for them.
+    # Recorded when m = 3 took the Pade tier, which left the solve to none
+    # of the runs above: here 22 of the 64 damping half-steps take it and
+    # the rest the Pade factor.  Re-recorded when the m = 3 solve became
+    # the guess and Newton, as at every m (every column moved by at most
+    # 3.7e-15 absolute, in grad_norm).  dt max|v|^2 stays below 0.5, so
+    # Newton takes no power but its square, and its damping is products,
+    # sums and divides alone, each rounded correctly.
     "closed_form_m3_2d": (
         replace(LEDGER_2D_M3[0], amplitude=0.1),
-        "476eae77b879b6314bbe362a20611fe4903fd84d570936c37c18c0f8b2841a07"),
+        "0cf19b76e04e410a5e25e0299a1cb93f049e8b1773306da366bcca854b8dc9a3"),
 }
 
 

@@ -273,6 +273,17 @@ def test_no_module_imports_scipy():
                 f"{path.name}:{node.lineno} imports scipy"
 
 
+def test_no_module_names_sinh():
+    # the damping takes no hyperbolic function, whose NumPy loops round by
+    # the SIMD routine NumPy dispatches to
+    for path in Path(viscowave.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            assert name not in ("sinh", "arcsinh"), \
+                f"{path.name}:{node.lineno} names {name}"
+
+
 def dim_comparisons(path):
     """Where the module at path compares an attribute named dim: a branch
     or check on the dimension, such as ``self.dim == 1`` or

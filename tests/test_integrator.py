@@ -124,19 +124,20 @@ class TestDampingSolve:
 # over DAMP_DTS x DAMP_INPUTS.  Every entry and POINTWISE_GOLDEN were
 # re-recorded when every m took the guess and Newton, the m = 3 closed form
 # gone, and the inputs came from Python's float power in place of
-# np.logspace.  Each solve maps 0 and -0.0 to 0.0 and the smallest subnormal
-# to itself; a certified array is the guess, the rest converge in 0 to 8
-# Newton iterations.  The m = 1 midpoint is v times the Cayley factor
-# (1 - dt/2)/(1 + dt/2), a product that keeps -0.0 where the factor is
-# positive.  The m = 3 midpoint's arrays cover its three tiers: the
-# certified guess (the short arrays at tau = 1e-3), the Pade factor (the
-# short arrays at tau = 1) and the solve (the rest).  Recorded on x86-64 with
-# AVX-512 and NumPy 2.4.6.  The guess and the Pade factor are products, sums
-# and divides, each rounded correctly, and the inputs' power is libm's, which
-# follows no NumPy dispatch; NumPy's power at exponents other than 1/2, 1 and
-# 2 does.  Of these digests only SIMD_DEPENDENT's follow it, through
-# Newton's powers at 4 and 8: the solve at m = 5 and 9 and the midpoint at
-# m = 5, a ulp apart at 1 to 3 nodes each (test_digests_hold_with_simd_off).
+# np.logspace.  Each solve maps 0 and -0.0 to 0.0, and for m > 1 the
+# smallest subnormal to itself; a certified array is the guess, the rest
+# converge in at most 7 Newton iterations.  The m = 1 midpoint is v times
+# the Cayley factor (1 - dt/2)/(1 + dt/2), a product that keeps -0.0 where
+# the factor is positive.  The m = 3 midpoint's arrays cover its three
+# tiers: the certified guess (the short arrays at tau = 1e-3), the Pade
+# factor (the short arrays at tau = 1) and the solve (the rest).  Recorded
+# on x86-64 with AVX-512 and NumPy 2.4.6.  The guess and the Pade factor are
+# products, sums and divides, each rounded correctly, and the inputs' power
+# is libm's, which follows no NumPy dispatch; NumPy's power at exponents
+# other than 1/2, 1 and 2 does.  Of these digests only SIMD_DEPENDENT's
+# follow it, through Newton's powers at 4 and 8: the solve at m = 5 and 9
+# and the midpoint at m = 5, a ulp apart at 1 to 3 nodes each
+# (test_digests_hold_with_simd_off).
 _MAG = np.array([10.0 ** x for x in np.linspace(-3, 4, 36).tolist()])
 _TINY = np.finfo(float).smallest_subnormal
 _WIDE = np.r_[_MAG, -_MAG, 0.0, -0.0, _TINY]

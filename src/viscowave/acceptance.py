@@ -19,7 +19,7 @@ from .config import ScenarioConfig
 from .decay import DecayModel
 from .grid import SpatialGrid
 from .history import Classification, HistoryDatum, classify
-from .integrator import initial_terms
+from .integrator import Stepper
 from .runner import RunRecord, run_scenario
 
 RNG_SEED = 1234
@@ -59,7 +59,7 @@ def blowup_scenario(t_end: float = 50.0) -> ScenarioConfig:
     A = 1.0
     for _ in range(30):
         cfg = replace(base, amplitude=A)
-        if initial_terms(cfg, cfg.make_history(grid), kernel)["E"] < 0.0:
+        if Stepper(cfg, cfg.make_history(grid), kernel).terms()["E"] < 0.0:
             return cfg
         A *= 1.5
     raise RuntimeError("amplitude sweep failed to reach negative energy")
@@ -146,7 +146,7 @@ def w2_datum(cfg: ScenarioConfig, grid: SpatialGrid, kernel, d: float):
     shape = wellconst.ground_state(grid, p)
     datum = HistoryDatum.from_template(grid, 1.0, modes=(1,))
     datum.shape_field = shape
-    unit = initial_terms(cfg, datum, kernel)
+    unit = Stepper(cfg, datum, kernel).terms()
     quad1 = unit["nehari_gap"] + unit["lp_pow"]
     for A in np.geomspace(0.1, 100.0, 200):
         quad, lp_pow = A * A * quad1, A ** (p + 1.0) * unit["lp_pow"]

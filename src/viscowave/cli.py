@@ -23,7 +23,7 @@ from .config import ConfigError, ScenarioConfig, load, _parse_length, \
 from .energetics import EnergyLedger
 from .grid import SpatialGrid
 from .history import classify
-from .integrator import initial_terms
+from .integrator import Stepper
 from .kernel import RelaxationKernel
 from .runner import OutputExists, run_scenario
 
@@ -110,8 +110,8 @@ def cmd_classify(args) -> int:
         support_T0=args.support_t0, extension=args.extension)
     cfg.validate()
     datum = cfg.make_history(grid)
-    consts = wellconst.compute_constants(grid, args.p, kernel.k0)
-    verdict = classify(initial_terms(cfg, datum, kernel), consts.d)
+    consts = wellconst.cached_constants(grid, args.p, kernel.k0)
+    verdict = classify(Stepper(cfg, datum, kernel).terms(), consts.d)
     print(json.dumps({"classification": verdict.value, "d": consts.d,
                       "gamma": consts.gamma, "p": args.p, "k0": kernel.k0},
                      indent=2))

@@ -42,8 +42,8 @@ class Classification(enum.Enum):
 
 def classify(terms, d: float) -> Classification:
     """Classify a datum against the potential well at level d from the
-    ``nehari_gap``, ``lp_pow`` and ``I`` of its run's ledger row 0 (or of
-    ``integrator.initial_terms``, which equal them without the run).
+    ``nehari_gap``, ``lp_pow`` and ``I`` of its run's ledger row 0 (or of a
+    new ``integrator.Stepper``'s ``terms``, equal to them without the run).
 
     The zero datum (gap and lp_pow 0) is W1 by convention.  On-manifold
     (|gap| within ON_MANIFOLD_RTOL of the quadratic part gap + lp_pow) is

@@ -3,7 +3,8 @@
     u_tt = k(0) lap(u) - integral mu(s) lap(u(t-s)) ds
            - |u_t|^(m-1) u_t + |u|^(p-1) u
 
-by an operator-split leapfrog.  A ``Stepper`` owns a run's state and its
+by an operator-split leapfrog.  A ``Stepper`` owns a run's whole state,
+the clock, the step controller and the dissipation sums included, and its
 step: a half-kick of v, implicit midpoint damping of v in place (at m = 1 a
 scaling of v, otherwise a certified guess, at m = 3 a Pade factor, or
 Newton) split symmetrically around the drift of u, one Laplacian of u
@@ -16,13 +17,8 @@ horizon, t_end + T0 + ds, which ``ScenarioConfig.make_memory`` builds.  On
 small grids it costs its calls, not its arithmetic: the phases run inline
 in one method, on ufuncs into buffers bound once a run, each with the
 operand order of the plain expression, so every value is that expression's
-to the bit.  ``initial_terms`` gives ledger row 0's terms without the run.
-
-``run`` drives the stepper.  It keeps time in integer ticks of dt0 / 2^10,
-so that memory pushes land exactly on the s-grid after halvings, sums the
-powers by the trapezoid rule, stops on a nonfinite state and records the
-ledger rows.  Its step controller halves dt each time ||grad u|| doubles,
-down to dt0 / 2^10, then stops and flags.
+to the bit.  ``Stepper.advance`` steps to a tick under the controller and
+records the ledger rows; ``run`` records row 0 and advances to t_end.
 """
 from __future__ import annotations
 
@@ -37,7 +33,7 @@ from . import energetics, wellconst
 from .config import ScenarioConfig
 from .energetics import EnergyLedger
 from .grid import SpatialGrid
-from .history import HistoryDatum, MemoryState
+from .history import HistoryDatum
 from .kernel import RelaxationKernel
 
 MAX_DT_HALVINGS = 10
@@ -215,7 +211,8 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
             return np.multiply(v, x, out=x if out is None else out), PADE
     absa = np.abs(v)
     if not tier:
-        amax = float(absa.max()) if v.size else math.inf
+        if m != 3.0:    # m = 3 took max|v| for its tier
+            amax = float(absa.max()) if v.size else math.inf
         if m == 3.0 or not _certificate(amax, dt, m)[1]:
             w = damping_solve_field(v, dt, m, absa, amax)
             w = np.multiply(w, 2.0, out=w)
@@ -226,17 +223,7 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
 
 
 # ---------------------------------------------------------------------------
-# state and results
-
-
-@dataclass
-class SimState:
-    t: float
-    u: np.ndarray
-    v: np.ndarray
-    memory: MemoryState
-    dt: float
-    step_index: int = 0
+# results
 
 
 @dataclass
@@ -247,6 +234,7 @@ class Trajectory:
 
 @dataclass
 class RunResult:
+    """A run; its ``state`` is the stepper that ran it, where it stopped."""
     config: ScenarioConfig
     grid: SpatialGrid
     kernel: RelaxationKernel
@@ -254,7 +242,7 @@ class RunResult:
     ledger: EnergyLedger
     trajectory: Optional[Trajectory]
     flags: dict
-    state: SimState
+    state: Stepper
 
     @property
     def blew_up(self) -> bool:
@@ -265,21 +253,8 @@ class RunResult:
 # the stepper and the run
 
 
-def _row_terms(grid: SpatialGrid, u: np.ndarray, v: np.ndarray, mem,
-               h1: float, p: float, source: bool) -> dict:
-    """scriptE, E, I, lp_pow and nehari_gap of a ledger row, from
-    h1 = ||grad u||^2 and the memory evaluated at the row's lag."""
-    mem_mu = mem.integral(0, h1, u)
-    sE = energetics.quadratic_energy(grid, v, h1, mem_mu)
-    lp_pow = grid.lp_norm_pow(u, p + 1.0)
-    source_part = lp_pow / (p + 1.0) if source else 0.0
-    return {"scriptE": sE, "E": sE - source_part,
-            "I": 0.5 * (h1 + mem_mu) - source_part, "lp_pow": lp_pow,
-            "nehari_gap": h1 + mem_mu - lp_pow}
-
-
 class Stepper:
-    """The state of a run of config from datum, and its leapfrog step.
+    """The whole state of a run of config from datum, and its leapfrog step.
 
     u and v are the stepper's own arrays, which a step updates in place,
     and lap u the view of the memory's current row that ``evaluate`` reads,
@@ -288,6 +263,11 @@ class Stepper:
     state's lag (``mem``) follow the state, and F is its force.  The grid's
     and the memory's methods are bound once, from their classes'
     attributes, when the stepper is built.
+
+    The clock counts integer ticks of dt0 / 2^10, so that pushes land on
+    the s-grid after halvings.  The controller halves dt when ||grad u||
+    doubles from ``grad_ref``, down to dt0 / 2^10, then stops and flags;
+    ``damp_cum`` and ``visc_cum`` are the trapezoid sums of the powers.
     """
 
     def __init__(self, config: ScenarioConfig, datum: HistoryDatum,
@@ -301,8 +281,8 @@ class Stepper:
         self.v = datum.velocity_at_0.copy()
         self.F, self.kick = np.empty(grid.shape), np.empty(grid.shape)
         work = np.empty(grid.shape)
-        m, self.p, self.source = config.m, config.p, config.source_enabled
-        self.damping = config.damping_enabled
+        m, p, self.source = config.m, config.p, config.source_enabled
+        self.p, self.damping = p, config.damping_enabled
         # what a step reads, as one tuple that it unpacks into locals (the
         # cheapest names); every evaluation writes the same product rows.
         # work and kick are free while v is damped, so they and one more
@@ -311,21 +291,58 @@ class Stepper:
             u, lap_u, self.F, self.kick, work, *self.mem.conv,
             grid.laplacian, grid.h1_by_parts, memory.evaluate, memory.push,
             np.array(kernel.k0), grid.cell_volume, self.damping,
-            self.damping and m == 1.0, m, self.source, self.p - 1.0,
+            self.damping and m == 1.0, m, self.source, p - 1.0,
             0.5 * (m + 1.0), (work, self.kick, np.empty(grid.shape)))
+        self.tick_dt = config.resolved_dt(grid, kernel) / 2 ** MAX_DT_HALVINGS
+        self.ticks_per_push = config.stride * 2 ** MAX_DT_HALVINGS
+        self.output_every = config.output_every
+        self.tick = self.step_index = 0
+        self.flags = {"completed": False, "nonfinite": False,
+                      "dt_exhausted": False, "dt_halvings": 0}
+        h1, self.damp_prev, self.visc_prev = self.step(move=False)
+        self.damp_cum = self.visc_cum = 0.0
+        # a datum at rest grows inside the well without blowing up: the
+        # controller's scale is never below the well's gradient radius
+        gamma = wellconst.cached_constants(grid, p, kernel.k0).gamma
+        self.grad_ref = max(math.sqrt(h1), gamma ** (-(p + 1.0) / (p - 1.0)))
+        self.set_step(2 ** MAX_DT_HALVINGS)
+
+    @property
+    def t(self) -> float:
+        return self.tick * self.tick_dt
 
     def terms(self) -> dict:
-        """``_row_terms`` of the state."""
-        return _row_terms(self.grid, self.u, self.v, self.mem, self.h1,
-                          self.p, self.source)
+        """scriptE, E, I, lp_pow and nehari_gap of the state's ledger row."""
+        grid, u, h1, p = self.grid, self.u, self.h1, self.p
+        mem_mu = self.mem.integral(0, h1, u)
+        sE = energetics.quadratic_energy(grid, self.v, h1, mem_mu)
+        lp_pow = grid.lp_norm_pow(u, p + 1.0)
+        source_part = lp_pow / (p + 1.0) if self.source else 0.0
+        return {"scriptE": sE, "E": sE - source_part,
+                "I": 0.5 * (h1 + mem_mu) - source_part, "lp_pow": lp_pow,
+                "nehari_gap": h1 + mem_mu - lp_pow}
 
-    def set_dt(self, dt: float):
-        """Step by dt from now on: dt/2; for m = 1 the factor alpha by which
-        each midpoint damping over dt/2 scales v (``_cayley``), as alpha dt
-        for the drift between the two and alpha^2 for both, as 0-d arrays,
-        faster ufunc operands than floats; and the first half-kick (dt/2) F,
-        which a step otherwise leaves in kick."""
-        half_dt, alpha = 0.5 * dt, _cayley(0.5 * dt)
+    def record(self, ledger: EnergyLedger, kept: Optional[Trajectory]):
+        """Append the state's row to the ledger, and u to kept."""
+        row, t = self.terms(), self.t
+        damp_cum, visc_cum = self.damp_cum, self.visc_cum
+        E0 = ledger.E0 if len(ledger) else row["E"]
+        resid = abs(row["E"] + damp_cum + visc_cum - E0)
+        ledger.append(t=t, D_cum=damp_cum + visc_cum, damp_cum=damp_cum,
+                      visc_cum=visc_cum, grad_norm=math.sqrt(self.h1),
+                      identity_residual=resid, **row)
+        if kept is not None:
+            kept.times.append(t)
+            kept.u.append(self.u.copy())
+
+    def set_step(self, ticks: int):
+        """Step by ticks ticks, dt, from now on: dt/2; for m = 1 the factor
+        alpha by which each midpoint damping over dt/2 scales v
+        (``_cayley``), as alpha dt for the drift between the two and alpha^2
+        for both, as 0-d arrays, faster ufunc operands than floats; and the
+        first half-kick (dt/2) F, which a step otherwise leaves in kick."""
+        self.ticks_per_step, dt = ticks, ticks * self.tick_dt
+        self.dt, half_dt, alpha = dt, 0.5 * dt, _cayley(0.5 * dt)
         self._scalars = (half_dt, *map(np.array, (
             dt, half_dt, alpha * dt, alpha * alpha)))
         multiply(self.F, half_dt, self.kick)
@@ -393,26 +410,53 @@ class Stepper:
             work **= power_e
         return h1, float(add.reduce(work, None)) * cell, visc
 
-
-def initial_terms(config: ScenarioConfig, datum: HistoryDatum,
-                  kernel: RelaxationKernel) -> dict:
-    """``_row_terms`` of ledger row 0 of a run of config from datum without
-    the run: the same memory and arithmetic, so equal to the bit."""
-    return Stepper(config, datum, kernel).terms()
-
-
-def _record_row(ledger: EnergyLedger, kept: Optional[Trajectory],
-                stepper: Stepper, t: float, damp_cum: float, visc_cum: float):
-    """Append the stepper's state at time t to the ledger, and to kept."""
-    row = stepper.terms()
-    E0 = ledger.E0 if len(ledger) else row["E"]
-    resid = abs(row["E"] + damp_cum + visc_cum - E0)
-    ledger.append(t=t, D_cum=damp_cum + visc_cum, damp_cum=damp_cum,
-                  visc_cum=visc_cum, grad_norm=math.sqrt(stepper.h1),
-                  identity_residual=resid, **row)
-    if kept is not None:
-        kept.times.append(t)
-        kept.u.append(stepper.u.copy())
+    def advance(self, end_tick: int, ledger: EnergyLedger,
+                kept: Optional[Trajectory]):
+        """Step to end_tick or a stop, recording every output_every-th row,
+        the last and a stop's; a stopped stepper does not move."""
+        if "stop_step" in self.flags:
+            return
+        step, flags, damping = self.step, self.flags, self.damping
+        tick_dt, ticks_per_push = self.tick_dt, self.ticks_per_push
+        output_every, ticks_per_step = self.output_every, self.ticks_per_step
+        # locals, saved before each row and on return, beat attributes by 5%
+        tick, step_index, dt, grad_ref = (
+            self.tick, self.step_index, self.dt, self.grad_ref)
+        damp_cum, visc_cum = self.damp_cum, self.visc_cum
+        damp_prev, visc_prev = self.damp_prev, self.visc_prev
+        while tick < end_tick:
+            tick += ticks_per_step
+            step_index += 1
+            t, rem = tick * tick_dt, tick % ticks_per_push
+            h1, damp_now, visc_now = step(t, rem * tick_dt, not rem)
+            # h1 is nonfinite where u is, the damping power where v is
+            if not (math.isfinite(h1) and math.isfinite(damp_now) and (
+                    damping or np.isfinite(self.v).all())) and not (
+                    np.isfinite(self.u).all() and np.isfinite(self.v).all()):
+                flags.update(nonfinite=True, stop_step=step_index)
+                break
+            d_inc, v_inc = energetics.dissipation_increment(
+                dt, damp_prev, damp_now, visc_prev, visc_now)
+            damp_cum, visc_cum = damp_cum + d_inc, visc_cum + v_inc
+            damp_prev, visc_prev = damp_now, visc_now
+            grad = math.sqrt(h1)
+            doubled = grad >= GRAD_DOUBLING_FACTOR * grad_ref
+            stop = doubled and flags["dt_halvings"] >= MAX_DT_HALVINGS
+            if stop or tick >= end_tick or not step_index % output_every:
+                self.tick, self.step_index = tick, step_index
+                self.damp_cum, self.visc_cum = damp_cum, visc_cum
+                self.record(ledger, kept)
+            if stop:
+                flags.update(dt_exhausted=True, stop_step=step_index)
+                break
+            if doubled:
+                flags["dt_halvings"] += 1
+                self.grad_ref = grad_ref = grad
+                self.set_step(ticks_per_step // 2)
+                ticks_per_step, dt = self.ticks_per_step, self.dt
+        self.tick, self.step_index = tick, step_index
+        self.damp_cum, self.visc_cum = damp_cum, visc_cum
+        self.damp_prev, self.visc_prev = damp_prev, visc_prev
 
 
 def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
@@ -420,57 +464,12 @@ def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     u at every row if ``trajectory``."""
     config.validate()
     grid, kernel = config.make_grid(), config.make_kernel()
-    datum, dt = config.make_history(grid), config.resolved_dt(grid, kernel)
+    datum = config.make_history(grid)
     stepper = Stepper(config, datum, kernel)
-    step, damping, p = stepper.step, stepper.damping, config.p
-    tick_dt = dt / 2 ** MAX_DT_HALVINGS    # time in integer ticks
-    ticks_per_push = config.stride * 2 ** MAX_DT_HALVINGS
-    total_ticks = int(round(config.t_end / tick_dt))
-    output_every = config.output_every
     ledger, kept = EnergyLedger(), Trajectory() if trajectory else None
-    flags = {"completed": False, "nonfinite": False, "dt_exhausted": False,
-             "dt_halvings": 0}
-    h1, damp_prev, visc_prev = step(move=False)
-    damp_cum = visc_cum = 0.0
-    _record_row(ledger, kept, stepper, 0.0, damp_cum, visc_cum)
-    # a datum at rest grows inside the well without blowing up: the
-    # controller's scale is never below the well's gradient radius
-    gamma = wellconst.cached_constants(grid, p, kernel.k0).gamma
-    grad_ref = max(math.sqrt(h1), gamma ** (-(p + 1.0) / (p - 1.0)))
-    tick = step_index = halvings = 0
-    ticks_per_step = 2 ** MAX_DT_HALVINGS
-    stepper.set_dt(dt)
-    while tick < total_ticks:
-        tick += ticks_per_step
-        step_index += 1
-        t, rem = tick * tick_dt, tick % ticks_per_push
-        h1, damp_now, visc_now = step(t, rem * tick_dt, not rem)
-        # h1 is nonfinite where u is, the damping power where v is
-        if not (math.isfinite(h1) and math.isfinite(damp_now) and (
-                damping or np.isfinite(stepper.v).all())) and not (
-                np.isfinite(stepper.u).all() and np.isfinite(stepper.v).all()):
-            flags.update(nonfinite=True, stop_step=step_index)
-            break
-        d_inc, v_inc = energetics.dissipation_increment(
-            dt, damp_prev, damp_now, visc_prev, visc_now)
-        damp_cum, visc_cum = damp_cum + d_inc, visc_cum + v_inc
-        damp_prev, visc_prev = damp_now, visc_now
-        grad = math.sqrt(h1)    # the blow-up step controller
-        doubled = grad >= GRAD_DOUBLING_FACTOR * grad_ref
-        stop = doubled and halvings >= MAX_DT_HALVINGS
-        if stop or tick >= total_ticks or not step_index % output_every:
-            _record_row(ledger, kept, stepper, t, damp_cum, visc_cum)
-        if stop:
-            flags.update(dt_exhausted=True, stop_step=step_index)
-            break
-        if doubled:
-            halvings = flags["dt_halvings"] = halvings + 1
-            ticks_per_step //= 2
-            dt, grad_ref = ticks_per_step * tick_dt, grad
-            stepper.set_dt(dt)
-    else:
-        flags["completed"] = True
-    state = SimState(t=tick * tick_dt, u=stepper.u, v=stepper.v,
-                     memory=stepper.memory, dt=dt, step_index=step_index)
+    stepper.record(ledger, kept)
+    stepper.advance(round(config.t_end / stepper.tick_dt), ledger, kept)
+    stepper.flags["completed"] = "stop_step" not in stepper.flags
     return RunResult(config=config, grid=grid, kernel=kernel, datum=datum,
-                     ledger=ledger, trajectory=kept, flags=flags, state=state)
+                     ledger=ledger, trajectory=kept, flags=stepper.flags,
+                     state=stepper)

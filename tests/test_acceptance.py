@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from viscowave import acceptance
-from viscowave.integrator import initial_terms
+from viscowave.integrator import Stepper
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def test_row_zero_terms_need_no_run(suite):
     suite.suite_records()
     for rec in suite._runs.values():
         res = rec.result
-        terms = initial_terms(res.config, res.datum, res.kernel)
+        terms = Stepper(res.config, res.datum, res.kernel).terms()
         row = res.ledger.rows[0]
         assert {k: float(v).hex() for k, v in terms.items()} == {
             k: row[k].hex() for k in terms}
@@ -88,4 +88,4 @@ def test_blowup_amplitude_is_the_first_with_negative_row_zero_energy(suite):
     assert suite.run(cfg).result.ledger.E0 < 0.0
     prev = replace(cfg, amplitude=cfg.amplitude / 1.5)
     datum = prev.make_history(prev.make_grid())
-    assert initial_terms(prev, datum, prev.make_kernel())["E"] >= 0.0
+    assert Stepper(prev, datum, prev.make_kernel()).terms()["E"] >= 0.0

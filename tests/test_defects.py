@@ -2,10 +2,10 @@
 in the program and asserts that a criterion reports FAIL at its unchanged
 tolerance, through the same ``run_all`` that ``viscowave verify`` prints.
 
-The defects sit in two places.  ``integrator._row_terms``, the ledger-row
-arithmetic that ledger row 0 and ``initial_terms`` (and so the
+The defects sit in two places.  ``integrator.Stepper.terms``, the
+ledger-row arithmetic that every row and a new stepper's terms (and so the
 classification) share, takes the memory term with the wrong weight or the
-source with the wrong sign.  ``integrator.Stepper.step`` and the run's step
+source with the wrong sign.  ``integrator.Stepper.step`` and the stepper's
 controller drop a power from the energy identity or never halve dt.
 """
 import math
@@ -14,21 +14,25 @@ import pytest
 
 from viscowave import acceptance, integrator
 
-ROW_TERMS = integrator._row_terms
+TERMS = integrator.Stepper.terms
 STEP = integrator.Stepper.step
 
 
-def mu_prime_for_mu(grid, u, v, mem, h1, p, source):
+def mu_prime_for_mu(stepper):
     """The memory term taken with the weight mu' in place of mu."""
-    swapped = mem._replace(conv=mem.conv[::-1], scalar=mem.scalar[::-1],
-                           total=mem.total[::-1])
-    return ROW_TERMS(grid, u, v, swapped, h1, p, source)
+    mem = stepper.mem
+    stepper.mem = mem._replace(conv=mem.conv[::-1], scalar=mem.scalar[::-1],
+                               total=mem.total[::-1])
+    try:
+        return TERMS(stepper)
+    finally:
+        stepper.mem = mem
 
 
-def flipped_source_sign(*args):
+def flipped_source_sign(stepper):
     """The source's potential and its share of the Nehari gap added, not
     subtracted."""
-    row = ROW_TERMS(*args)
+    row = TERMS(stepper)
     source_part = row["scriptE"] - row["E"]
     row["E"] += 2.0 * source_part
     row["I"] += 2.0 * source_part
@@ -49,9 +53,9 @@ def no_damping_power(*args, **kwargs):
 
 
 @pytest.mark.parametrize("number, owner, name, defect", [
-    (3, integrator, "_row_terms", mu_prime_for_mu),
-    (3, integrator, "_row_terms", flipped_source_sign),
-    (9, integrator, "_row_terms", mu_prime_for_mu),
+    (3, integrator.Stepper, "terms", mu_prime_for_mu),
+    (3, integrator.Stepper, "terms", flipped_source_sign),
+    (9, integrator.Stepper, "terms", mu_prime_for_mu),
     (1, integrator.Stepper, "step", no_viscous_power),
     (1, integrator.Stepper, "step", no_damping_power),
     # a controller that never halves dt: the run overflows, as it does in

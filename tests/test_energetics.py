@@ -206,16 +206,17 @@ def variational_residual(trajectory, grid, kernel, m, p, test_field,
 def run_keeping_rows(monkeypatch, config):
     """run(config, trajectory=True), and its rows for variational_residual:
     the kept times and u, and copies of v and of lap of the mu convolution
-    taken by a wrapper around integrator._record_row."""
-    rows, record = SimpleNamespace(v=[], lap_conv=[]), integrator._record_row
+    taken by a wrapper around integrator.Stepper.record."""
+    rows = SimpleNamespace(v=[], lap_conv=[])
+    record = integrator.Stepper.record
 
-    def record_and_keep(ledger, kept, stepper, *args):
-        record(ledger, kept, stepper, *args)
+    def record_and_keep(stepper, ledger, kept):
+        record(stepper, ledger, kept)
         rows.v.append(stepper.v.copy())
         rows.lap_conv.append(stepper.mem.conv[0].copy())
 
     with monkeypatch.context() as patch:
-        patch.setattr(integrator, "_record_row", record_and_keep)
+        patch.setattr(integrator.Stepper, "record", record_and_keep)
         result = run(config, trajectory=True)
     rows.times, rows.u = result.trajectory.times, result.trajectory.u
     return result, rows

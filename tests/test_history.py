@@ -11,7 +11,7 @@ from viscowave.config import ScenarioConfig
 from viscowave.grid import SpatialGrid
 from viscowave.history import (Classification, HistoryDatum, MemoryState,
                                classify, make_profile)
-from viscowave.integrator import initial_terms
+from viscowave.integrator import Stepper
 from viscowave.kernel import RelaxationKernel
 
 
@@ -578,7 +578,7 @@ def row0(datum, p=3.0):
     """Ledger row 0's terms of datum on [0, pi] with EXP11, under the
     default time and memory settings."""
     cfg = ScenarioConfig(n=datum.grid.n[0], p=p)
-    return initial_terms(cfg, datum, EXP11)
+    return Stepper(cfg, datum, EXP11).terms()
 
 
 class TestDatumFunctionals:

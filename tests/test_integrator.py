@@ -18,9 +18,9 @@ from viscowave.acceptance import w1_scenario
 from viscowave.config import ScenarioConfig, loads
 from viscowave.grid import SpatialGrid
 from viscowave.history import MemoryState
-from viscowave.integrator import (GUESS, PADE, SOLVE, _damp_midpoint,
-                                  _pade_certificate, damping_solve_field,
-                                  initial_terms, run)
+from viscowave.integrator import (GUESS, PADE, SOLVE, Stepper,
+                                  _damp_midpoint, _pade_certificate,
+                                  damping_solve_field, run)
 from viscowave.runner import run_scenario
 
 
@@ -680,14 +680,14 @@ class TestRun:
         # the K_h modes of memory_horizon with their per-mode depth sums C
         # that a lag's quadrature takes, the push's buffer of one row and
         # its 0-d ds; the kept state still gives the last convolution, whose
-        # Laplacian a wrapper around _record_row copies at every row
-        record, lap_convs = integrator._record_row, []
+        # Laplacian a wrapper around Stepper.record copies at every row
+        record, lap_convs = integrator.Stepper.record, []
 
-        def record_and_keep(ledger, kept, stepper, *args):
-            record(ledger, kept, stepper, *args)
+        def record_and_keep(stepper, ledger, kept):
+            record(stepper, ledger, kept)
             lap_convs.append(stepper.mem.conv[0].copy())
 
-        monkeypatch.setattr(integrator, "_record_row", record_and_keep)
+        monkeypatch.setattr(integrator.Stepper, "record", record_and_keep)
 
         def mode_count(t_end):
             cfg = quick_config(kernel_family="polynomial", r=1.5,
@@ -904,7 +904,7 @@ def test_random_scenarios_are_benign_and_reproducible(cfg):
     assert record.result.flags["dt_halvings"] == 0
     assert record.classification == "W1"
     # the terms that classify the datum are ledger row 0's, bit for bit
-    terms = initial_terms(cfg, record.result.datum, record.result.kernel)
+    terms = Stepper(cfg, record.result.datum, record.result.kernel).terms()
     assert {k: float(v).hex() for k, v in terms.items()} == {
         k: ledger.rows[0][k].hex() for k in terms}
     assert run(loads(cfg.to_ini())).ledger.to_csv() == ledger.to_csv()
@@ -1026,3 +1026,44 @@ def test_golden_end_state(name):
     assert last["E"] == pytest.approx(E_end, rel=1e-9, abs=0.0)
     assert last["identity_residual"] == pytest.approx(residual, rel=1e-9,
                                                       abs=0.0)
+
+
+def test_cubic_solve_takes_the_tier_tests_max(monkeypatch):
+    # an m = 3 array that falls to the SOLVE tier hands the solve the max|v|
+    # of its tier test, sqrt(max v*v), which is max|v| to the bit
+    solve, exact = integrator.damping_solve_field, []
+
+    def checking(a, dt, m, absa, amax):
+        exact.append(amax == float(np.abs(a).max()))
+        return solve(a, dt, m, absa, amax)
+
+    monkeypatch.setattr(integrator, "damping_solve_field", checking)
+    run(LEDGER_BYTES["closed_form_m3_2d"][0])
+    assert exact == [True] * 22
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=st.one_of(small_scenarios(),
+                     st.just(LEDGER_BYTES["halving_1d"][0])),
+       where=st.floats(0.0, 1.0))
+# halving_1d's stop row, after which a stepper must not move
+@example(cfg=LEDGER_BYTES["halving_1d"][0], where=1.0)
+def test_a_run_paused_at_a_row_goes_on_bit_for_bit(cfg, where):
+    # run's one advance taken as two, to ledger row j of the unbroken run
+    # and on to t_end, leaves the same ledger and the same state
+    whole = run(cfg)
+    t_row = whole.ledger.rows[round(where * (len(whole.ledger) - 1))]["t"]
+    advance = Stepper.advance
+
+    def paused(stepper, end_tick, ledger, kept):
+        advance(stepper, round(t_row / stepper.tick_dt), ledger, kept)
+        advance(stepper, end_tick, ledger, kept)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Stepper, "advance", paused)
+        split = run(cfg)
+    assert split.ledger.to_csv() == whole.ledger.to_csv()
+    assert split.flags == whole.flags
+    assert split.state.step_index == whole.state.step_index
+    assert split.state.u.tobytes() == whole.state.u.tobytes()
+    assert split.state.v.tobytes() == whole.state.v.tobytes()

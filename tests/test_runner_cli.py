@@ -304,6 +304,18 @@ def test_grid_and_history_do_not_branch_on_dimension():
     assert not found, f"comparisons with .dim: {found}"
 
 
+def test_run_has_no_loop():
+    # the clock and the step controller live in Stepper.advance alone: run
+    # builds the stepper, records row 0 and advances it once
+    path = Path(viscowave.__file__).parent / "integrator.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    run_def = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "run")
+    loops = [type(node).__name__ for node in ast.walk(run_def)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert not loops, f"integrator.run has loops: {loops}"
+
+
 # functions no package code names, kept because bench/tracing.TARGETS wraps
 # them
 UNREFERENCED_ALLOWED = {"convolution_field", "scalar_convolution",

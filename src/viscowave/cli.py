@@ -23,7 +23,7 @@ from .config import ConfigError, ScenarioConfig, load, _parse_length, \
 from .energetics import EnergyLedger
 from .grid import SpatialGrid
 from .history import classify
-from .integrator import Stepper
+from .integrator import Stepper, run_batch
 from .kernel import RelaxationKernel
 from .runner import OutputExists, run_scenario
 
@@ -111,7 +111,7 @@ def cmd_classify(args) -> int:
     cfg.validate()
     datum = cfg.make_history(grid)
     consts = wellconst.cached_constants(grid, args.p, kernel.k0)
-    verdict = classify(Stepper(cfg, datum, kernel).terms(), consts.d)
+    verdict = classify(Stepper(cfg, [datum], kernel).terms(), consts.d)
     print(json.dumps({"classification": verdict.value, "d": consts.d,
                       "gamma": consts.gamma, "p": args.p, "k0": kernel.k0},
                      indent=2))
@@ -152,6 +152,8 @@ def cmd_decay_fit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Each (kernel, m) row's amplitudes run as one batch
+    (``integrator.run_batch``), every run recorded and persisted as alone."""
     amplitudes = [float(a) for a in args.amplitudes.split(",")]
     ms = [float(m) for m in args.ms.split(",")]
     kernels = args.kernels.split(",")
@@ -160,11 +162,11 @@ def cmd_sweep(args) -> int:
     for kspec in kernels:
         kernel = parse_kernel_spec(kspec)
         for m in ms:
-            for A in amplitudes:
-                cfg = replace(base, amplitude=A, m=m,
-                              **_kernel_fields(kernel))
+            configs = [replace(base, amplitude=A, m=m, **_kernel_fields(kernel))
+                       for A in amplitudes]
+            for A, cfg, result in zip(amplitudes, configs, run_batch(configs)):
                 record = run_scenario(cfg, persist=args.persist,
-                                      force=args.force)
+                                      force=args.force, result=result)
                 print(f"{A:g}\t{m:g}\t{kspec}\t{record.classification}\t"
                       f"{record.result.ledger.E0:.6g}\t"
                       f"{record.blowup_verdict.detected}\t"
@@ -175,7 +177,12 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     from . import acceptance
 
-    ok = acceptance.run_all(quick=args.quick)
+    if args.json:
+        criteria = list(acceptance.verdicts(quick=args.quick))
+        ok = all(c["verdict"] == "PASS" for c in criteria)
+        print(json.dumps({"ok": ok, "criteria": criteria}, indent=2))
+    else:
+        ok = acceptance.run_all(quick=args.quick)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -243,6 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the built-in verification suite")
     p_ver.add_argument("--quick", action="store_true",
                        help="smaller refinement ladder and shorter runs")
+    p_ver.add_argument("--json", action="store_true",
+                       help="print each criterion's verdict, detail and "
+                            "wall seconds as JSON")
     p_ver.set_defaults(fn=cmd_verify)
 
     return parser

@@ -43,6 +43,12 @@ def _parse_modes(text: str) -> tuple:
     return tuple(int(k) for k in text.split(","))
 
 
+# the fields that only the history datum reads: runs that differ in these
+# alone may share one batch (``integrator.run_batch``)
+DATUM_FIELDS = frozenset({"template", "modes", "amplitude", "profile",
+                          "ramp_rate", "table_path"})
+
+
 @dataclass
 class ScenarioConfig:
     # grid
@@ -80,6 +86,10 @@ class ScenarioConfig:
 
     # -- derived objects ----------------------------------------------------
 
+    def shared_fields(self) -> dict:
+        """The fields outside DATUM_FIELDS, which a batch's runs share."""
+        return {k: v for k, v in vars(self).items() if k not in DATUM_FIELDS}
+
     def make_grid(self) -> SpatialGrid:
         return SpatialGrid.rectangle((self.extent, self.extent_y)[:self.dim],
                                      (self.n, self.n_y)[:self.dim])
@@ -101,15 +111,17 @@ class ScenarioConfig:
             support_T0=self.support_T0, mode=self.extension,
             ramp_rate=self.ramp_rate)
 
-    def make_memory(self, datum: HistoryDatum,
+    def make_memory(self, data: list,
                     kernel: RelaxationKernel) -> MemoryState:
-        """The memory a run of datum and its classification use: ds =
-        stride * dt, depth max(s_cap, ds), horizon t_end + T0 + ds (the last
-        step may pass t_end by under ds)."""
-        ds = self.stride * self.resolved_dt(datum.grid, kernel)
-        return MemoryState(datum, kernel, ds,
+        """The memory of a batch of runs of the data, which share their grid
+        and support (with no member axis for one datum): ds = stride * dt,
+        depth max(s_cap, ds), horizon t_end + T0 + ds (the last step may
+        pass t_end by under ds)."""
+        grid, T0 = data[0].grid, data[0].support_T0
+        ds = self.stride * self.resolved_dt(grid, kernel)
+        return MemoryState(data if len(data) > 1 else data[0], kernel, ds,
                            max(self.resolved_s_cap(kernel), ds),
-                           horizon=self.t_end + datum.support_T0 + ds)
+                           horizon=self.t_end + T0 + ds)
 
     def _cfl_bound(self, grid: SpatialGrid, kernel: RelaxationKernel) -> float:
         return self.cfl_safety * min(grid.h) / math.sqrt(kernel.k0)

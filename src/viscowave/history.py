@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -220,12 +221,17 @@ _WEIGHT_INDEX = {"mu": 0, "mu_prime": 1}
 
 
 class MemoryEval(NamedTuple):
-    """The memory at one lag, index 0 for mu and 1 for mu' throughout."""
+    """The memory at one lag, index 0 for mu and 1 for mu' throughout; the
+    fields and scalars carry the memory's member axis after that index."""
 
     grid: SpatialGrid
-    conv: np.ndarray      # (2, *grid.shape): lap integral weight(s) u(t-s) ds
-    scalar: np.ndarray    # (2,): integral weight(s) ||grad u(t - s)||^2 ds
+    conv: np.ndarray      # (2, ..., *grid.shape): lap integral weight(s) u(t-s) ds
+    scalar: np.ndarray    # (2, ...): integral weight(s) ||grad u(t - s)||^2 ds
     total: np.ndarray     # (2,): integral weight(s) ds, the quadrature's Q
+
+    def member(self, b: int) -> "MemoryEval":
+        """Member b's evaluation, viewing its fields and scalars."""
+        return self._replace(conv=self.conv[:, b], scalar=self.scalar[:, b])
 
     def integral(self, k: int, h1: float, u: np.ndarray) -> float:
         """integral weight_k(s) ||grad w(t, s)||^2 ds from h1 = ||grad u||^2
@@ -250,10 +256,23 @@ class MemoryState:
     G @ M[:-2] into the product rows: lap of the mu and mu' convolutions
     and their scalars.  A new lag's quadrature of the weights costs O(K_h),
     a geometric sum C per mode of ``memory_horizon`` (K_h = 133 at r = 1.5).
+
+    Given a sequence of data in place of one datum, the memory of a batch:
+    M is (B, K+5, N+1), a block per member, and every method acts on all
+    of them.  The members share the s-grid, the support's depth T0 and the
+    lag quadrature G; a stacked product, like a row's dot or sum along the
+    last axis, gives each member the bits of its own.
     """
 
-    def __init__(self, datum: HistoryDatum, kernel: RelaxationKernel,
-                 ds: float, s_depth: float, horizon: Optional[float] = None):
+    def __init__(self, data, kernel: RelaxationKernel, ds: float,
+                 s_depth: float, horizon: Optional[float] = None):
+        batch = not isinstance(data, HistoryDatum)
+        members = list(data) if batch else [data]
+        datum = members[0]
+        if any(d.support_T0 != datum.support_T0 or d.mode != datum.mode
+               or d.grid != datum.grid for d in members):
+            raise ValueError("a batch's data must share their grid, "
+                             "support_T0 and extension mode")
         self.grid = grid = datum.grid
         self.kernel = kernel
         self.ds = float(ds)
@@ -272,50 +291,78 @@ class MemoryState:
         x = self.lam_h * self.ds
         self.C = self.ds * (np.exp(-x) * np.expm1(-x * (self.depth - 1))
                             / np.expm1(-x) + 0.5 * np.exp(-x * self.depth))
-        ext = datum.frozen_field()
-        ext = np.append(grid.laplacian(ext).ravel(), grid.h1_seminorm_sq(ext))
         # the support's rows, j*ds <= min(T0, s_depth); the rows beyond it
         # are the extension field
         lags = self.ds * np.arange(
             int(min(datum.support_T0, s_depth) / self.ds + 1e-12) + 1)
-        fields, h1 = datum.fields_at(-lags)
-        lap = grid.laplacian(fields.reshape(lags.shape + grid.shape))
-        dev = np.column_stack([lap.reshape(lags.size, -1) - ext[:-1],
-                               h1 - ext[-1]])
         coef = self.ds * np.exp(-np.outer(self.lam, lags))
         coef[:, 0] = 0.0
-        self.M = np.zeros((self.lam.size + 5, grid.size + 1))
-        self.M[:-3] = np.vstack([coef @ dev, dev[0], ext])
+        self.M = np.zeros((len(members),) * batch
+                          + (self.lam.size + 5, grid.size + 1))
+        for block, member in zip(self.M.reshape((-1,) + self.M.shape[-2:]),
+                                 members):
+            ext = member.frozen_field()
+            ext = np.append(grid.laplacian(ext).ravel(),
+                            grid.h1_seminorm_sq(ext))
+            fields, h1 = member.fields_at(-lags)
+            lap = grid.laplacian(fields.reshape(lags.shape + grid.shape))
+            dev = np.column_stack([lap.reshape(lags.size, -1) - ext[:-1],
+                                   h1 - ext[-1]])
+            block[:-3] = np.vstack([coef @ dev, dev[0], ext])
         self.t_push = 0.0
         self._lags = {}
-        self._push_buf = np.empty(grid.size + 1)
+        self._push_buf = buf = np.empty(self.M.shape[:-2]
+                                        + (1, grid.size + 1))
         self._ds = np.array(self.ds)
+        # a push's passes over views of M, bound once as partials: the old
+        # row 0 moves to node ds, where it takes weight ds (R += ds D_0
+        # through buf, R *= decay), then D_0 takes lap u and h1 less the
+        # extension row
+        M = self.M
+        R, D0 = M[..., :-5, :], M[..., -5, :]
+        self._push_plan = (
+            partial(np.multiply, M[..., -5:-4, :], self._ds, buf),
+            partial(np.add, R, buf, R), partial(np.multiply, R, self.decay, R),
+            partial(np.copyto, D0[..., :-1].reshape(M.shape[:-2]
+                                                    + grid.shape)),
+            partial(np.copyto, D0[..., -1]),
+            partial(np.subtract, D0, M[..., -4, :], D0))
 
     @property
     def lap_field(self) -> np.ndarray:
         """lap u(t), the view of the current row that ``evaluate`` reads."""
-        return self.M[-3, :-1].reshape(self.grid.shape)
+        return self.M[..., -3, :-1].reshape(self.M.shape[:-2]
+                                            + self.grid.shape)
+
+    @property
+    def conv_fields(self) -> np.ndarray:
+        """lap of the mu and of the mu' convolution, the weight's index
+        first: the view of the product rows that ``evaluate`` writes."""
+        M = self.M
+        return M[..., -2:, :-1].swapaxes(0, M.ndim - 2).reshape(
+            (2,) + M.shape[:-2] + self.grid.shape)
 
     def push(self, t: float, h1: float, lap_u: np.ndarray):
-        """Record u(t) by h1 = ||grad u(t)||^2 and lap_u = lap u(t); t must
-        advance by exactly one stride, and t + T0 stay within the horizon."""
+        """Record u(t) by h1 = ||grad u(t)||^2 and lap_u = lap u(t), a value
+        and a field per member; t must advance by exactly one stride, and
+        t + T0 stay within the horizon."""
         if t + self.T0 > self.horizon:
             raise ValueError(f"push at t = {t} takes the history's lags past "
                              f"the memory's horizon {self.horizon}")
-        R, D0, buf = self.M[:-5], self.M[-5], self._push_buf
-        # the old row 0 moves to node ds, where it takes weight ds
-        np.multiply(D0, self._ds, buf)
-        R += buf
-        R *= self.decay
-        D0[:-1] = lap_u.ravel()
-        D0[-1] = h1
-        D0 -= self.M[-4]
+        scale, add, decay, take_lap, take_h1, deviate = self._push_plan
+        scale()
+        add()
+        decay()
+        take_lap(lap_u)
+        take_h1(h1)
+        deviate()
         self.t_push = t
 
     def _lag(self, delta: float) -> tuple:
-        """(G, ev, source, product) at lag delta, cached: G takes M's source
-        columns to the convolutions in its product rows, and ev views the
-        product rows with the weight's whole quadrature Q as its total.
+        """(G, ev, source, product, now) at lag delta, cached: G takes M's
+        source columns to the convolutions in its product rows, ev views the
+        product rows with the weight's whole quadrature Q as its total, and
+        now the current node's h1.
 
         Row j sits on the node s = delta + j*ds, row 0's cell (delta+ds)/2
         wide.  With w(s) = sum_k b_k exp(-lam_k s) (b = a for mu, -a*lam for
@@ -333,16 +380,19 @@ class MemoryState:
         total = Q + now + tail
         f = self.weights * np.exp(-self.lam * delta)
         G = np.column_stack([f, first * f.sum(axis=1), total - now, now])
-        ev = MemoryEval(self.grid, self.M[-2:, :-1].reshape(
-            (2,) + self.grid.shape), self.M[-2:, -1], total)
-        return self._lags.setdefault(delta, (G, ev, self.M[:-2], self.M[-2:]))
+        M = self.M
+        ev = MemoryEval(self.grid, self.conv_fields,
+                        M[..., -2:, -1].swapaxes(0, M.ndim - 2), total)
+        return self._lags.setdefault(delta, (G, ev, M[..., :-2, :],
+                                             M[..., -2:, :], M[..., -3, -1]))
 
     def evaluate(self, h1_now: float, delta: float = 0.0) -> MemoryEval:
         """Both weights' convolutions at lag delta, the current node taking
-        ``lap_field`` and h1_now = ||grad u(t)||^2.  The result views the
-        product rows, which the next ``evaluate`` overwrites."""
-        G, ev, source, product = self._lags.get(delta) or self._lag(delta)
-        self.M[-3, -1] = h1_now
+        ``lap_field`` and h1_now = ||grad u(t)||^2 (per member).  The result
+        views the product rows, which the next ``evaluate`` overwrites."""
+        G, ev, source, product, now = (self._lags.get(delta)
+                                       or self._lag(delta))
+        now[...] = h1_now
         np.matmul(G, source, product)
         return ev
 

@@ -3,31 +3,36 @@
     u_tt = k(0) lap(u) - integral mu(s) lap(u(t-s)) ds
            - |u_t|^(m-1) u_t + |u|^(p-1) u
 
-by an operator-split leapfrog.  A ``Stepper`` owns a run's whole state,
-the clock, the step controller and the dissipation sums included, and its
-step: a half-kick of v, implicit midpoint damping of v in place (at m = 1 a
-scaling of v, otherwise a certified guess, at m = 3 a Pade factor, or
-Newton) split symmetrically around the drift of u, one Laplacian of u
-(into the memory's current row, ||grad u||^2 following by summation by
-parts), a push of lap u and ||grad u||^2 onto the memory's s-grid when one
-is due, the force (one memory product over the rows' Laplacians gives lap
-of the mu and mu' convolutions), the second half-kick and the damping and
-viscous powers.  A step costs O(K N) for the K memory modes of the run's
-horizon, t_end + T0 + ds, which ``ScenarioConfig.make_memory`` builds.  On
-small grids it costs its calls, not its arithmetic: the phases run inline
-in one method, on ufuncs into buffers bound once a run, each with the
-operand order of the plain expression, so every value is that expression's
-to the bit.  ``Stepper.advance`` steps to a tick under the controller and
-records the ledger rows; ``run`` records row 0 and advances to t_end.
+by an operator-split leapfrog.  A ``Stepper`` owns the whole state of a
+batch of runs that differ only in their datum, the clock, the step
+controller and the dissipation sums included, and its step: a half-kick of
+v, implicit midpoint damping of v in place (at m = 1 a scaling of v,
+otherwise a certified guess, at m = 3 a Pade factor, or Newton, each
+member by its own tier) split symmetrically around the drift of u, one
+Laplacian of u (into the memory's current rows, ||grad u||^2 following by
+summation by parts), a push of lap u and ||grad u||^2 onto the memory's
+s-grid when one is due, the force (one memory product over the rows'
+Laplacians gives lap of the mu and mu' convolutions), the second half-kick
+and the damping and viscous powers.  A step costs O(K N) a member for the
+K memory modes of the run's horizon, t_end + T0 + ds, which
+``ScenarioConfig.make_memory`` builds.  On small grids it costs its calls,
+not its arithmetic: the phases run inline in one method, on ufuncs into
+buffers bound once a run, each with the operand order of the plain
+expression, so every value is that expression's to the bit, and a batch
+makes each call once for all its members.  ``Stepper.advance`` steps to a
+tick under the controller and records the ledger rows; ``run_batch``
+records row 0, advances to t_end and reruns the members that left the
+batch, and ``run`` is the batch of one.
 """
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy import absolute, add, multiply, subtract, vdot
+from numpy import absolute, add, multiply, subtract, vdot, vecdot
 
 from . import energetics, wellconst
 from .config import ScenarioConfig
@@ -146,8 +151,18 @@ def _cayley(tau: float) -> float:
 SOLVE, GUESS, PADE = 0, 1, 2
 
 
+def _tier(amax: float, dt: float, m: float) -> int:
+    """The tier (``_damp_midpoint``) of a midpoint damping over 2 dt of an
+    array with max|v| = amax."""
+    y, certified = _certificate(amax, dt, m)
+    if certified:
+        return GUESS
+    return PADE if m == 3.0 and _pade_certificate(y, amax, dt) else SOLVE
+
+
 def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
-                   scratch: Optional[tuple] = None) -> tuple:
+                   scratch: Optional[tuple] = None,
+                   squared: bool = False) -> tuple:
     """Implicit-midpoint integration of v' = -|v|^(m-1) v over [0, tau]: the
     new v, in a new array or, given ``scratch``, in v itself, and its tier.
 
@@ -155,7 +170,7 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
     removed is exactly tau * |w|^(m+1) -- the damping power at the midpoint,
     which keeps the measured dissipation consistent with the trapezoid
     bookkeeping to second order.  The new v is 2w - v, by one of three
-    tiers, each certified by one scalar per array:
+    tiers, each certified by one scalar per array (``_tier``):
 
     * GUESS, where ``_certificate`` holds: the solve's guess doubled, in no
       pass of its own, exactly.  At m = 3 the guess's divisor is halved,
@@ -175,7 +190,8 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
     monotone in max|v|, so a second call with the same tau and m takes the
     first call's tier as ``tier`` and skips max|v|.  At m = 3 max v^2 comes
     from the v*v that both tiers read, and the passes run in ``scratch``,
-    three fields of v's shape that the caller does not need.
+    three fields of v's shape that the caller does not need, the first of
+    which holds v*v already where ``squared``.
     """
     out = None if scratch is None else v
     if m == 1.0:
@@ -183,15 +199,13 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
     dt = 0.5 * float(tau)
     if m == 3.0:
         t, x, q = scratch or (None, None, None)
-        t = np.multiply(v, v, out=t)
+        if not squared:
+            t = np.multiply(v, v, out=t)
         if not tier:
             # sqrt(max v*v) is max|v| to the bit unless v*v under- or
             # overflows, where the verdicts are those of max|v| still
-            t_max = float(t.max()) if v.size else math.inf
-            amax = math.sqrt(t_max)
-            y, certified = _certificate(amax, dt, m)
-            tier = (GUESS if certified else
-                    PADE if _pade_certificate(y, amax, dt) else SOLVE)
+            amax = math.sqrt(float(t.max()) if v.size else math.inf)
+            tier = _tier(amax, dt, m)
         if tier == GUESS:
             x = np.multiply(t, 0.5 * dt, out=x)
             x += 0.5
@@ -210,16 +224,51 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
             np.divide(x, q, out=x)
             return np.multiply(v, x, out=x if out is None else out), PADE
     absa = np.abs(v)
-    if not tier:
-        if m != 3.0:    # m = 3 took max|v| for its tier
-            amax = float(absa.max()) if v.size else math.inf
-        if m == 3.0 or not _certificate(amax, dt, m)[1]:
-            w = damping_solve_field(v, dt, m, absa, amax)
-            w = np.multiply(w, 2.0, out=w)
-            return np.subtract(w, v, out=w if out is None else out), SOLVE
+    if m != 3.0 and not tier:   # m = 3 took max|v| for its tier
+        amax = float(absa.max()) if v.size else math.inf
+        tier = _tier(amax, dt, m)
+    if tier == SOLVE:
+        w = damping_solve_field(v, dt, m, absa, amax)
+        w = np.multiply(w, 2.0, out=w)
+        return np.subtract(w, v, out=w if out is None else out), SOLVE
     x = _guess(absa, dt, m)
     x *= np.copysign(2.0, v)
     return np.subtract(x, v, out=x if out is None else out), GUESS
+
+
+def _damp_members(v: np.ndarray, tau: float, m: float, tiers, scratch: tuple,
+                  live: list):
+    """``_damp_midpoint`` of each live member's rows of the stack v, in
+    place, each by its own tier; returns the tiers for the step's second
+    half-step to pass back as ``tiers`` (None takes them afresh).
+
+    A member's tier comes from its own max|v| (at m = 3 from its max v*v,
+    whose v*v the passes reuse), as its solo run takes it.  Where the live
+    members share a certified tier, that tier's passes run once over the
+    whole stack, exactly each member's own passes; a left member's zero
+    rows stay zero through them.  Otherwise each live member's rows take
+    their own call, Newton's stopping test then being the member's alone.
+    With one member live the stack's tier is its own, the other members'
+    rows being zero."""
+    if len(live) == 1:
+        return _damp_midpoint(v, tau, m, tiers or SOLVE, scratch)[1]
+    squared = tiers is None and m == 3.0
+    if tiers is None:
+        rows = (np.multiply(v, v, out=scratch[0]) if squared
+                else np.abs(v)).reshape(len(v), -1)
+        vmax = np.maximum.reduce(rows, axis=1).tolist()
+        dt = 0.5 * float(tau)
+        tiers = [_tier(math.sqrt(x) if squared else x, dt, m) for x in vmax]
+        shared = {tiers[b] for b in live}
+        if len(shared) == 1 and SOLVE not in shared:
+            tiers = shared.pop()
+    if isinstance(tiers, int):
+        _damp_midpoint(v, tau, m, tiers, scratch, squared)
+    else:
+        for b in live:
+            _damp_midpoint(v[b], tau, m, tiers[b],
+                           tuple(field[b] for field in scratch), squared)
+    return tiers
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +277,15 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
 
 @dataclass
 class Trajectory:
-    times: list = field(default_factory=list)
+    """u at every ledger row, whose times are the ledger's t column."""
     u: list = field(default_factory=list)
 
 
 @dataclass
 class RunResult:
-    """A run; its ``state`` is the stepper that ran it, where it stopped."""
+    """A run; its ``state`` is the stepper that ran it, where it stopped,
+    ``member`` the run's row in the stepper's batch, and ``wall_seconds``
+    its share of the batch's wall time."""
     config: ScenarioConfig
     grid: SpatialGrid
     kernel: RelaxationKernel
@@ -243,6 +294,8 @@ class RunResult:
     trajectory: Optional[Trajectory]
     flags: dict
     state: Stepper
+    member: int
+    wall_seconds: float
 
     @property
     def blew_up(self) -> bool:
@@ -253,87 +306,134 @@ class RunResult:
 # the stepper and the run
 
 
+def _aligned(shape: tuple, values=None) -> np.ndarray:
+    """A new array of shape that starts on a 64-byte cache line, holding
+    values if given.  A step's passes over its fields then cost the same
+    wherever the heap puts them: on 64 x 64 fields a pass over a field off
+    the line costs up to a tenth more, with AVX-512's 64-byte vectors."""
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // raw.itemsize
+    field = raw[start:start + size].reshape(shape)
+    if values is not None:
+        field[...] = np.reshape(values, shape)
+    return field
+
+
 class Stepper:
-    """The whole state of a run of config from datum, and its leapfrog step.
+    """The whole state of a batch of runs of config, one per datum, and its
+    leapfrog step.
+
+    The members share the grid, the kernel, m, p, dt, the clock and the
+    memory's lag quadrature.  In a batch of B > 1 every field has a leading
+    member axis: u, v, F, kick and work are (B, *grid.shape), and the
+    memory's M is (B, K+5, N+1), so that a step makes each call once for the
+    batch.  A batch of one, a solo run, keeps no member axis: a ufunc costs
+    about a tenth more on a (1, N) stack than on its field, and it takes
+    its reductions over the whole field, vdot and add.reduce, where a batch
+    takes a row's, ``np.vecdot`` and ``add.reduce`` along the last axis;
+    those and the stacked memory product give each member the bits of its
+    solo run.  Each member keeps its own scalars, in lists indexed by
+    member: the last step's h1 = ||grad u||^2 and powers (``prev``), the
+    trapezoid sums ``damp_cum`` and ``visc_cum``, ``grad_ref`` and
+    ``flags``.
 
     u and v are the stepper's own arrays, which a step updates in place,
-    and lap u the view of the memory's current row that ``evaluate`` reads,
-    the same arrays for the whole run, so that ``grid.laplacian`` reruns
-    the plan it bound to them.  h1 = ||grad u||^2 and the memory at the
-    state's lag (``mem``) follow the state, and F is its force.  The grid's
-    and the memory's methods are bound once, from their classes'
-    attributes, when the stepper is built.
+    and lap u the view of the memory's current rows that ``evaluate``
+    reads, the same arrays for the whole run, so that ``grid.laplacian``
+    reruns the plan it bound to them.  The memory at the state's lag
+    (``mem``) follows the state, and F is its force.  The grid's and the
+    memory's methods are bound once, from their classes' attributes, when
+    the stepper is built.
 
     The clock counts integer ticks of dt0 / 2^10, so that pushes land on
-    the s-grid after halvings.  The controller halves dt when ||grad u||
-    doubles from ``grad_ref``, down to dt0 / 2^10, then stops and flags;
-    ``damp_cum`` and ``visc_cum`` are the trapezoid sums of the powers.
+    the s-grid after halvings.  The controller halves dt when a member's
+    ||grad u|| doubles from its ``grad_ref``, down to dt0 / 2^10, then stops
+    the member and flags it.  While another member is live, a member whose
+    ||grad u|| doubles or whose state goes nonfinite leaves the batch
+    instead: its rows are zeroed, so that it rests at the zero equilibrium,
+    and ``left`` lists it for a rerun from t = 0 (``run_batch``).
     """
 
-    def __init__(self, config: ScenarioConfig, datum: HistoryDatum,
+    def __init__(self, config: ScenarioConfig, data: list,
                  kernel: RelaxationKernel):
-        self.memory = memory = config.make_memory(datum, kernel)
+        self.memory = memory = config.make_memory(data, kernel)
         self.grid = grid = memory.grid
-        self.u = u = datum.value_at(0.0).copy()
-        lap_u = memory.lap_field
-        self.h1 = grid.h1_by_parts(u, grid.laplacian(u, lap_u))
-        self.mem = memory.evaluate(self.h1, 0.0)
-        self.v = datum.velocity_at_0.copy()
-        self.F, self.kick = np.empty(grid.shape), np.empty(grid.shape)
-        work = np.empty(grid.shape)
+        B, shape = len(data), memory.M.shape[:-2] + grid.shape
+        self.u = u = _aligned(shape, [datum.value_at(0.0) for datum in data])
+        self.v = v = _aligned(shape, [datum.velocity_at_0 for datum in data])
+        self.F, self.kick, work = (_aligned(shape), _aligned(shape),
+                                   _aligned(shape))
         m, p, self.source = config.m, config.p, config.source_enabled
         self.p, self.damping = p, config.damping_enabled
+        lap_u, conv_mu, conv_mup = memory.lap_field, *memory.conv_fields
         # what a step reads, as one tuple that it unpacks into locals (the
-        # cheapest names); every evaluation writes the same product rows.
-        # work and kick are free while v is damped, so they and one more
-        # field are the dampings' scratch
+        # cheapest names); work and kick are free while v is damped, so they
+        # and one more field are the dampings' scratch
         self._operands = (
-            u, lap_u, self.F, self.kick, work, *self.mem.conv,
+            u, v, lap_u, self.F, self.kick, work, conv_mu, conv_mup, B == 1,
             grid.laplacian, grid.h1_by_parts, memory.evaluate, memory.push,
             np.array(kernel.k0), grid.cell_volume, self.damping,
             self.damping and m == 1.0, m, self.source, p - 1.0,
-            0.5 * (m + 1.0), (work, self.kick, np.empty(grid.shape)))
+            0.5 * (m + 1.0), (work, self.kick, _aligned(shape)))
+        # a batch's per-member reductions: the fields' rows as (B, N) views,
+        # and a buffer for their B values
+        self._rows = (u.reshape(B, -1), lap_u.reshape(B, -1),
+                      conv_mup.reshape(B, -1), work.reshape(B, -1),
+                      np.empty(B))
         self.tick_dt = config.resolved_dt(grid, kernel) / 2 ** MAX_DT_HALVINGS
         self.ticks_per_push = config.stride * 2 ** MAX_DT_HALVINGS
         self.output_every = config.output_every
         self.tick = self.step_index = 0
-        self.flags = {"completed": False, "nonfinite": False,
-                      "dt_exhausted": False, "dt_halvings": 0}
-        h1, self.damp_prev, self.visc_prev = self.step(move=False)
-        self.damp_cum = self.visc_cum = 0.0
+        self.live, self.left = list(range(B)), []
+        self.flags = [{"completed": False, "nonfinite": False,
+                       "dt_exhausted": False, "dt_halvings": 0}
+                      for _ in range(B)]
+        self.prev = self.step(move=False)
+        self.damp_cum, self.visc_cum = [0.0] * B, [0.0] * B
         # a datum at rest grows inside the well without blowing up: the
         # controller's scale is never below the well's gradient radius
         gamma = wellconst.cached_constants(grid, p, kernel.k0).gamma
-        self.grad_ref = max(math.sqrt(h1), gamma ** (-(p + 1.0) / (p - 1.0)))
+        radius = gamma ** (-(p + 1.0) / (p - 1.0))
+        self.grad_ref = [max(math.sqrt(h1), radius) for h1, _, _ in self.prev]
         self.set_step(2 ** MAX_DT_HALVINGS)
 
     @property
     def t(self) -> float:
         return self.tick * self.tick_dt
 
-    def terms(self) -> dict:
-        """scriptE, E, I, lp_pow and nehari_gap of the state's ledger row."""
-        grid, u, h1, p = self.grid, self.u, self.h1, self.p
-        mem_mu = self.mem.integral(0, h1, u)
-        sE = energetics.quadratic_energy(grid, self.v, h1, mem_mu)
+    def member(self, b: int) -> tuple:
+        """Member b's u, v and memory evaluation, views of the batch's (a
+        batch of one's are the stepper's own), and its h1 = ||grad u||^2,
+        which the memory's current row holds."""
+        h1 = self.memory.M[..., -3, -1].item(b)
+        if len(self.flags) == 1:    # a flags dict a member
+            return self.u, self.v, self.mem, h1
+        return self.u[b], self.v[b], self.mem.member(b), h1
+
+    def terms(self, b: int = 0) -> dict:
+        """scriptE, E, I, lp_pow and nehari_gap of member b's ledger row."""
+        (u, v, mem, h1), grid, p = self.member(b), self.grid, self.p
+        mem_mu = mem.integral(0, h1, u)
+        sE = energetics.quadratic_energy(grid, v, h1, mem_mu)
         lp_pow = grid.lp_norm_pow(u, p + 1.0)
         source_part = lp_pow / (p + 1.0) if self.source else 0.0
         return {"scriptE": sE, "E": sE - source_part,
                 "I": 0.5 * (h1 + mem_mu) - source_part, "lp_pow": lp_pow,
                 "nehari_gap": h1 + mem_mu - lp_pow}
 
-    def record(self, ledger: EnergyLedger, kept: Optional[Trajectory]):
-        """Append the state's row to the ledger, and u to kept."""
-        row, t = self.terms(), self.t
-        damp_cum, visc_cum = self.damp_cum, self.visc_cum
+    def record(self, b: int, ledger: EnergyLedger,
+               kept: Optional[Trajectory]):
+        """Append member b's row to its ledger, and its u to kept."""
+        row, (u, _, _, h1) = self.terms(b), self.member(b)
+        damp_cum, visc_cum = self.damp_cum[b], self.visc_cum[b]
         E0 = ledger.E0 if len(ledger) else row["E"]
         resid = abs(row["E"] + damp_cum + visc_cum - E0)
-        ledger.append(t=t, D_cum=damp_cum + visc_cum, damp_cum=damp_cum,
-                      visc_cum=visc_cum, grad_norm=math.sqrt(self.h1),
+        ledger.append(t=self.t, D_cum=damp_cum + visc_cum, damp_cum=damp_cum,
+                      visc_cum=visc_cum, grad_norm=math.sqrt(h1),
                       identity_residual=resid, **row)
         if kept is not None:
-            kept.times.append(t)
-            kept.u.append(self.u.copy())
+            kept.u.append(u.copy())
 
     def set_step(self, ticks: int):
         """Step by ticks ticks, dt, from now on: dt/2; for m = 1 the factor
@@ -349,14 +449,16 @@ class Stepper:
 
     def step(self, t: float = 0.0, lag: float = 0.0, push: bool = False,
              move: bool = True) -> tuple:
-        """Advance by dt to time t, pushing u onto the memory if ``push`` and
-        evaluating the memory at ``lag`` since the last push; with ``move``
-        false, stay at the current state.  Returns h1 and the damping and
-        viscous powers of the state reached."""
-        (u, lap_u, F, kick, work, conv_mu, conv_mup, laplacian, h1_by_parts,
-         evaluate, push_u, k0, cell, damping, linear, m, source, source_e,
-         power_e, scratch) = self._operands
-        v = self.v
+        """Advance the batch by dt to time t, pushing u onto the memory if
+        ``push``, and evaluate the memory at ``lag`` since the last push;
+        with ``move`` false, take the current state as it is.  Returns each
+        member's h1 and damping and viscous powers at the state reached, a
+        list of B tuples."""
+        (u, v, lap_u, F, kick, work, conv_mu, conv_mup, single, laplacian,
+         h1_by_parts, evaluate, push_u, k0, cell, damping, linear, m, source,
+         source_e, power_e, scratch) = self._operands
+        if not single:
+            u_rows, lap_rows, conv_rows, work_rows, sums = self._rows
         if move:
             # kick, then the damping split symmetrically around the drift;
             # at m = 1 the dampings scale v by alpha before and after it
@@ -368,17 +470,25 @@ class Stepper:
                 multiply(v, alpha_sq, v)
             else:
                 if damping:
-                    tier = _damp_midpoint(v, half_dt, m, SOLVE, scratch)[1]
+                    tiers = (_damp_midpoint(v, half_dt, m, SOLVE, scratch)[1]
+                             if single else _damp_members(
+                                 v, half_dt, m, None, scratch, self.live))
                 multiply(v, dt, work)
                 add(u, work, u)
-                if damping:
-                    _damp_midpoint(v, half_dt, m, tier, scratch)
-            h1 = self.h1 = h1_by_parts(u, laplacian(u, lap_u))
-            if push:
-                push_u(t, h1, lap_u)
-            mem = self.mem = evaluate(h1, lag)
+                if damping and single:
+                    _damp_midpoint(v, half_dt, m, tiers, scratch)
+                elif damping:
+                    _damp_members(v, half_dt, m, tiers, scratch, self.live)
+        # ||grad u||^2 by parts from lap u, a row's dot product a member
+        laplacian(u, lap_u)
+        if single:
+            h1 = h1_by_parts(u, lap_u)
         else:
-            h1, mem = self.h1, self.mem
+            h1 = [abs(x) * cell for x in
+                  vecdot(lap_rows, u_rows, out=sums).tolist()]
+        if push:
+            push_u(t, h1, lap_u)
+        mem = self.mem = evaluate(h1, lag)
         # the force F = k0 lap u - lap conv (+ |u|^(p-1) u) and the viscous
         # power -(1/2) integral mu' ||grad w||^2 ds, mem.integral(1, h1, u),
         # in Python floats; a square is a product, which rounds as pow does
@@ -393,83 +503,142 @@ class Stepper:
                     work **= source_e
             multiply(work, u, work)
             add(F, work, F)
-        inner = float(vdot(u, conv_mup)) * cell
-        visc = -0.5 * (mem.total.item(1) * h1 + 2.0 * inner
-                       + mem.scalar.item(1))
+        total = mem.total.item(1)
+        if single:
+            visc = -0.5 * (total * h1 + 2.0 * (float(vdot(u, conv_mup)) * cell)
+                           + mem.scalar.item(1))
+        else:
+            visc = [-0.5 * (total * h + 2.0 * (inner * cell) + scalar)
+                    for h, inner, scalar in zip(
+                        h1, vecdot(u_rows, conv_rows, out=sums).tolist(),
+                        mem.scalar[1].tolist())]
         if move:
             # the second half-kick, with the new force
             multiply(F, kick_dt, kick)
             add(v, kick, v)
-        if not damping:
-            return h1, 0.0, visc
-        # the damping power ||v||_{m+1}^{m+1}: lp_norm_pow's operations
-        multiply(v, v, work)
-        if power_e == 2.0:
-            multiply(work, work, work)
-        elif power_e != 1.0:
-            work **= power_e
-        return h1, float(add.reduce(work, None)) * cell, visc
+        if damping:
+            # the damping power ||v||_{m+1}^{m+1}: lp_norm_pow's operations
+            multiply(v, v, work)
+            if power_e == 2.0:
+                multiply(work, work, work)
+            elif power_e != 1.0:
+                work **= power_e
+        if single:
+            return [(h1, float(add.reduce(work, None)) * cell if damping
+                     else 0.0, visc)]
+        damp = ([x * cell for x in add.reduce(work_rows, -1, out=sums).tolist()]
+                if damping else [0.0] * len(h1))
+        return list(zip(h1, damp, visc))
 
-    def advance(self, end_tick: int, ledger: EnergyLedger,
-                kept: Optional[Trajectory]):
-        """Step to end_tick or a stop, recording every output_every-th row,
-        the last and a stop's; a stopped stepper does not move."""
-        if "stop_step" in self.flags:
-            return
+    def leave(self, b: int):
+        """Take member b out of the batch, for a rerun: its rows rest at the
+        zero equilibrium, where a step raises no warning."""
+        for array in (self.u, self.v, self.F, self.kick, self.memory.M):
+            array[b] = 0.0
+        self.live = [a for a in self.live if a != b]
+        self.left.append(b)
+
+    def advance(self, end_tick: int, ledgers: list, kept: list):
+        """Step to end_tick or until no member is live, recording each live
+        member's every output_every-th row, its last and its stop's into its
+        ledger, and its u into its ``kept`` trajectory (None for none); a
+        member that stops or leaves does not move on."""
         step, flags, damping = self.step, self.flags, self.damping
+        isfinite, sqrt = math.isfinite, math.sqrt
+        increment = energetics.dissipation_increment
         tick_dt, ticks_per_push = self.tick_dt, self.ticks_per_push
         output_every, ticks_per_step = self.output_every, self.ticks_per_step
-        # locals, saved before each row and on return, beat attributes by 5%
-        tick, step_index, dt, grad_ref = (
-            self.tick, self.step_index, self.dt, self.grad_ref)
         damp_cum, visc_cum = self.damp_cum, self.visc_cum
-        damp_prev, visc_prev = self.damp_prev, self.visc_prev
-        while tick < end_tick:
+        prev, grad_ref = self.prev, self.grad_ref
+        # locals, saved before each row and on return, beat attributes by 5%
+        tick, step_index, dt, live = (
+            self.tick, self.step_index, self.dt, self.live)
+        while tick < end_tick and live:
             tick += ticks_per_step
             step_index += 1
             t, rem = tick * tick_dt, tick % ticks_per_push
-            h1, damp_now, visc_now = step(t, rem * tick_dt, not rem)
-            # h1 is nonfinite where u is, the damping power where v is
-            if not (math.isfinite(h1) and math.isfinite(damp_now) and (
-                    damping or np.isfinite(self.v).all())) and not (
-                    np.isfinite(self.u).all() and np.isfinite(self.v).all()):
-                flags.update(nonfinite=True, stop_step=step_index)
-                break
-            d_inc, v_inc = energetics.dissipation_increment(
-                dt, damp_prev, damp_now, visc_prev, visc_now)
-            damp_cum, visc_cum = damp_cum + d_inc, visc_cum + v_inc
-            damp_prev, visc_prev = damp_now, visc_now
-            grad = math.sqrt(h1)
-            doubled = grad >= GRAD_DOUBLING_FACTOR * grad_ref
-            stop = doubled and flags["dt_halvings"] >= MAX_DT_HALVINGS
-            if stop or tick >= end_tick or not step_index % output_every:
-                self.tick, self.step_index = tick, step_index
-                self.damp_cum, self.visc_cum = damp_cum, visc_cum
-                self.record(ledger, kept)
-            if stop:
-                flags.update(dt_exhausted=True, stop_step=step_index)
-                break
-            if doubled:
-                flags["dt_halvings"] += 1
-                self.grad_ref = grad_ref = grad
-                self.set_step(ticks_per_step // 2)
-                ticks_per_step, dt = self.ticks_per_step, self.dt
-        self.tick, self.step_index = tick, step_index
-        self.damp_cum, self.visc_cum = damp_cum, visc_cum
-        self.damp_prev, self.visc_prev = damp_prev, visc_prev
+            rows = step(t, rem * tick_dt, not rem)
+            due = tick >= end_tick or not step_index % output_every
+            for b in live:
+                h1, damp_now, visc_now = rows[b]
+                # h1 is nonfinite where u is, the damping power where v is
+                if not (isfinite(h1) and isfinite(damp_now) and (
+                        damping or np.isfinite(self.member(b)[1]).all())) \
+                        and not all(np.isfinite(field).all()
+                                    for field in self.member(b)[:2]):
+                    if len(live) > 1:
+                        self.leave(b)
+                    else:
+                        flags[b].update(nonfinite=True, stop_step=step_index)
+                        self.live = []
+                    live = self.live
+                    continue
+                _, damp_prev, visc_prev = prev[b]
+                d_inc, v_inc = increment(dt, damp_prev, damp_now, visc_prev,
+                                         visc_now)
+                damp_cum[b] += d_inc
+                visc_cum[b] += v_inc
+                grad = sqrt(h1)
+                doubled = grad >= GRAD_DOUBLING_FACTOR * grad_ref[b]
+                if doubled and len(live) > 1:
+                    self.leave(b)
+                    live = self.live
+                    continue
+                stop = doubled and flags[b]["dt_halvings"] >= MAX_DT_HALVINGS
+                if stop or due:
+                    self.tick, self.step_index = tick, step_index
+                    self.record(b, ledgers[b], kept[b])
+                if stop:
+                    flags[b].update(dt_exhausted=True, stop_step=step_index)
+                    live = self.live = []
+                elif doubled:
+                    flags[b]["dt_halvings"] += 1
+                    grad_ref[b] = grad
+                    self.set_step(ticks_per_step // 2)
+                    ticks_per_step, dt = self.ticks_per_step, self.dt
+            prev = rows
+        self.tick, self.step_index, self.prev = tick, step_index, prev
+
+
+def run_batch(configs: list, trajectory: bool = False) -> list:
+    """Advance the scenarios to t_end or blow-up, deterministically, as one
+    batch, keeping u at every row if ``trajectory``: a RunResult per config,
+    each its solo run's to the byte.  The configs may differ in
+    ``config.DATUM_FIELDS`` alone.  Members that left the batch are rerun
+    from t = 0, together, which gives each its solo run by determinism."""
+    t_start = time.monotonic()
+    config = configs[0]
+    for other in configs:
+        other.validate()
+    shared = config.shared_fields()
+    for other in configs[1:]:
+        if other.shared_fields() != shared:
+            raise ValueError("a batch's configs may differ in their datum "
+                             f"alone: {other!r} against {config!r}")
+    grid, kernel = config.make_grid(), config.make_kernel()
+    data = [other.make_history(grid) for other in configs]
+    stepper = Stepper(config, data, kernel)
+    ledgers = [EnergyLedger() for _ in configs]
+    kept = [Trajectory() if trajectory else None for _ in configs]
+    for b, ledger in enumerate(ledgers):
+        stepper.record(b, ledger, kept[b])
+    stepper.advance(round(config.t_end / stepper.tick_dt), ledgers, kept)
+    wall = (time.monotonic() - t_start) / len(configs)
+    results = []
+    for b, flags in enumerate(stepper.flags):
+        flags["completed"] = "stop_step" not in flags
+        results.append(RunResult(
+            config=configs[b], grid=grid, kernel=kernel, datum=data[b],
+            ledger=ledgers[b], trajectory=kept[b], flags=flags, state=stepper,
+            member=b, wall_seconds=wall))
+    if stepper.left:
+        reruns = run_batch([configs[b] for b in stepper.left], trajectory)
+        for b, result in zip(stepper.left, reruns):
+            results[b] = result
+    return results
 
 
 def run(config: ScenarioConfig, trajectory: bool = False) -> RunResult:
     """Advance the scenario to t_end or blow-up, deterministically, keeping
-    u at every row if ``trajectory``."""
-    config.validate()
-    grid, kernel = config.make_grid(), config.make_kernel()
-    datum = config.make_history(grid)
-    stepper = Stepper(config, datum, kernel)
-    ledger, kept = EnergyLedger(), Trajectory() if trajectory else None
-    stepper.record(ledger, kept)
-    stepper.advance(round(config.t_end / stepper.tick_dt), ledger, kept)
-    stepper.flags["completed"] = "stop_step" not in stepper.flags
-    return RunResult(config=config, grid=grid, kernel=kernel, datum=datum,
-                     ledger=ledger, trajectory=kept, flags=stepper.flags,
-                     state=stepper)
+    u at every row if ``trajectory``: the batch of one."""
+    return run_batch([config], trajectory)[0]

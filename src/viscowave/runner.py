@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -84,12 +83,14 @@ def run_scenario(config: ScenarioConfig,
                  persist: bool = False,
                  force: bool = False,
                  out_root: Optional[Path] = None,
-                 trajectory: bool = False) -> RunRecord:
+                 trajectory: bool = False,
+                 result: Optional[RunResult] = None) -> RunRecord:
     """Run a scenario, classify its datum from ledger row 0, and (optionally)
-    persist artifacts; ``trajectory`` is passed to ``integrator.run``."""
-    t_start = time.monotonic()
-    result = run(config, trajectory=trajectory)
-    wall = time.monotonic() - t_start
+    persist artifacts; ``trajectory`` is passed to ``integrator.run``.
+    Given ``result``, config's run made already (a member of an
+    ``integrator.run_batch``), the record takes it in place of a new run."""
+    if result is None:
+        result = run(config, trajectory=trajectory)
 
     constants = wellconst.cached_constants(result.grid, config.p,
                                            result.kernel.k0)
@@ -104,7 +105,8 @@ def run_scenario(config: ScenarioConfig,
         is_w2=(cls == "W2"))
 
     record = RunRecord(result=result, constants=constants, classification=cls,
-                       blowup_verdict=verdict, wall_seconds=wall)
+                       blowup_verdict=verdict,
+                       wall_seconds=result.wall_seconds)
     if persist:
         record.run_dir = persist_record(record, force=force,
                                         out_root=out_root)

@@ -57,7 +57,7 @@ def test_row_zero_terms_need_no_run(suite):
     suite.suite_records()
     for rec in suite._runs.values():
         res = rec.result
-        terms = Stepper(res.config, res.datum, res.kernel).terms()
+        terms = Stepper(res.config, [res.datum], res.kernel).terms()
         row = res.ledger.rows[0]
         assert {k: float(v).hex() for k, v in terms.items()} == {
             k: row[k].hex() for k in terms}
@@ -66,13 +66,14 @@ def test_row_zero_terms_need_no_run(suite):
 def test_quick_suite_keeps_trajectories_of_criterion_13_runs_only(monkeypatch):
     # twelve runs, no reruns (the blow-up amplitude comes from row 0's
     # terms without probe runs): w1 and its three amplitude perturbations
-    # keep their fields, and only those
+    # keep their fields, and only those, each a member of one batch
     kept = []
     run_scenario = acceptance.run_scenario
 
     def counting(config, **kwargs):
-        kept.append(kwargs.get("trajectory", False))
-        return run_scenario(config, **kwargs)
+        record = run_scenario(config, **kwargs)
+        kept.append(record.result.trajectory is not None)
+        return record
 
     monkeypatch.setattr(acceptance, "run_scenario", counting)
     assert acceptance.run_all(quick=True, printer=lambda line: None)
@@ -88,4 +89,4 @@ def test_blowup_amplitude_is_the_first_with_negative_row_zero_energy(suite):
     assert suite.run(cfg).result.ledger.E0 < 0.0
     prev = replace(cfg, amplitude=cfg.amplitude / 1.5)
     datum = prev.make_history(prev.make_grid())
-    assert Stepper(prev, datum, prev.make_kernel()).terms()["E"] >= 0.0
+    assert Stepper(prev, [datum], prev.make_kernel()).terms()["E"] >= 0.0

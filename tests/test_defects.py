@@ -18,21 +18,21 @@ TERMS = integrator.Stepper.terms
 STEP = integrator.Stepper.step
 
 
-def mu_prime_for_mu(stepper):
+def mu_prime_for_mu(stepper, b=0):
     """The memory term taken with the weight mu' in place of mu."""
     mem = stepper.mem
     stepper.mem = mem._replace(conv=mem.conv[::-1], scalar=mem.scalar[::-1],
                                total=mem.total[::-1])
     try:
-        return TERMS(stepper)
+        return TERMS(stepper, b)
     finally:
         stepper.mem = mem
 
 
-def flipped_source_sign(stepper):
+def flipped_source_sign(stepper, b=0):
     """The source's potential and its share of the Nehari gap added, not
     subtracted."""
-    row = TERMS(stepper)
+    row = TERMS(stepper, b)
     source_part = row["scriptE"] - row["E"]
     row["E"] += 2.0 * source_part
     row["I"] += 2.0 * source_part
@@ -41,15 +41,13 @@ def flipped_source_sign(stepper):
 
 
 def no_viscous_power(*args, **kwargs):
-    """The step's viscous power returned as 0."""
-    h1, damp, _ = STEP(*args, **kwargs)
-    return h1, damp, 0.0
+    """The step's viscous powers returned as 0."""
+    return [(h1, damp, 0.0) for h1, damp, _ in STEP(*args, **kwargs)]
 
 
 def no_damping_power(*args, **kwargs):
-    """The step's damping power returned as 0."""
-    h1, _, visc = STEP(*args, **kwargs)
-    return h1, 0.0, visc
+    """The step's damping powers returned as 0."""
+    return [(h1, 0.0, visc) for h1, _, visc in STEP(*args, **kwargs)]
 
 
 @pytest.mark.parametrize("number, owner, name, defect", [

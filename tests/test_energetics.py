@@ -210,15 +210,16 @@ def run_keeping_rows(monkeypatch, config):
     rows = SimpleNamespace(v=[], lap_conv=[])
     record = integrator.Stepper.record
 
-    def record_and_keep(stepper, ledger, kept):
-        record(stepper, ledger, kept)
-        rows.v.append(stepper.v.copy())
-        rows.lap_conv.append(stepper.mem.conv[0].copy())
+    def record_and_keep(stepper, b, ledger, kept):
+        record(stepper, b, ledger, kept)
+        _, v, mem, _ = stepper.member(b)
+        rows.v.append(v.copy())
+        rows.lap_conv.append(mem.conv[0].copy())
 
     with monkeypatch.context() as patch:
         patch.setattr(integrator.Stepper, "record", record_and_keep)
         result = run(config, trajectory=True)
-    rows.times, rows.u = result.trajectory.times, result.trajectory.u
+    rows.times, rows.u = result.ledger.column("t"), result.trajectory.u
     return result, rows
 
 

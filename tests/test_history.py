@@ -386,7 +386,7 @@ class TestMemoryIntegral:
                              if isinstance(v, np.ndarray)}
         assert len(mem._lags) == len(lags)
         assert all(G.shape == (2, len(mem.lam) + 3) and ev.total.size == 2
-                   for G, ev, _, _ in mem._lags.values())
+                   for G, ev, *_ in mem._lags.values())
 
     @settings(max_examples=150, deadline=None)
     @given(polynomial=st.booleans(), mu0=st.floats(0.1, 10.0),
@@ -578,7 +578,7 @@ def row0(datum, p=3.0):
     """Ledger row 0's terms of datum on [0, pi] with EXP11, under the
     default time and memory settings."""
     cfg = ScenarioConfig(n=datum.grid.n[0], p=p)
-    return Stepper(cfg, datum, EXP11).terms()
+    return Stepper(cfg, [datum], EXP11).terms()
 
 
 class TestDatumFunctionals:

@@ -14,6 +14,7 @@ from viscowave import cli, runner
 from viscowave.cli import SpecError, parse_grid_spec, parse_kernel_spec
 from viscowave.config import ScenarioConfig, load
 from viscowave.energetics import LEDGER_COLUMNS, EnergyLedger
+from viscowave.integrator import run_batch
 from viscowave.runner import OutputExists, run_scenario
 
 
@@ -210,6 +211,66 @@ class TestCli:
                                         "E0", "blew_up", "hash"]
         assert len(lines) == 2
         assert lines[1].split("\t")[3] == "W1"
+
+    def test_sweep_batches_match_the_per_amplitude_loop(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # each (kernel, m) row runs its amplitudes as one batch; the table
+        # and the run directories are those of one run_scenario per
+        # amplitude, but for the wall time.  At t_end = 2 amplitude 3.0
+        # leaves both batches: at m = 1 it exhausts dt at step 667, at
+        # m = 3 it halves twice
+        monkeypatch.setenv(runner.OUT_ENV, str(tmp_path / "batched"))
+        assert cli.main(["sweep", "--amplitudes", "0.1,1.0,3.0", "--ms",
+                         "1,3", "--t-end", "2.0", "--persist"]) == 0
+        table = capsys.readouterr().out.splitlines()
+        lines, dirs = [table[0]], []
+        for m in (1.0, 3.0):
+            for A in (0.1, 1.0, 3.0):
+                cfg = ScenarioConfig(p=3.0, t_end=2.0, stride=8, amplitude=A,
+                                     m=m)
+                record = run_scenario(cfg, persist=True,
+                                      out_root=tmp_path / "solo")
+                lines.append(f"{A:g}\t{m:g}\texp:1:1\t"
+                             f"{record.classification}\t"
+                             f"{record.result.ledger.E0:.6g}\t"
+                             f"{record.blowup_verdict.detected}\t"
+                             f"{cfg.content_hash()}")
+                dirs.append(record.run_dir.name)
+        assert table == lines
+        for name in dirs:
+            solo, batched = tmp_path / "solo" / name, tmp_path / "batched" / name
+            for artifact in ("config.ini", "ledger.csv"):
+                assert (batched / artifact).read_bytes() == \
+                    (solo / artifact).read_bytes()
+            summaries = [json.loads((path / "summary.json").read_text())
+                         for path in (solo, batched)]
+            for summary in summaries:
+                del summary["wall_seconds"]
+            assert summaries[0] == summaries[1]
+        # amplitude 3.0 left each batch and was rerun alone
+        for m in (1.0, 3.0):
+            results = run_batch([ScenarioConfig(p=3.0, t_end=2.0, stride=8,
+                                                amplitude=A, m=m)
+                                 for A in (0.1, 1.0, 3.0)])
+            assert results[0].state is results[1].state
+            assert len(results[2].state.flags) == 1
+
+    def test_verify_json_reports_every_criterion(self, capsys, monkeypatch):
+        # the machine-readable verdicts: one entry per criterion, with its
+        # verdict, detail and wall seconds; two criteria keep it short
+        from viscowave import acceptance
+
+        monkeypatch.setattr(acceptance, "CRITERIA", [
+            c for c in acceptance.CRITERIA if c[0] in (10, 12)])
+        assert cli.main(["verify", "--quick", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True
+        assert [c["number"] for c in report["criteria"]] == [10, 12]
+        for c in report["criteria"]:
+            assert set(c) == {"number", "title", "verdict", "detail",
+                              "wall_s"}
+            assert c["verdict"] == "PASS" and c["wall_s"] > 0.0
 
     def test_unknown_flag_exits_usage(self, capsys):
         assert cli.main(["run", "--config", "x", "--bogus"]) == 1

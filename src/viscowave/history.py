@@ -311,18 +311,18 @@ class MemoryState:
             block[:-3] = np.vstack([coef @ dev, dev[0], ext])
         self.t_push = 0.0
         self._lags = {}
-        self._push_buf = buf = np.empty(self.M.shape[:-2]
-                                        + (1, grid.size + 1))
+        M = self.M
+        self._push_buf = buf = np.empty(M.shape[:-2] + (grid.size + 1,))
         self._ds = np.array(self.ds)
         # a push's passes over views of M, bound once as partials: the old
         # row 0 moves to node ds, where it takes weight ds (R += ds D_0
         # through buf, R *= decay), then D_0 takes lap u and h1 less the
         # extension row
-        M = self.M
         R, D0 = M[..., :-5, :], M[..., -5, :]
         self._push_plan = (
-            partial(np.multiply, M[..., -5:-4, :], self._ds, buf),
-            partial(np.add, R, buf, R), partial(np.multiply, R, self.decay, R),
+            partial(np.multiply, D0, self._ds, buf),
+            partial(np.add, R, buf[..., None, :], R),
+            partial(np.multiply, R, self.decay, R),
             partial(np.copyto, D0[..., :-1].reshape(M.shape[:-2]
                                                     + grid.shape)),
             partial(np.copyto, D0[..., -1]),

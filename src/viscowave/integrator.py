@@ -406,10 +406,10 @@ class Stepper:
         """Member b's u, v and memory evaluation, views of the batch's (a
         batch of one's are the stepper's own), and its h1 = ||grad u||^2,
         which the memory's current row holds."""
-        h1 = self.memory.M[..., -3, -1].item(b)
+        M = self.memory.M
         if len(self.flags) == 1:    # a flags dict a member
-            return self.u, self.v, self.mem, h1
-        return self.u[b], self.v[b], self.mem.member(b), h1
+            return self.u, self.v, self.mem, M.item(-3, -1)
+        return self.u[b], self.v[b], self.mem.member(b), M.item(b, -3, -1)
 
     def terms(self, b: int = 0) -> dict:
         """scriptE, E, I, lp_pow and nehari_gap of member b's ledger row."""

@@ -707,7 +707,7 @@ class TestRun:
                     if isinstance(v, np.ndarray)} == {
                 "lam": (K,), "weights": (2, K), "w0": (2,), "decay": (K, 1),
                 "lam_h": (K_h,), "weights_h": (2, K_h), "C": (K_h,),
-                "M": (K + 5, N + 1), "_push_buf": (1, N + 1), "_ds": ()}
+                "M": (K + 5, N + 1), "_push_buf": (N + 1,), "_ds": ()}
             ds = memory.ds
             assert memory.horizon == t_end + cfg.support_T0 + ds
             assert np.array_equal(

@@ -247,11 +247,7 @@ def _damp_members(v: np.ndarray, tau: float, m: float, tiers, scratch: tuple,
     members share a certified tier, that tier's passes run once over the
     whole stack, exactly each member's own passes; a left member's zero
     rows stay zero through them.  Otherwise each live member's rows take
-    their own call, Newton's stopping test then being the member's alone.
-    With one member live the stack's tier is its own, the other members'
-    rows being zero."""
-    if len(live) == 1:
-        return _damp_midpoint(v, tau, m, tiers or SOLVE, scratch)[1]
+    their own call, Newton's stopping test then being the member's alone."""
     squared = tiers is None and m == 3.0
     if tiers is None:
         rows = (np.multiply(v, v, out=scratch[0]) if squared

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -311,22 +310,8 @@ class MemoryState:
             block[:-3] = np.vstack([coef @ dev, dev[0], ext])
         self.t_push = 0.0
         self._lags = {}
-        M = self.M
-        self._push_buf = buf = np.empty(M.shape[:-2] + (grid.size + 1,))
+        self._push_buf = np.empty(self.M.shape[:-2] + (grid.size + 1,))
         self._ds = np.array(self.ds)
-        # a push's passes over views of M, bound once as partials: the old
-        # row 0 moves to node ds, where it takes weight ds (R += ds D_0
-        # through buf, R *= decay), then D_0 takes lap u and h1 less the
-        # extension row
-        R, D0 = M[..., :-5, :], M[..., -5, :]
-        self._push_plan = (
-            partial(np.multiply, D0, self._ds, buf),
-            partial(np.add, R, buf[..., None, :], R),
-            partial(np.multiply, R, self.decay, R),
-            partial(np.copyto, D0[..., :-1].reshape(M.shape[:-2]
-                                                    + grid.shape)),
-            partial(np.copyto, D0[..., -1]),
-            partial(np.subtract, D0, M[..., -4, :], D0))
 
     @property
     def lap_field(self) -> np.ndarray:
@@ -349,13 +334,15 @@ class MemoryState:
         if t + self.T0 > self.horizon:
             raise ValueError(f"push at t = {t} takes the history's lags past "
                              f"the memory's horizon {self.horizon}")
-        scale, add, decay, take_lap, take_h1, deviate = self._push_plan
-        scale()
-        add()
-        decay()
-        take_lap(lap_u)
-        take_h1(h1)
-        deviate()
+        M, buf = self.M, self._push_buf
+        R, D0 = M[..., :-5, :], M[..., -5, :]
+        # the old row 0 moves to node ds, where it takes weight ds
+        np.multiply(D0, self._ds, buf)
+        R += buf[..., None, :]
+        R *= self.decay
+        D0[..., :-1] = lap_u.reshape(D0.shape[:-1] + (-1,))
+        D0[..., -1] = h1
+        D0 -= M[..., -4, :]
         self.t_push = t
 
     def _lag(self, delta: float) -> tuple:

@@ -302,20 +302,6 @@ class RunResult:
 # the stepper and the run
 
 
-def _aligned(shape: tuple, values=None) -> np.ndarray:
-    """A new array of shape that starts on a 64-byte cache line, holding
-    values if given.  A step's passes over its fields then cost the same
-    wherever the heap puts them: on 64 x 64 fields a pass over a field off
-    the line costs up to a tenth more, with AVX-512's 64-byte vectors."""
-    size = math.prod(shape)
-    raw = np.empty(size + 7)
-    start = -raw.ctypes.data % 64 // raw.itemsize
-    field = raw[start:start + size].reshape(shape)
-    if values is not None:
-        field[...] = np.reshape(values, shape)
-    return field
-
-
 class Stepper:
     """The whole state of a batch of runs of config, one per datum, and its
     leapfrog step.
@@ -356,10 +342,10 @@ class Stepper:
         self.memory = memory = config.make_memory(data, kernel)
         self.grid = grid = memory.grid
         B, shape = len(data), memory.M.shape[:-2] + grid.shape
-        self.u = u = _aligned(shape, [datum.value_at(0.0) for datum in data])
-        self.v = v = _aligned(shape, [datum.velocity_at_0 for datum in data])
-        self.F, self.kick, work = (_aligned(shape), _aligned(shape),
-                                   _aligned(shape))
+        self.u = u = np.reshape([datum.value_at(0.0) for datum in data], shape)
+        self.v = v = np.reshape([datum.velocity_at_0 for datum in data], shape)
+        self.F, self.kick = np.empty(shape), np.empty(shape)
+        work = np.empty(shape)
         m, p, self.source = config.m, config.p, config.source_enabled
         self.p, self.damping = p, config.damping_enabled
         lap_u, conv_mu, conv_mup = memory.lap_field, *memory.conv_fields
@@ -371,7 +357,7 @@ class Stepper:
             grid.laplacian, grid.h1_by_parts, memory.evaluate, memory.push,
             np.array(kernel.k0), grid.cell_volume, self.damping,
             self.damping and m == 1.0, m, self.source, p - 1.0,
-            0.5 * (m + 1.0), (work, self.kick, _aligned(shape)))
+            0.5 * (m + 1.0), (work, self.kick, np.empty(shape)))
         # a batch's per-member reductions: the fields' rows as (B, N) views,
         # and a buffer for their B values
         self._rows = (u.reshape(B, -1), lap_u.reshape(B, -1),
@@ -401,11 +387,11 @@ class Stepper:
     def member(self, b: int) -> tuple:
         """Member b's u, v and memory evaluation, views of the batch's (a
         batch of one's are the stepper's own), and its h1 = ||grad u||^2,
-        which the memory's current row holds."""
-        M = self.memory.M
+        which the step that reached the state returned."""
+        h1 = self.prev[b][0]
         if len(self.flags) == 1:    # a flags dict a member
-            return self.u, self.v, self.mem, M.item(-3, -1)
-        return self.u[b], self.v[b], self.mem.member(b), M.item(b, -3, -1)
+            return self.u, self.v, self.mem, h1
+        return self.u[b], self.v[b], self.mem.member(b), h1
 
     def terms(self, b: int = 0) -> dict:
         """scriptE, E, I, lp_pow and nehari_gap of member b's ledger row."""
@@ -582,7 +568,8 @@ class Stepper:
                     continue
                 stop = doubled and flags[b]["dt_halvings"] >= MAX_DT_HALVINGS
                 if stop or due:
-                    self.tick, self.step_index = tick, step_index
+                    self.tick, self.step_index, self.prev = (
+                        tick, step_index, rows)
                     self.record(b, ledgers[b], kept[b])
                 if stop:
                     flags[b].update(dt_exhausted=True, stop_step=step_index)

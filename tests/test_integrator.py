@@ -680,9 +680,8 @@ class TestRun:
         # t_end + T0 + ds, each row a field's Laplacian and its ||grad||^2,
         # the K_h modes of memory_horizon with their per-mode depth sums C
         # that a lag's quadrature takes, the push's buffer of one row and
-        # its 0-d ds; the kept state still gives the last convolution's
-        # Laplacian, which a wrapper around Stepper.record copies at every
-        # row
+        # its 0-d ds; the kept state still gives the last convolution, whose
+        # Laplacian a wrapper around Stepper.record copies at every row
         record, lap_convs = integrator.Stepper.record, []
 
         def record_and_keep(stepper, b, ledger, kept):
@@ -695,11 +694,11 @@ class TestRun:
             cfg = quick_config(kernel_family="polynomial", r=1.5,
                                extension="frozen", t_end=t_end)
             res = run(cfg)
-            memory, state = res.state.memory, res.state
-            ev = memory.evaluate(state.member(0)[3], state.t - memory.t_push)
+            memory, u = res.state.memory, res.state.u
+            conv = memory.convolution_field(u, res.state.t - memory.t_push)
             lap_conv = lap_convs[-1]
             np.testing.assert_allclose(
-                ev.conv[0], lap_conv, rtol=1e-12,
+                res.grid.laplacian(conv), lap_conv, rtol=1e-12,
                 atol=1e-12 * np.max(np.abs(lap_conv)))
             K, N = len(memory.lam), cfg.n
             K_h = len(res.kernel.modes(res.kernel.memory_horizon)[0])

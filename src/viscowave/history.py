@@ -310,8 +310,16 @@ class MemoryState:
             block[:-3] = np.vstack([coef @ dev, dev[0], ext])
         self.t_push = 0.0
         self._lags = {}
-        self._push_buf = np.empty(self.M.shape[:-2] + (grid.size + 1,))
+        M = self.M
+        self._push_buf = buf = np.empty(M.shape[:-2] + (grid.size + 1,))
         self._ds = np.array(self.ds)
+        # the views of M that a push writes, taken once: the modes R, the
+        # newest deviation D_0 with its lap part shaped as lap u and its h1,
+        # the extension row, and the buffer broadcast against R's rows
+        D0 = M[..., -5, :]
+        self._push_rows = (M[..., :-5, :], D0, D0[..., :-1].reshape(
+            M.shape[:-2] + grid.shape), D0[..., -1], M[..., -4, :],
+            buf[..., None, :])
 
     @property
     def lap_field(self) -> np.ndarray:
@@ -334,15 +342,14 @@ class MemoryState:
         if t + self.T0 > self.horizon:
             raise ValueError(f"push at t = {t} takes the history's lags past "
                              f"the memory's horizon {self.horizon}")
-        M, buf = self.M, self._push_buf
-        R, D0 = M[..., :-5, :], M[..., -5, :]
+        R, D0, D0_lap, D0_h1, ext, buf = self._push_rows
         # the old row 0 moves to node ds, where it takes weight ds
-        np.multiply(D0, self._ds, buf)
-        R += buf[..., None, :]
+        np.multiply(D0, self._ds, self._push_buf)
+        R += buf
         R *= self.decay
-        D0[..., :-1] = lap_u.reshape(D0.shape[:-1] + (-1,))
-        D0[..., -1] = h1
-        D0 -= M[..., -4, :]
+        D0_lap[...] = lap_u
+        D0_h1[...] = h1
+        D0 -= ext
         self.t_push = t
 
     def _lag(self, delta: float) -> tuple:

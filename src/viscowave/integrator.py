@@ -439,8 +439,6 @@ class Stepper:
         (u, v, lap_u, F, kick, work, conv_mu, conv_mup, single, laplacian,
          h1_by_parts, evaluate, push_u, k0, cell, damping, linear, m, source,
          source_e, power_e, scratch) = self._operands
-        if not single:
-            u_rows, lap_rows, conv_rows, work_rows, sums = self._rows
         if move:
             # kick, then the damping split symmetrically around the drift;
             # at m = 1 the dampings scale v by alpha before and after it
@@ -466,14 +464,14 @@ class Stepper:
         if single:
             h1 = h1_by_parts(u, lap_u)
         else:
+            u_rows, lap_rows, conv_rows, work_rows, sums = self._rows
             h1 = [abs(x) * cell for x in
                   vecdot(lap_rows, u_rows, out=sums).tolist()]
         if push:
             push_u(t, h1, lap_u)
         mem = self.mem = evaluate(h1, lag)
-        # the force F = k0 lap u - lap conv (+ |u|^(p-1) u) and the viscous
-        # power -(1/2) integral mu' ||grad w||^2 ds, mem.integral(1, h1, u),
-        # in Python floats; a square is a product, which rounds as pow does
+        # the force F = k0 lap u - lap conv (+ |u|^(p-1) u); a square is a
+        # product, which rounds as pow does
         multiply(lap_u, k0, F)
         subtract(F, conv_mu, F)
         if source:
@@ -485,15 +483,6 @@ class Stepper:
                     work **= source_e
             multiply(work, u, work)
             add(F, work, F)
-        total = mem.total.item(1)
-        if single:
-            visc = -0.5 * (total * h1 + 2.0 * (float(vdot(u, conv_mup)) * cell)
-                           + mem.scalar.item(1))
-        else:
-            visc = [-0.5 * (total * h + 2.0 * (inner * cell) + scalar)
-                    for h, inner, scalar in zip(
-                        h1, vecdot(u_rows, conv_rows, out=sums).tolist(),
-                        mem.scalar[1].tolist())]
         if move:
             # the second half-kick, with the new force
             multiply(F, kick_dt, kick)
@@ -505,11 +494,20 @@ class Stepper:
                 multiply(work, work, work)
             elif power_e != 1.0:
                 work **= power_e
+        # and the viscous power -(1/2) integral mu' ||grad w||^2 ds,
+        # mem.integral(1, h1, u), in Python floats
+        total = mem.total.item(1)
         if single:
+            inner = float(vdot(u, conv_mup)) * cell
             return [(h1, float(add.reduce(work, None)) * cell if damping
-                     else 0.0, visc)]
+                     else 0.0, -0.5 * (total * h1 + 2.0 * inner
+                                       + mem.scalar.item(1)))]
         damp = ([x * cell for x in add.reduce(work_rows, -1, out=sums).tolist()]
                 if damping else [0.0] * len(h1))
+        visc = [-0.5 * (total * h + 2.0 * (inner * cell) + scalar)
+                for h, inner, scalar in zip(
+                    h1, vecdot(u_rows, conv_rows, out=sums).tolist(),
+                    mem.scalar[1].tolist())]
         return list(zip(h1, damp, visc))
 
     def leave(self, b: int):
@@ -562,6 +560,8 @@ class Stepper:
                 visc_cum[b] += v_inc
                 grad = sqrt(h1)
                 doubled = grad >= GRAD_DOUBLING_FACTOR * grad_ref[b]
+                if not (doubled or due):
+                    continue
                 if doubled and len(live) > 1:
                     self.leave(b)
                     live = self.live

@@ -310,15 +310,14 @@ class Stepper:
     memory's lag quadrature.  In a batch of B > 1 every field has a leading
     member axis: u, v, F, kick and work are (B, *grid.shape), and the
     memory's M is (B, K+5, N+1), so that a step makes each call once for the
-    batch.  A batch of one, a solo run, keeps no member axis: a ufunc costs
-    about a tenth more on a (1, N) stack than on its field, and it takes
-    its reductions over the whole field, vdot and add.reduce, where a batch
-    takes a row's, ``np.vecdot`` and ``add.reduce`` along the last axis;
-    those and the stacked memory product give each member the bits of its
-    solo run.  Each member keeps its own scalars, in lists indexed by
-    member: the last step's h1 = ||grad u||^2 and powers (``prev``), the
-    trapezoid sums ``damp_cum`` and ``visc_cum``, ``grad_ref`` and
-    ``flags``.
+    batch.  A batch of one, a solo run, keeps no member axis, through which
+    its step would cost about a fifth more, and takes its reductions over
+    the whole field, vdot and add.reduce, where a batch takes a row's,
+    ``np.vecdot`` and ``add.reduce`` along the last axis; those and the
+    stacked memory product give each member the bits of its solo run.
+    Each member keeps its own scalars, in lists indexed by member: the last
+    step's h1 = ||grad u||^2 and powers (``prev``), the trapezoid sums
+    ``damp_cum`` and ``visc_cum``, ``grad_ref`` and ``flags``.
 
     u and v are the stepper's own arrays, which a step updates in place,
     and lap u the view of the memory's current rows that ``evaluate``
@@ -407,7 +406,7 @@ class Stepper:
     def record(self, b: int, ledger: EnergyLedger,
                kept: Optional[Trajectory]):
         """Append member b's row to its ledger, and its u to kept."""
-        row, (u, _, _, h1) = self.terms(b), self.member(b)
+        row, h1 = self.terms(b), self.prev[b][0]
         damp_cum, visc_cum = self.damp_cum[b], self.visc_cum[b]
         E0 = ledger.E0 if len(ledger) else row["E"]
         resid = abs(row["E"] + damp_cum + visc_cum - E0)
@@ -415,7 +414,7 @@ class Stepper:
                       visc_cum=visc_cum, grad_norm=math.sqrt(h1),
                       identity_residual=resid, **row)
         if kept is not None:
-            kept.u.append(u.copy())
+            kept.u.append(self.member(b)[0].copy())
 
     def set_step(self, ticks: int):
         """Step by ticks ticks, dt, from now on: dt/2; for m = 1 the factor
@@ -593,9 +592,8 @@ def run_batch(configs: list, trajectory: bool = False) -> list:
     config = configs[0]
     for other in configs:
         other.validate()
-    shared = config.shared_fields()
     for other in configs[1:]:
-        if other.shared_fields() != shared:
+        if other.shared_fields() != config.shared_fields():
             raise ValueError("a batch's configs may differ in their datum "
                              f"alone: {other!r} against {config!r}")
     grid, kernel = config.make_grid(), config.make_kernel()

@@ -429,7 +429,7 @@ class Stepper:
         multiply(self.F, half_dt, self.kick)
 
     def step(self, t: float = 0.0, lag: float = 0.0, push: bool = False,
-             move: bool = True) -> tuple:
+             move: bool = True) -> list:
         """Advance the batch by dt to time t, pushing u onto the memory if
         ``push``, and evaluate the memory at ``lag`` since the last push;
         with ``move`` false, take the current state as it is.  Returns each

@@ -313,9 +313,10 @@ class MemoryState:
         M = self.M
         self._push_buf = buf = np.empty(M.shape[:-2] + (grid.size + 1,))
         self._ds = np.array(self.ds)
-        # the views of M that a push writes, taken once: the modes R, the
-        # newest deviation D_0 with its lap part shaped as lap u and its h1,
-        # the extension row, and the buffer broadcast against R's rows
+        # the views of M that a push writes, taken once (indexing them in
+        # each push costs about 1 us, near a tenth of a push): the modes R,
+        # the newest deviation D_0 with its lap part shaped as lap u and its
+        # h1, the extension row, and the buffer broadcast against R's rows
         D0 = M[..., -5, :]
         self._push_rows = (M[..., :-5, :], D0, D0[..., :-1].reshape(
             M.shape[:-2] + grid.shape), D0[..., -1], M[..., -4, :],

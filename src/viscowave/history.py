@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import SpatialGrid
+from .grid import SpatialGrid, aligned
 from .kernel import RelaxationKernel
 
 ZERO = "zero"
@@ -296,8 +296,12 @@ class MemoryState:
             int(min(datum.support_T0, s_depth) / self.ds + 1e-12) + 1)
         coef = self.ds * np.exp(-np.outer(self.lam, lags))
         coef[:, 0] = 0.0
-        self.M = np.zeros((len(members),) * batch
-                          + (self.lam.size + 5, grid.size + 1))
+        # M is contiguous, its first current row (``lap_field``, which the
+        # step's Laplacian writes) on a cache line
+        rows = self.lam.size + 5
+        self.M = aligned((len(members),) * batch + (rows, grid.size + 1),
+                         (rows - 3) * (grid.size + 1))
+        self.M.fill(0.0)
         for block, member in zip(self.M.reshape((-1,) + self.M.shape[-2:]),
                                  members):
             ext = member.frozen_field()
@@ -311,7 +315,7 @@ class MemoryState:
         self.t_push = 0.0
         self._lags = {}
         M = self.M
-        self._push_buf = buf = np.empty(M.shape[:-2] + (grid.size + 1,))
+        self._push_buf = buf = aligned(M.shape[:-2] + (grid.size + 1,))
         self._ds = np.array(self.ds)
         # the views of M that a push writes, taken once (indexing them in
         # each push costs about 1 us, near a tenth of a push): the modes R,

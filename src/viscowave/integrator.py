@@ -29,15 +29,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from numpy import absolute, add, multiply, subtract, vdot, vecdot
+from numpy import (absolute, add, divide, maximum, multiply, subtract, vdot,
+                   vecdot)
 
 from . import energetics, wellconst
 from .config import ScenarioConfig
 from .energetics import EnergyLedger
-from .grid import SpatialGrid
+from .grid import SpatialGrid, aligned
 from .history import HistoryDatum
 from .kernel import RelaxationKernel
 
@@ -160,6 +162,22 @@ def _tier(amax: float, dt: float, m: float) -> int:
     return PADE if m == 3.0 and _pade_certificate(y, amax, dt) else SOLVE
 
 
+@lru_cache(maxsize=32)
+def _cubic_scalars(dt: float) -> tuple:
+    """The m = 3 tiers' scalars (``_damp_midpoint``) at a half-step dt, as
+    read-only 0-d arrays, faster ufunc operands than floats with the same
+    bits, built once per dt: the guess's dt/2 and 1/2, then the Pade
+    factor's 1 and its Horner coefficients dt^2/3, 13 dt/3, 7 dt^2 and
+    19 dt/3."""
+    dt_sq = dt * dt
+    scalars = tuple(map(np.array, (0.5 * dt, 0.5, 1.0, dt_sq / 3.0,
+                                   13.0 / 3.0 * dt, 7.0 * dt_sq,
+                                   19.0 / 3.0 * dt)))
+    for x in scalars:
+        x.flags.writeable = False
+    return scalars
+
+
 def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
                    scratch: Optional[tuple] = None,
                    squared: bool = False) -> tuple:
@@ -195,45 +213,47 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
     """
     out = None if scratch is None else v
     if m == 1.0:
-        return np.multiply(v, _cayley(tau), out=out), GUESS
+        return multiply(v, _cayley(tau), out), GUESS
     dt = 0.5 * float(tau)
     if m == 3.0:
-        t, x, q = scratch or (None, None, None)
+        # a call without scratch runs the same passes in fields of its own
+        t, x, q = scratch or tuple(np.empty(v.shape) for _ in range(3))
         if not squared:
-            t = np.multiply(v, v, out=t)
+            multiply(v, v, t)
         if not tier:
             # sqrt(max v*v) is max|v| to the bit unless v*v under- or
             # overflows, where the verdicts are those of max|v| still
-            amax = math.sqrt(float(t.max()) if v.size else math.inf)
+            amax = math.sqrt(maximum.reduce(t, None) if v.size else math.inf)
             tier = _tier(amax, dt, m)
+        end = x if out is None else out
+        half_dt, half, one, x2, x1, q2, q1 = _cubic_scalars(dt)
         if tier == GUESS:
-            x = np.multiply(t, 0.5 * dt, out=x)
-            x += 0.5
-            np.divide(v, x, out=x)
-            return np.subtract(x, v, out=x if out is None else out), GUESS
+            multiply(t, half_dt, x)
+            add(x, half, x)
+            divide(v, x, x)
+            return subtract(x, v, end), GUESS
         if tier == PADE:
-            dt_sq = dt * dt
-            x = np.multiply(t, dt_sq / 3.0, out=x)
-            x += 13.0 / 3.0 * dt
-            x *= t
-            x += 1.0
-            q = np.multiply(t, 7.0 * dt_sq, out=q)
-            q += 19.0 / 3.0 * dt
-            q *= t
-            q += 1.0
-            np.divide(x, q, out=x)
-            return np.multiply(v, x, out=x if out is None else out), PADE
+            multiply(t, x2, x)
+            add(x, x1, x)
+            multiply(x, t, x)
+            add(x, one, x)
+            multiply(t, q2, q)
+            add(q, q1, q)
+            multiply(q, t, q)
+            add(q, one, q)
+            divide(x, q, x)
+            return multiply(v, x, end), PADE
     absa = np.abs(v)
     if m != 3.0 and not tier:   # m = 3 took max|v| for its tier
         amax = float(absa.max()) if v.size else math.inf
         tier = _tier(amax, dt, m)
     if tier == SOLVE:
         w = damping_solve_field(v, dt, m, absa, amax)
-        w = np.multiply(w, 2.0, out=w)
-        return np.subtract(w, v, out=w if out is None else out), SOLVE
+        multiply(w, 2.0, w)
+        return subtract(w, v, w if out is None else out), SOLVE
     x = _guess(absa, dt, m)
     x *= np.copysign(2.0, v)
-    return np.subtract(x, v, out=x if out is None else out), GUESS
+    return subtract(x, v, x if out is None else out), GUESS
 
 
 def _damp_members(v: np.ndarray, tau: float, m: float, tiers, scratch: tuple,
@@ -341,10 +361,11 @@ class Stepper:
         self.memory = memory = config.make_memory(data, kernel)
         self.grid = grid = memory.grid
         B, shape = len(data), memory.M.shape[:-2] + grid.shape
-        self.u = u = np.reshape([datum.value_at(0.0) for datum in data], shape)
-        self.v = v = np.reshape([datum.velocity_at_0 for datum in data], shape)
-        self.F, self.kick = np.empty(shape), np.empty(shape)
-        work = np.empty(shape)
+        self.u, self.v, self.F, self.kick, work, spare = (
+            aligned(shape) for _ in range(6))
+        u, v = self.u, self.v
+        u[...] = np.reshape([datum.value_at(0.0) for datum in data], shape)
+        v[...] = np.reshape([datum.velocity_at_0 for datum in data], shape)
         m, p, self.source = config.m, config.p, config.source_enabled
         self.p, self.damping = p, config.damping_enabled
         lap_u, conv_mu, conv_mup = memory.lap_field, *memory.conv_fields
@@ -356,7 +377,7 @@ class Stepper:
             grid.laplacian, grid.h1_by_parts, memory.evaluate, memory.push,
             np.array(kernel.k0), grid.cell_volume, self.damping,
             self.damping and m == 1.0, m, self.source, p - 1.0,
-            0.5 * (m + 1.0), (work, self.kick, np.empty(shape)))
+            0.5 * (m + 1.0), (work, self.kick, spare))
         # a batch's per-member reductions: the fields' rows as (B, N) views,
         # and a buffer for their B values
         self._rows = (u.reshape(B, -1), lap_u.reshape(B, -1),

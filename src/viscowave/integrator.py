@@ -19,10 +19,14 @@ K memory modes of the run's horizon, t_end + T0 + ds, which
 not its arithmetic: the phases run inline in one method, on ufuncs into
 buffers bound once a run, each with the operand order of the plain
 expression, so every value is that expression's to the bit, and a batch
-makes each call once for all its members.  ``Stepper.advance`` steps to a
-tick under the controller and records the ledger rows; ``run_batch``
-records row 0, advances to t_end and reruns the members that left the
-batch, and ``run`` is the batch of one.
+makes each call once for all its members.  The fields a step writes start
+on 64-byte cache lines (``grid.aligned``), the memory's current row
+included: a pass that stores into an output off a line costs up to about
+80% more on 64 x 64 fields, so the step's speed would otherwise follow
+where the heap put them.  ``Stepper.advance`` steps to a tick under the
+controller and records the ledger rows; ``run_batch`` records row 0,
+advances to t_end and reruns the members that left the batch, and ``run``
+is the batch of one.
 """
 from __future__ import annotations
 
@@ -209,14 +213,15 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
     first call's tier as ``tier`` and skips max|v|.  At m = 3 max v^2 comes
     from the v*v that both tiers read, and the passes run in ``scratch``,
     three fields of v's shape that the caller does not need, the first of
-    which holds v*v already where ``squared``.
+    which holds v*v already where ``squared``; without scratch, the same
+    passes run in three new fields, the second of which is returned.  Their
+    scalars are ``_cubic_scalars``.
     """
     out = None if scratch is None else v
     if m == 1.0:
         return multiply(v, _cayley(tau), out), GUESS
     dt = 0.5 * float(tau)
     if m == 3.0:
-        # a call without scratch runs the same passes in fields of its own
         t, x, q = scratch or tuple(np.empty(v.shape) for _ in range(3))
         if not squared:
             multiply(v, v, t)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from viscowave import acceptance
+from viscowave import acceptance, integrator
 from viscowave.integrator import Stepper
 
 
@@ -48,6 +48,30 @@ def test_identity_residual_stays_near_its_measured_value(suite, name):
     ledger = suite.run(cfg).result.ledger
     worst = max(row["identity_residual"] for row in ledger.rows)
     assert worst / abs(ledger.E0) <= bound, (name, measured)
+
+
+DAMP = integrator._damp_midpoint
+
+
+def idle_cubic_damping(v, tau, m, *args):
+    """At m = 3, the midpoint damping leaving v as it is, in every tier."""
+    if m != 3.0:
+        return DAMP(v, tau, m, *args)
+    return v, DAMP(v.copy(), tau, m, *args)[1]
+
+
+@pytest.mark.parametrize("name, t_end", [("case2", 20.0), ("global", 40.0)])
+def test_identity_residual_bound_catches_an_idle_cubic_damping(
+        monkeypatch, name, t_end):
+    # an m = 3 damping that does nothing passes all 14 quick criteria: the
+    # memory's decay alone meets criterion 5's envelope, and criterion 2's
+    # slack grows with the residual.  The residual bound above fails on it,
+    # reading 0.0135 on case2 and 0.222 on global at t_end = 40
+    cfg, _, bound = RESIDUAL_BOUNDS[name]
+    monkeypatch.setattr(integrator, "_damp_midpoint", idle_cubic_damping)
+    ledger = integrator.run(replace(cfg, t_end=t_end)).ledger
+    worst = max(row["identity_residual"] for row in ledger.rows)
+    assert worst / abs(ledger.E0) > bound
 
 
 def test_row_zero_terms_need_no_run(suite):

@@ -848,6 +848,35 @@ class TestRun:
             output_every=10))
         assert result.flags["completed"] and result.state.step_index > 2000
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dim": 2, "n": 12, "n_y": 10, "modes": (1, 2)},
+    ], ids=["1d", "2d"])
+    def test_step_buffers_start_on_cache_lines(self, overrides):
+        # every field a step writes starts on a 64-byte line, so that its
+        # passes store whole lines: into an output off the line a pass over
+        # 64 x 64 doubles costs about 80% more (grid.aligned).  The
+        # Laplacian's full-field outputs are lap u and its scratch field
+        stepper = run(quick_config(t_end=0.5, m=3.0, **overrides)).state
+        memory, plan = stepper.memory, stepper.grid._bound[2]
+        work, kick, spare = stepper._operands[-1]
+        fields = {"u": stepper.u, "v": stepper.v, "F": stepper.F,
+                  "kick": kick, "work": work, "damping scratch": spare,
+                  "lap_field": memory.lap_field,
+                  "push buffer": memory._push_buf}
+        fields.update((f"Laplacian output {i}", step.args[-1])
+                      for i, step in enumerate(plan)
+                      if isinstance(step.func, np.ufunc)
+                      and step.args[-1].size == stepper.u.size)
+        assert len(fields) > 8
+        for name, field in fields.items():
+            offset = field.ctypes.data % 64
+            assert offset == 0, (
+                f"{name} starts {offset} B past a 64-byte line: the step's "
+                "stores into it split cache lines")
+        assert memory.M.flags.c_contiguous, (
+            "the memory's M is strided: rows padded through a view "
+            "M[..., :N+1] make the push's R += buf take about twice as long")
+
     def test_datum_at_rest_needs_no_halvings(self, tmp_path):
         # u(0) = 0 with a small past: the memory sets the string moving and
         # the energy decays; ||grad u(0)|| = 0 must not make every later

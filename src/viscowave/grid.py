@@ -32,7 +32,7 @@ def aligned(shape, at: int = 0) -> np.ndarray:
     16 bytes; with AVX-512's 64-byte stores a pass over 64 x 64 doubles
     costs about 80% more when its output starts off a line (its inputs'
     offsets change nothing), so the step's buffers start on one."""
-    n = math.prod(shape) if isinstance(shape, tuple) else shape
+    n = int(np.prod(shape))
     raw = np.empty(n + 7)
     start = -(raw.ctypes.data // 8 + at) % 8
     return raw[start:start + n].reshape(shape)

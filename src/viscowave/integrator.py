@@ -168,18 +168,15 @@ def _tier(amax: float, dt: float, m: float) -> int:
 
 @lru_cache(maxsize=32)
 def _cubic_scalars(dt: float) -> tuple:
-    """The m = 3 tiers' scalars (``_damp_midpoint``) at a half-step dt, as
-    read-only 0-d arrays, faster ufunc operands than floats with the same
-    bits, built once per dt: the guess's dt/2 and 1/2, then the Pade
-    factor's 1 and its Horner coefficients dt^2/3, 13 dt/3, 7 dt^2 and
-    19 dt/3."""
+    """``_damp_midpoint``'s m = 3 scalars at a half-step dt, as read-only
+    0-d arrays, faster ufunc operands than floats with the same bits: the
+    guess's dt/2 and 1/2, then the Pade factor's 1 and its Horner
+    coefficients dt^2/3, 13 dt/3, 7 dt^2 and 19 dt/3."""
     dt_sq = dt * dt
-    scalars = tuple(map(np.array, (0.5 * dt, 0.5, 1.0, dt_sq / 3.0,
-                                   13.0 / 3.0 * dt, 7.0 * dt_sq,
-                                   19.0 / 3.0 * dt)))
-    for x in scalars:
-        x.flags.writeable = False
-    return scalars
+    scalars = np.array([0.5 * dt, 0.5, 1.0, dt_sq / 3.0, 13.0 / 3.0 * dt,
+                        7.0 * dt_sq, 19.0 / 3.0 * dt])
+    scalars.flags.writeable = False
+    return tuple(scalars[i, ...] for i in range(len(scalars)))
 
 
 def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
@@ -219,7 +216,7 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
     """
     out = None if scratch is None else v
     if m == 1.0:
-        return multiply(v, _cayley(tau), out), GUESS
+        return np.multiply(v, _cayley(tau), out=out), GUESS
     dt = 0.5 * float(tau)
     if m == 3.0:
         t, x, q = scratch or tuple(np.empty(v.shape) for _ in range(3))
@@ -254,11 +251,11 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
         tier = _tier(amax, dt, m)
     if tier == SOLVE:
         w = damping_solve_field(v, dt, m, absa, amax)
-        multiply(w, 2.0, w)
-        return subtract(w, v, w if out is None else out), SOLVE
+        w = np.multiply(w, 2.0, out=w)
+        return np.subtract(w, v, out=w if out is None else out), SOLVE
     x = _guess(absa, dt, m)
     x *= np.copysign(2.0, v)
-    return subtract(x, v, x if out is None else out), GUESS
+    return np.subtract(x, v, out=x if out is None else out), GUESS
 
 
 def _damp_members(v: np.ndarray, tau: float, m: float, tiers, scratch: tuple,

@@ -382,7 +382,7 @@ def criterion_13(suite: Suite):
     base, *perturbed = [suite.run(cfg) for cfg in w1_family()]
     sups = []
     for pert in perturbed:
-        grid = pert.result.grid
+        grid = pert.result.state.grid
         diffs = [math.sqrt(grid.h1_seminorm_sq(up - ub))
                  for up, ub in zip(pert.result.trajectory.u,
                                    base.result.trajectory.u)]

@@ -87,8 +87,10 @@ def resolvent(fn, S: float, rtol: float = 1e-13, max_iter: int = 200) -> float:
             hi = z
         else:
             lo = z
-        eps = 1e-8 * max(z, 1e-12)
-        deriv = 1.0 + (fn(z + eps) - fn(max(z - eps, 0.0))) / (eps + min(eps, z))
+        # a central difference over a step relative to z in (0, S], or the
+        # least subnormal below z ~ 5e-316, where 1e-8 z underflows to 0
+        eps = max(1e-8 * z, 5e-324)
+        deriv = 1.0 + (fn(z + eps) - fn(z - eps)) / (2.0 * eps)
         z_new = z - res / deriv
         if not (lo < z_new < hi):
             z_new = 0.5 * (lo + hi)

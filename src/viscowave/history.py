@@ -228,10 +228,6 @@ class MemoryEval(NamedTuple):
     scalar: np.ndarray    # (2, ...): integral weight(s) ||grad u(t - s)||^2 ds
     total: np.ndarray     # (2,): integral weight(s) ds, the quadrature's Q
 
-    def member(self, b: int) -> "MemoryEval":
-        """Member b's evaluation, viewing its fields and scalars."""
-        return self._replace(conv=self.conv[:, b], scalar=self.scalar[:, b])
-
     def integral(self, k: int, h1: float, u: np.ndarray) -> float:
         """integral weight_k(s) ||grad w(t, s)||^2 ds from h1 = ||grad u||^2
         and u: the square expanded through bilinearity, so it agrees with

@@ -7,26 +7,25 @@ by an operator-split leapfrog.  A ``Stepper`` owns the whole state of a
 batch of runs that differ only in their datum, the clock, the step
 controller and the dissipation sums included, and its step: a half-kick of
 v, implicit midpoint damping of v in place (at m = 1 a scaling of v,
-otherwise a certified guess, at m = 3 a Pade factor, or Newton, each
-member by its own tier) split symmetrically around the drift of u, one
-Laplacian of u (into the memory's current rows, ||grad u||^2 following by
-summation by parts), a push of lap u and ||grad u||^2 onto the memory's
-s-grid when one is due, the force (one memory product over the rows'
-Laplacians gives lap of the mu and mu' convolutions), the second half-kick
-and the damping and viscous powers.  A step costs O(K N) a member for the
-K memory modes of the run's horizon, t_end + T0 + ds, which
-``ScenarioConfig.make_memory`` builds.  On small grids it costs its calls,
-not its arithmetic: the phases run inline in one method, on ufuncs into
-buffers bound once a run, each with the operand order of the plain
-expression, so every value is that expression's to the bit, and a batch
-makes each call once for all its members.  The fields a step writes start
-on 64-byte cache lines (``grid.aligned``), the memory's current row
-included: a pass that stores into an output off a line costs up to about
-80% more on 64 x 64 fields, so the step's speed would otherwise follow
-where the heap put them.  ``Stepper.advance`` steps to a tick under the
-controller and records the ledger rows; ``run_batch`` records row 0,
-advances to t_end and reruns the members that left the batch, and ``run``
-is the batch of one.
+otherwise a certified guess, at m = 3 a Pade factor, or Newton, each member
+by its own call) split symmetrically around the drift of u, one Laplacian
+of u (into the memory's current rows, ||grad u||^2 following by summation
+by parts), a push of lap u and ||grad u||^2 onto the memory's s-grid when
+one is due, the force (one memory product over the rows' Laplacians gives
+lap of the mu and mu' convolutions), the second half-kick and the damping
+and viscous powers.  A step costs O(K N) a member for the K memory modes of
+the run's horizon, t_end + T0 + ds, which ``ScenarioConfig.make_memory``
+builds.  On small grids it costs its calls, not its arithmetic: the phases
+run inline in one method, on ufuncs into buffers bound once a run, each
+with the operand order of the plain expression, so every value is that
+expression's to the bit, and a batch makes each call but the damping once
+for all its members.  The fields a step writes start on 64-byte cache lines
+(``grid.aligned``), the memory's current row included: a pass that stores
+into an output off a line costs up to about 80% more on 64 x 64 fields, so
+the step's speed would otherwise follow where the heap put them.
+``Stepper.advance`` steps to a tick under the controller and records the
+ledger rows; ``run_batch`` records row 0, advances to t_end and reruns the
+members that left the batch, and ``run`` is the batch of one.
 """
 from __future__ import annotations
 
@@ -43,7 +42,7 @@ from numpy import (absolute, add, divide, maximum, multiply, subtract, vdot,
 from . import energetics, wellconst
 from .config import ScenarioConfig
 from .energetics import EnergyLedger
-from .grid import SpatialGrid, aligned
+from .grid import aligned
 from .history import HistoryDatum
 from .kernel import RelaxationKernel
 
@@ -180,8 +179,7 @@ def _cubic_scalars(dt: float) -> tuple:
 
 
 def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
-                   scratch: Optional[tuple] = None,
-                   squared: bool = False) -> tuple:
+                   scratch: Optional[tuple] = None) -> tuple:
     """Implicit-midpoint integration of v' = -|v|^(m-1) v over [0, tau]: the
     new v, in a new array or, given ``scratch``, in v itself, and its tier.
 
@@ -209,10 +207,10 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
     monotone in max|v|, so a second call with the same tau and m takes the
     first call's tier as ``tier`` and skips max|v|.  At m = 3 max v^2 comes
     from the v*v that both tiers read, and the passes run in ``scratch``,
-    three fields of v's shape that the caller does not need, the first of
-    which holds v*v already where ``squared``; without scratch, the same
-    passes run in three new fields, the second of which is returned.  Their
-    scalars are ``_cubic_scalars``.
+    three fields of v's shape that the caller does not need; without
+    scratch, the same passes run in three new fields, the second of which
+    is returned.  Their scalars are ``_cubic_scalars``.  A batch's step
+    makes this call on each live member's rows, as its solo run does.
     """
     out = None if scratch is None else v
     if m == 1.0:
@@ -220,8 +218,7 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
     dt = 0.5 * float(tau)
     if m == 3.0:
         t, x, q = scratch or tuple(np.empty(v.shape) for _ in range(3))
-        if not squared:
-            multiply(v, v, t)
+        multiply(v, v, t)
         if not tier:
             # sqrt(max v*v) is max|v| to the bit unless v*v under- or
             # overflows, where the verdicts are those of max|v| still
@@ -258,37 +255,6 @@ def _damp_midpoint(v: np.ndarray, tau: float, m: float, tier: int = SOLVE,
     return np.subtract(x, v, out=x if out is None else out), GUESS
 
 
-def _damp_members(v: np.ndarray, tau: float, m: float, tiers, scratch: tuple,
-                  live: list):
-    """``_damp_midpoint`` of each live member's rows of the stack v, in
-    place, each by its own tier; returns the tiers for the step's second
-    half-step to pass back as ``tiers`` (None takes them afresh).
-
-    A member's tier comes from its own max|v| (at m = 3 from its max v*v,
-    whose v*v the passes reuse), as its solo run takes it.  Where the live
-    members share a certified tier, that tier's passes run once over the
-    whole stack, exactly each member's own passes; a left member's zero
-    rows stay zero through them.  Otherwise each live member's rows take
-    their own call, Newton's stopping test then being the member's alone."""
-    squared = tiers is None and m == 3.0
-    if tiers is None:
-        rows = (np.multiply(v, v, out=scratch[0]) if squared
-                else np.abs(v)).reshape(len(v), -1)
-        vmax = np.maximum.reduce(rows, axis=1).tolist()
-        dt = 0.5 * float(tau)
-        tiers = [_tier(math.sqrt(x) if squared else x, dt, m) for x in vmax]
-        shared = {tiers[b] for b in live}
-        if len(shared) == 1 and SOLVE not in shared:
-            tiers = shared.pop()
-    if isinstance(tiers, int):
-        _damp_midpoint(v, tau, m, tiers, scratch, squared)
-    else:
-        for b in live:
-            _damp_midpoint(v[b], tau, m, tiers[b],
-                           tuple(field[b] for field in scratch), squared)
-    return tiers
-
-
 # ---------------------------------------------------------------------------
 # results
 
@@ -302,10 +268,9 @@ class Trajectory:
 @dataclass
 class RunResult:
     """A run; its ``state`` is the stepper that ran it, where it stopped,
-    ``member`` the run's row in the stepper's batch, and ``wall_seconds``
-    its share of the batch's wall time."""
+    with the run's grid, ``member`` the run's row in the stepper's batch,
+    and ``wall_seconds`` its share of the batch's wall time."""
     config: ScenarioConfig
-    grid: SpatialGrid
     kernel: RelaxationKernel
     datum: HistoryDatum
     ledger: EnergyLedger
@@ -331,12 +296,18 @@ class Stepper:
     The members share the grid, the kernel, m, p, dt, the clock and the
     memory's lag quadrature.  In a batch of B > 1 every field has a leading
     member axis: u, v, F, kick and work are (B, *grid.shape), and the
-    memory's M is (B, K+5, N+1), so that a step makes each call once for the
-    batch.  A batch of one, a solo run, keeps no member axis, through which
-    its step would cost about a fifth more, and takes its reductions over
-    the whole field, vdot and add.reduce, where a batch takes a row's,
-    ``np.vecdot`` and ``add.reduce`` along the last axis; those and the
-    stacked memory product give each member the bits of its solo run.
+    memory's M is (B, K+5, N+1), so that a step makes each pass once for
+    the batch.  A batch of one, a solo run, keeps no member axis, through
+    which its step would cost about a fifth more.  Each live member's v is
+    damped by its solo run's ``_damp_midpoint`` call on its rows
+    (``_members``; a batch of one's are its fields).  B selects only the
+    step's three reductions, h1 by parts, the damping power and the viscous
+    inner product, which a solo run takes over the whole field, vdot and
+    add.reduce, and a batch along rows, ``np.vecdot`` and ``add.reduce``,
+    with the same bits: as (1, N) rows they would cost a solo step of w1 or
+    poly_memory 11-12% more (a row vecdot into a buffer takes 0.72 us, a
+    vdot's float 0.67 us, before the rows' list; 2-core AVX-512 x86-64).
+    Those and the stacked memory product give each member its solo bits.
     Each member keeps its own scalars, in lists indexed by member: the last
     step's h1 = ||grad u||^2 and powers (``prev``), the trapezoid sums
     ``damp_cum`` and ``visc_cum``, ``grad_ref`` and ``flags``.
@@ -371,15 +342,18 @@ class Stepper:
         m, p, self.source = config.m, config.p, config.source_enabled
         self.p, self.damping = p, config.damping_enabled
         lap_u, conv_mu, conv_mup = memory.lap_field, *memory.conv_fields
-        # what a step reads, as one tuple that it unpacks into locals (the
-        # cheapest names); work and kick are free while v is damped, so they
-        # and one more field are the dampings' scratch
+        # each member's rows of v and of the damping's scratch, work and
+        # kick, free while v is damped, and one more field
+        v_rows, *scratch = (f.reshape((B,) + grid.shape)
+                            for f in (v, work, self.kick, spare))
+        self._members = list(zip(v_rows, zip(*scratch)))
+        # what a step reads, one tuple it unpacks into locals (the cheapest)
         self._operands = (
             u, v, lap_u, self.F, self.kick, work, conv_mu, conv_mup, B == 1,
             grid.laplacian, grid.h1_by_parts, memory.evaluate, memory.push,
             np.array(kernel.k0), grid.cell_volume, self.damping,
             self.damping and m == 1.0, m, self.source, p - 1.0,
-            0.5 * (m + 1.0), (work, self.kick, spare))
+            0.5 * (m + 1.0), self._members)
         # a batch's per-member reductions: the fields' rows as (B, N) views,
         # and a buffer for their B values
         self._rows = (u.reshape(B, -1), lap_u.reshape(B, -1),
@@ -407,13 +381,14 @@ class Stepper:
         return self.tick * self.tick_dt
 
     def member(self, b: int) -> tuple:
-        """Member b's u, v and memory evaluation, views of the batch's (a
-        batch of one's are the stepper's own), and its h1 = ||grad u||^2,
-        which the step that reached the state returned."""
-        h1 = self.prev[b][0]
-        if len(self.flags) == 1:    # a flags dict a member
-            return self.u, self.v, self.mem, h1
-        return self.u[b], self.v[b], self.mem.member(b), h1
+        """Member b's u, v and memory evaluation (``mem`` as it stands),
+        views of the batch's rows, and its h1 = ||grad u||^2, which the step
+        that reached the state returned."""
+        rows, mem = (len(self.flags),) + self.grid.shape, self.mem
+        return (self.u.reshape(rows)[b], self.v.reshape(rows)[b],
+                mem._replace(conv=mem.conv.reshape((2,) + rows)[:, b],
+                             scalar=mem.scalar.reshape(2, -1)[:, b]),
+                self.prev[b][0])
 
     def terms(self, b: int = 0) -> dict:
         """scriptE, E, I, lp_pow and nehari_gap of member b's ledger row."""
@@ -460,7 +435,7 @@ class Stepper:
         list of B tuples."""
         (u, v, lap_u, F, kick, work, conv_mu, conv_mup, single, laplacian,
          h1_by_parts, evaluate, push_u, k0, cell, damping, linear, m, source,
-         source_e, power_e, scratch) = self._operands
+         source_e, power_e, members) = self._operands
         if move:
             # kick, then the damping split symmetrically around the drift;
             # at m = 1 the dampings scale v by alpha before and after it
@@ -471,16 +446,13 @@ class Stepper:
                 add(u, work, u)
                 multiply(v, alpha_sq, v)
             else:
-                if damping:
-                    tiers = (_damp_midpoint(v, half_dt, m, SOLVE, scratch)[1]
-                             if single else _damp_members(
-                                 v, half_dt, m, None, scratch, self.live))
+                live = [members[b] for b in self.live] if damping else ()
+                tiers = [_damp_midpoint(v_b, half_dt, m, SOLVE, scratch)[1]
+                         for v_b, scratch in live]
                 multiply(v, dt, work)
                 add(u, work, u)
-                if damping and single:
-                    _damp_midpoint(v, half_dt, m, tiers, scratch)
-                elif damping:
-                    _damp_members(v, half_dt, m, tiers, scratch, self.live)
+                for (v_b, scratch), tier in zip(live, tiers):
+                    _damp_midpoint(v_b, half_dt, m, tier, scratch)
         # ||grad u||^2 by parts from lap u, a row's dot product a member
         laplacian(u, lap_u)
         if single:
@@ -565,7 +537,7 @@ class Stepper:
                 h1, damp_now, visc_now = rows[b]
                 # h1 is nonfinite where u is, the damping power where v is
                 if not (isfinite(h1) and isfinite(damp_now) and (
-                        damping or np.isfinite(self.member(b)[1]).all())) \
+                        damping or np.isfinite(self._members[b][0]).all())) \
                         and not all(np.isfinite(field).all()
                                     for field in self.member(b)[:2]):
                     if len(live) > 1:
@@ -632,7 +604,7 @@ def run_batch(configs: list, trajectory: bool = False) -> list:
     for b, flags in enumerate(stepper.flags):
         flags["completed"] = "stop_step" not in flags
         results.append(RunResult(
-            config=configs[b], grid=grid, kernel=kernel, datum=data[b],
+            config=configs[b], kernel=kernel, datum=data[b],
             ledger=ledgers[b], trajectory=kept[b], flags=flags, state=stepper,
             member=b, wall_seconds=wall))
     if stepper.left:

@@ -92,7 +92,7 @@ def run_scenario(config: ScenarioConfig,
     if result is None:
         result = run(config, trajectory=trajectory)
 
-    constants = wellconst.cached_constants(result.grid, config.p,
+    constants = wellconst.cached_constants(result.state.grid, config.p,
                                            result.kernel.k0)
     if config.source_enabled:
         cls = classify(result.ledger.rows[0], constants.d).value

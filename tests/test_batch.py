@@ -105,6 +105,29 @@ def test_batch_members_are_their_solo_runs(base, m, amplitudes):
             [u.tobytes() for u in want.trajectory.u]
 
 
+@pytest.mark.parametrize("B", [1, 3])
+def test_member_views_the_stack_and_the_evaluation_in_force(B):
+    # member b's u and v are views of the stepper's fields, and its memory
+    # evaluation is taken from ``stepper.mem`` when it is asked for: a
+    # swapped evaluation (tests/test_defects.py) gives each member its rows
+    w1 = w1_scenario(t_end=0.5)
+    stepper = run_batch([replace(w1, amplitude=0.05 * (b + 1))
+                         for b in range(B)])[0].state
+    mem = stepper.mem
+    swapped = stepper.mem = mem._replace(conv=mem.conv[::-1],
+                                         scalar=mem.scalar[::-1])
+    assert not np.array_equal(swapped.conv, mem.conv)
+    for b in range(B):
+        u, v, got, _ = stepper.member(b)
+        assert u.shape == v.shape == stepper.grid.shape
+        assert np.shares_memory(u, stepper.u)
+        assert np.shares_memory(v, stepper.v)
+        conv, scalar = ((swapped.conv, swapped.scalar) if B == 1 else
+                        (swapped.conv[:, b], swapped.scalar[:, b]))
+        assert got.conv.tobytes() == conv.tobytes()
+        assert got.scalar.tobytes() == scalar.tobytes()
+
+
 def test_batch_members_share_all_but_the_datum():
     w1 = w1_scenario(t_end=0.5)
     run_batch([w1, replace(w1, amplitude=0.2, modes=(2,))])

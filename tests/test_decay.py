@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from viscowave import decay
 from viscowave.decay import DecayError, DecayModel
@@ -108,6 +108,7 @@ class TestResolventAndOde:
     @settings(max_examples=80, deadline=None)
     @given(S=st.floats(1e-8, 1e4), C=st.floats(1e-3, 1e3),
            m=st.floats(1.0, 5.0))
+    @example(S=1e-8, C=375.0, m=3.0)
     def test_resolvent_residual_contract(self, S, C, m):
         model = DecayModel(phi_C=C, m=m, T_reiter=1.0)
         z = decay.resolvent(model.phi, S)

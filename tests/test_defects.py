@@ -2,17 +2,18 @@
 in the program and asserts that a criterion reports FAIL at its unchanged
 tolerance, through the same ``run_all`` that ``viscowave verify`` prints.
 
-The defects sit in two places.  ``integrator.Stepper.terms``, the
+The defects sit in three places.  ``integrator.Stepper.terms``, the
 ledger-row arithmetic that every row and a new stepper's terms (and so the
 classification) share, takes the memory term with the wrong weight or the
 source with the wrong sign.  ``integrator.Stepper.step`` and the stepper's
 controller drop a power from the energy identity or never halve dt.
+``energetics.dissipation_increment`` sums the powers by the wrong rule.
 """
 import math
 
 import pytest
 
-from viscowave import acceptance, integrator
+from viscowave import acceptance, energetics, integrator
 
 TERMS = integrator.Stepper.terms
 STEP = integrator.Stepper.step
@@ -50,18 +51,27 @@ def no_damping_power(*args, **kwargs):
     return [(h1, 0.0, visc) for h1, _, visc in STEP(*args, **kwargs)]
 
 
+def rectangle_rule_increment(dt, damp_before, damp_after, visc_before,
+                             visc_after):
+    """A step's dissipation by the rectangle rule at its end, not the
+    trapezoid: first order in dt where the identity is second."""
+    return dt * damp_after, dt * visc_after
+
+
 @pytest.mark.parametrize("number, owner, name, defect", [
     (3, integrator.Stepper, "terms", mu_prime_for_mu),
     (3, integrator.Stepper, "terms", flipped_source_sign),
     (9, integrator.Stepper, "terms", mu_prime_for_mu),
     (1, integrator.Stepper, "step", no_viscous_power),
     (1, integrator.Stepper, "step", no_damping_power),
+    (1, energetics, "dissipation_increment", rectangle_rule_increment),
     # a controller that never halves dt: the run overflows, as it does in
     # ``viscowave verify``, where NumPy's overflow is a warning, not an error
     pytest.param(8, integrator, "GRAD_DOUBLING_FACTOR", math.inf,
                  marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
 ], ids=["03-mu_prime_for_mu", "03-flipped_source_sign", "09-mu_prime_for_mu",
-        "01-no_viscous_power", "01-no_damping_power", "08-never_halves"])
+        "01-no_viscous_power", "01-no_damping_power",
+        "01-rectangle_rule_increment", "08-never_halves"])
 def test_criterion_fails_on_defect(monkeypatch, number, owner, name, defect):
     criteria = [c for c in acceptance.CRITERIA if c[0] == number]
     monkeypatch.setattr(acceptance, "CRITERIA", criteria)

@@ -234,7 +234,7 @@ class TestVariationalResidual:
     def test_zero_solution(self, monkeypatch):
         result, rows = run_keeping_rows(monkeypatch,
                                         self.config(amplitude=0.0))
-        grid = result.grid
+        grid = result.state.grid
         X = np.sin(grid.coords()[0])
         res = variational_residual(
             rows, grid, result.kernel, 1.0, 3.0, X,
@@ -243,7 +243,7 @@ class TestVariationalResidual:
 
     def test_zero_test_function(self, monkeypatch):
         result, rows = run_keeping_rows(monkeypatch, self.config())
-        grid = result.grid
+        grid = result.state.grid
         res = variational_residual(
             rows, grid, result.kernel, 1.0, 3.0, grid.zeros(),
             lambda t: 1.0, lambda t: 0.0)
@@ -251,13 +251,13 @@ class TestVariationalResidual:
 
     def test_residual_shrinks_with_dt(self, monkeypatch):
         coarse, coarse_rows = run_keeping_rows(monkeypatch, self.config())
-        base_dt = self.config().resolved_dt(coarse.grid, coarse.kernel)
+        base_dt = self.config().resolved_dt(coarse.state.grid, coarse.kernel)
         fine, fine_rows = run_keeping_rows(monkeypatch,
                                            self.config(dt=base_dt / 2.0))
-        X = np.sin(coarse.grid.coords()[0])
+        X = np.sin(coarse.state.grid.coords()[0])
         args = (X, lambda t: math.cos(t), lambda t: -math.sin(t))
         r_coarse = variational_residual(
-            coarse_rows, coarse.grid, coarse.kernel, 1.0, 3.0, *args)
+            coarse_rows, coarse.state.grid, coarse.kernel, 1.0, 3.0, *args)
         r_fine = variational_residual(
-            fine_rows, fine.grid, fine.kernel, 1.0, 3.0, *args)
+            fine_rows, fine.state.grid, fine.kernel, 1.0, 3.0, *args)
         assert r_fine <= r_coarse / 2.0

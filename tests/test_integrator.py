@@ -632,11 +632,11 @@ class TestRun:
         cfg = quick_config(mu0=1e-10, source_enabled=False, t_end=5.0,
                            n=60, output_every=1)
         coarse = run(cfg, trajectory=True)
-        dt = cfg.resolved_dt(coarse.grid, coarse.kernel)
+        dt = cfg.resolved_dt(coarse.state.grid, coarse.kernel)
         fine = run(replace(cfg, dt=dt / 20.0), trajectory=True)
 
         def first_crossing(result):
-            mid = result.grid.size // 2
+            mid = result.state.grid.size // 2
             series = [u[mid] for u in result.trajectory.u]
             times = result.ledger.column("t")
             for j in range(1, len(series)):
@@ -656,7 +656,7 @@ class TestRun:
                            source_enabled=False, n=63, t_end=250.0,
                            output_every=100)
         result = run(cfg)
-        dt = cfg.resolved_dt(result.grid, result.kernel)
+        dt = cfg.resolved_dt(result.state.grid, result.kernel)
         assert result.state.step_index >= 10_000
         sE = result.ledger.column("scriptE")
         drift = np.max(np.abs(sE - sE[0]))
@@ -698,7 +698,7 @@ class TestRun:
             conv = memory.convolution_field(u, res.state.t - memory.t_push)
             lap_conv = lap_convs[-1]
             np.testing.assert_allclose(
-                res.grid.laplacian(conv), lap_conv, rtol=1e-12,
+                res.state.grid.laplacian(conv), lap_conv, rtol=1e-12,
                 atol=1e-12 * np.max(np.abs(lap_conv)))
             K, N = len(memory.lam), cfg.n
             K_h = len(res.kernel.modes(res.kernel.memory_horizon)[0])
@@ -858,7 +858,7 @@ class TestRun:
         # Laplacian's full-field outputs are lap u and its scratch field
         stepper = run(quick_config(t_end=0.5, m=3.0, **overrides)).state
         memory, plan = stepper.memory, stepper.grid._bound[2]
-        work, kick, spare = stepper._operands[-1]
+        (_, (work, kick, spare)), = stepper._members
         fields = {"u": stepper.u, "v": stepper.v, "F": stepper.F,
                   "kick": kick, "work": work, "damping scratch": spare,
                   "lap_field": memory.lap_field,

@@ -2,8 +2,9 @@
 
 Fields are plain numpy arrays over the interior nodes, of shape ``grid.n``:
 one axis per dimension.  Every operator is a loop over the axes, with no
-branch on the dimension.  All use second-order centered stencils and
-midpoint quadrature so that summation-by-parts holds exactly:
+branch on the dimension (the Laplacian's is over the axes grouped by h_i^2).
+All use second-order centered stencils and midpoint quadrature so that
+summation-by-parts holds exactly:
 
     -inner(laplacian(f), f) == h1_seminorm_sq(f)
 
@@ -128,7 +129,10 @@ class SpatialGrid:
         ``f`` may carry leading stack axes, shape ``(..., *grid.shape)``:
         each field of the stack is differenced on its own, with the same
         elementwise arithmetic as one call per field, so one call takes the
-        Laplacian of all the memory's support rows.
+        Laplacian of all the memory's support rows.  A 1-D grid, or a 2-D
+        one of unequal spacings, takes the sum over axes of each axis's
+        quotient by h_i^2; a square-cell grid, (-4 f + its four neighbours)
+        / h^2, one divide, a few ulp from that sum.
 
         The grid keeps its last float ``f`` and ``out`` with their
         ``_plan`` and reruns it while both are the same objects: a step
@@ -160,43 +164,49 @@ class SpatialGrid:
     def _plan(self, f: np.ndarray, out: np.ndarray) -> tuple:
         """The ufunc calls, as bound partials with 0-d arrays for scalars
         (faster operands than floats, same bits), that take lap f into out,
-        and whether they read f's own memory.  The first axis differences
-        into out.  Along the last axis of a 2-D grid both shifted adds run on
-        each field's flat C-order row (a copy unless it is contiguous), one
-        pass each, into a scratch field added to out; the first column picks
-        up the last node of the row before and the last column the first of
-        the row after, each saved and restored around its add: bit for bit
-        the slice stencil.  The scratch field starts on a cache line
-        (``aligned``), as out does in a step; the add shifted by one node
-        still writes 8 bytes past a line, which no order of passes with these
-        bits avoids.
+        and whether they read f's own memory.  The g axes of one h_i^2
+        difference into one field from -2g f (exact), adding the neighbour
+        before, then after, along each axis in turn, and divide it once: the
+        first group into out, each later one into a scratch field added to
+        out.  Along the last axis of a 2-D grid both adds run on each field's
+        flat C-order row (a copy of f's unless it is contiguous); the first
+        column picks up the last node of the row before and the last column
+        the first of the row after, each saved and restored around its add:
+        bit for bit the slice stencil.  Scratch fields (copied to a
+        non-contiguous out) start on a cache line (``aligned``), as out does
+        in a step; the add shifted by one node still writes 8 bytes past a
+        line, which no order of passes with these bits avoids.
         """
-        steps, views_f = [], True
-        for lo, up, first, last, h2, flat in self._stencils:
-            if flat:
-                fv = f.reshape(f.shape[:-2] + (-1,))
-                views_f = np.may_share_memory(fv, f)
-                dv = aligned(fv.shape)
-                d = dv.reshape(f.shape)
-                edges = np.empty(d[first].shape), np.empty(d[last].shape)
-                steps += [partial(np.multiply, fv, np.array(-2.0), dv),
-                          partial(np.copyto, edges[0], d[first]),
-                          partial(np.add, dv[..., 1:], fv[..., :-1],
-                                  dv[..., 1:]),
-                          partial(np.copyto, d[first], edges[0]),
-                          partial(np.copyto, edges[1], d[last]),
-                          partial(np.add, dv[..., :-1], fv[..., 1:],
-                                  dv[..., :-1]),
-                          partial(np.copyto, d[last], edges[1])]
-            else:
-                # the first axis, whose array is out
-                d = out
-                steps += [partial(np.multiply, f, np.array(-2.0), d),
-                          partial(np.add, d[up], f[lo], d[up]),
-                          partial(np.add, d[lo], f[up], d[lo])]
+        steps, views_f, groups = [], True, {}
+        for stencil in self._stencils:
+            groups.setdefault(stencil[4], []).append(stencil)
+        for i, (h2, axes) in enumerate(groups.items()):
+            # flat rows of a non-contiguous out would be a copy, losing adds
+            lost = axes[-1][5] and not out.flags.c_contiguous
+            d = aligned(out.shape) if i or lost else out
+            steps.append(partial(np.multiply, f, np.array(-2.0 * len(axes)),
+                                 d))
+            for lo, up, first, last, _, flat in axes:
+                if flat:
+                    fv = f.reshape(f.shape[:-2] + (-1,))
+                    dv = d.reshape(fv.shape)
+                    views_f = np.may_share_memory(fv, f)
+                    edges = np.empty(d[first].shape), np.empty(d[last].shape)
+                    steps += [partial(edges[0].__setitem__, ..., d[first]),
+                              partial(np.add, dv[..., 1:], fv[..., :-1],
+                                      dv[..., 1:]),
+                              partial(d[first].__setitem__, ..., edges[0]),
+                              partial(edges[1].__setitem__, ..., d[last]),
+                              partial(np.add, dv[..., :-1], fv[..., 1:],
+                                      dv[..., :-1]),
+                              partial(d[last].__setitem__, ..., edges[1])]
+                else:
+                    steps += [partial(np.add, d[up], f[lo], d[up]),
+                              partial(np.add, d[lo], f[up], d[lo])]
             steps.append(partial(np.divide, d, np.array(h2), d))
             if d is not out:
-                steps.append(partial(np.add, out, d, out))
+                steps.append(partial(np.add, out, d, out) if i
+                             else partial(out.__setitem__, ..., d))
         return tuple(steps), views_f
 
     def h1_seminorm_sq(self, f: np.ndarray) -> float:

@@ -181,15 +181,24 @@ class TestSummationByParts:
 
 
 def pad_laplacian(grid, f):
-    """The np.pad form of the stencil, kept as an oracle."""
-    out = np.zeros_like(f)
+    """The np.pad form of the stencil, kept as an oracle.  The axes are
+    grouped by h_i^2 as the grid groups them: a group of g axes sums -2g f
+    and each axis's neighbour before and after, in axis order, then divides
+    once by h^2, and the groups' quotients are added.  With one axis a group
+    (1-D, or unequal spacings) that is (lo - 2 mid + up) / h_i^2 per axis."""
+    groups = {}
     for axis, hi in enumerate(grid.h):
-        padded = np.pad(f, [(1, 1) if a == axis else (0, 0)
-                            for a in range(grid.dim)])
-        lo, mid, up = ([slice(None)] * grid.dim for _ in range(3))
-        lo[axis], mid[axis], up[axis] = slice(0, -2), slice(1, -1), slice(2, None)
-        out += (padded[tuple(lo)] - 2.0 * padded[tuple(mid)]
-                + padded[tuple(up)]) / hi ** 2
+        groups.setdefault(hi ** 2, []).append(axis)
+    out = np.zeros_like(f)
+    for h2, axes in groups.items():
+        total = -2.0 * len(axes) * f
+        for axis in axes:
+            padded = np.pad(f, [(1, 1) if a == axis else (0, 0)
+                                for a in range(grid.dim)])
+            lo, up = ([slice(None)] * grid.dim for _ in range(2))
+            lo[axis], up[axis] = slice(0, -2), slice(2, None)
+            total = total + padded[tuple(lo)] + padded[tuple(up)]
+        out += total / h2
     return out
 
 
@@ -266,6 +275,8 @@ def grid_and_field_2d(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(grid_and_field_2d())
+# equal spacings, where the grouped sum is 1-2 ulp from per-axis quotients
+@example((SpatialGrid.rectangle((0.1, 0.1), (3, 3)), np.full((3, 3), 0.1)))
 def test_flat_last_axis_matches_pad_oracle_bitwise(case):
     # the oracle subtracts 2f from a padded 0.0 at the boundary where the
     # stencil starts from -2f, so the two may differ in the sign of a zero
@@ -372,6 +383,40 @@ class TestBoundLaplacian:
                            out=out)
         np.testing.assert_array_equal(grid.laplacian(f, out=out),
                                       grid.laplacian(f))
+
+
+class TestSquareCellLaplacian:
+    """A square-cell grid takes both axes into out in one group, so out's
+    flat rows carry the shifted adds: each way of passing f and out must
+    give the bits of one contiguous call."""
+
+    grid = SpatialGrid.rectangle((1.3, 1.3), (7, 7))
+
+    def test_stacked_fields_match_per_field_calls(self):
+        f = np.random.default_rng(9).standard_normal((3, 7, 7))
+        want = np.stack([self.grid.laplacian(g.copy()) for g in f])
+        np.testing.assert_array_equal(bits(self.grid.laplacian(f)),
+                                      bits(want))
+        out = np.full(f.shape, np.nan)
+        np.testing.assert_array_equal(bits(self.grid.laplacian(f, out=out)),
+                                      bits(want))
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "stacked"])
+    def test_non_contiguous_out_keeps_the_shifted_adds(self, layout):
+        rng = np.random.default_rng(10)
+        shape = (2, 7, 7) if layout == "stacked" else (7, 7)
+        f = rng.standard_normal(shape)
+        # each one's flat rows would be a copy
+        out = {"fortran": np.asfortranarray(np.empty(shape)),
+               "strided": np.empty((7, 8))[:, :7],
+               "stacked": np.empty((2, 7, 8))[..., :7]}[layout]
+        assert not np.may_share_memory(out.reshape(shape[:-2] + (-1,)), out)
+        for _ in range(2):
+            out[...] = np.nan
+            assert self.grid.laplacian(f, out=out) is out
+            np.testing.assert_array_equal(bits(out),
+                                          bits(self.grid.laplacian(f)))
+            f[...] = rng.standard_normal(shape)
 
 
 def test_plan_of_a_fortran_order_field_is_not_kept():
